@@ -5,6 +5,9 @@ Each stage squares the outer ratio gap, so the certified digit count of the
 entropy interval roughly doubles per k.  Useful for picking the cheapest k
 for a target accuracy.
 
+Stages whose ratios are not bracketed by r_0 and r_d (stage 1 for d=2)
+admit no bound and are listed as such.
+
 Usage: python scripts/convergence_sweep.py [--d 3] [--k-max 6] [--precision 200]
 """
 
@@ -13,7 +16,7 @@ from __future__ import annotations
 import argparse
 
 from hanoi_dimer.entropy import bounds
-from hanoi_dimer.evolve import evolve_to
+from hanoi_dimer.evolve import evolve_to, ratios
 from hanoi_dimer.recursion_gen import generate
 
 
@@ -28,8 +31,13 @@ def main() -> None:
     vectors = evolve_to(system, args.k_max)
     print(f"d={args.d}, precision={args.precision}")
     print(f"{'k':>3} {'certified':>9} {'lambda digits':>13}  shared prefix")
+    trace = ratios(vectors)
     for k in range(1, args.k_max + 1):
-        result = bounds(args.d, k, vectors, precision=args.precision)
+        row = trace.ratios[trace.stages.index(k)]
+        if max(row) != row[0] or min(row) != row[args.d]:
+            print(f"{k:>3} {'-':>9} {'-':>13}  ratios not bracketed, no bound")
+            continue
+        result = bounds(args.d, k, vectors, trace, precision=args.precision)
         prefix = result.lower.as_decimal()[: result.certified_digits + 2]
         shown = prefix if len(prefix) < 44 else prefix[:41] + "..."
         print(f"{k:>3} {result.certified_digits:>9} "

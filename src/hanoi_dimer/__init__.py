@@ -19,7 +19,9 @@ from .evolve import (
     BoundaryClassVector,
     ContractionReport,
     RatioTrace,
+    apply_system,
     check_contraction,
+    check_system,
     evolve_to,
     initial_vector,
     ratios,
@@ -38,16 +40,12 @@ from .multipoly import (
     Polynomial,
     evaluate_int,
     parse_polynomial,
-    poly_add,
-    poly_mul,
     serialize,
     substitute,
 )
 from .recursion_gen import (
-    DegreeCensus,
     RecursionSystem,
     cached_system,
-    census,
     generate,
     mixed_count_expansion,
     mixed_recursion,
@@ -64,19 +62,19 @@ __all__ = [
     "ContractionReport",
     "CornerConstraint",
     "CornerState",
-    "DegreeCensus",
     "HanoiGraph",
     "HighPrecisionReal",
     "Polynomial",
     "RatioTrace",
     "RecursionSystem",
     "alpha_descending_certificate",
+    "apply_system",
     "boundary_class_vector",
     "bounds",
     "build",
     "cached_system",
-    "census",
     "check_contraction",
+    "check_system",
     "check_finite_sandwich",
     "connector_edges",
     "count_constrained",
@@ -90,8 +88,6 @@ __all__ = [
     "mixed_recursion",
     "omega_ascending_certificate",
     "parse_polynomial",
-    "poly_add",
-    "poly_mul",
     "quadratic_contraction_certificate",
     "ratio_form",
     "ratios",

@@ -21,7 +21,9 @@ from .entropy import DEFAULT_PRECISION, bounds
 from .errors import CapExceeded, HanoiDimerError, IntegrityError
 from .evolve import (
     DEFAULT_DIGIT_CAP,
+    apply_system,
     check_contraction,
+    check_system,
     eps_ratio_table_value,
     evolve_to,
     ratios,
@@ -128,6 +130,7 @@ def cmd_gen_recursions(args: argparse.Namespace) -> int:
 def cmd_count(args: argparse.Namespace) -> int:
     cfg = _config(args)
     system = cached_system(cfg.d, cfg.cache_dir)
+    check_system(system)
     vectors = evolve_to(system, cfg.n, digit_cap=cfg.digit_cap)
     v = vectors[cfg.n]
     if cfg.fmt == "csv":
@@ -172,32 +175,36 @@ def cmd_oracle(args: argparse.Namespace) -> int:
 def cmd_verify(args: argparse.Namespace) -> int:
     cfg = _config(args)
     system = cached_system(cfg.d, cfg.cache_dir)
-    evolved = evolve_to(system, args.n_max, digit_cap=cfg.digit_cap)
-    status = 0
+    # the loaded system, evaluated term by term, and the transfer scan
+    sources = (
+        ("recursion", evolve_to(system, args.n_max, digit_cap=cfg.digit_cap,
+                                advance=apply_system)),
+        ("scan", evolve_to(system, args.n_max, digit_cap=cfg.digit_cap)),
+    )
     for n in range(args.n_max + 1):
         graph = build(cfg.d, n, vertex_cap=max(cfg.vertex_cap,
                                                cfg.oracle_vertex_cap))
         reference = boundary_class_vector(
             graph, vertex_cap=cfg.oracle_vertex_cap, memo_cap=cfg.memo_cap)
-        if reference == evolved[n]:
-            _emit(f"stage {n}: OK ({cfg.d + 2} class counts + total)")
-            continue
-        status = 1
-        for k, (got, want) in enumerate(zip(evolved[n].counts,
-                                            reference.counts)):
-            if got != want:
-                _emit(f"stage {n}: MISMATCH c{k}: recursion {got}, oracle {want}")
-                break
-        else:
-            _emit(f"stage {n}: MISMATCH M: recursion {evolved[n].m}, "
-                  f"oracle {reference.m}")
-        break
-    return status
+        for label, vectors in sources:
+            got = vectors[n]
+            if got == reference:
+                continue
+            for k, (count, want) in enumerate(zip(got.counts, reference.counts)):
+                if count != want:
+                    _emit(f"stage {n}: MISMATCH c{k}: {label} {count}, oracle {want}")
+                    break
+            else:
+                _emit(f"stage {n}: MISMATCH M: {label} {got.m}, oracle {reference.m}")
+            return 1
+        _emit(f"stage {n}: OK ({cfg.d + 2} class counts + total)")
+    return 0
 
 
 def cmd_ratios(args: argparse.Namespace) -> int:
     cfg = _config(args)
     system = cached_system(cfg.d, cfg.cache_dir)
+    check_system(system)
     vectors = evolve_to(system, args.max_n, digit_cap=cfg.digit_cap)
     trace = ratios(vectors)
     digits = args.digits
@@ -233,6 +240,7 @@ def cmd_ratios(args: argparse.Namespace) -> int:
 def cmd_entropy(args: argparse.Namespace) -> int:
     cfg = _config(args)
     system = cached_system(cfg.d, cfg.cache_dir)
+    check_system(system)
     vectors = evolve_to(system, cfg.k, digit_cap=cfg.digit_cap)
     result = bounds(cfg.d, cfg.k, vectors, precision=cfg.precision)
     payload = {

@@ -1,7 +1,10 @@
 """Exact evolution of boundary-class vectors and their ratio sequences.
 
 Counts are exact big integers at every stage; ratios are exact rationals and
-are only rendered to decimals on output.  Stage-0 vectors are the matching
+are only rendered to decimals on output.  Stages advance by the integer
+transfer scan of recursion_gen (step); apply_system evaluates a given
+recursion system term by term instead, which is how a loaded system is
+checked.  Stage-0 vectors are the matching
 counts of K_{d+1} with the corner constraints applied: c_k(0) is the number
 of perfect matchings on the k dimer-forced corners, (k-1)!! for even k and 0
 for odd k.
@@ -22,7 +25,7 @@ from math import comb
 from .errors import CapExceeded, IntegrityError
 from .intutil import digit_count
 from .multipoly import evaluate_int
-from .recursion_gen import RecursionSystem
+from .recursion_gen import INT_RING, RecursionSystem, corner_splits, transfer_scan
 
 DEFAULT_DIGIT_CAP = 10**7
 
@@ -90,8 +93,32 @@ def initial_vector(d: int) -> BoundaryClassVector:
     return BoundaryClassVector(d=d, n=0, counts=counts, m=m)
 
 
+def _mixed_counts(v: BoundaryClassVector) -> dict[tuple[int, int], int]:
+    """Integer mixed counts N(a, b) = sum_j C(d+1-a-b, j) c_{b+j} of a stage."""
+    d = v.d
+    return {
+        (a, b): sum(comb(d + 1 - a - b, j) * v.counts[b + j]
+                    for j in range(d + 2 - a - b))
+        for a, b in corner_splits(d)
+    }
+
+
 def step(sys: RecursionSystem, v: BoundaryClassVector) -> BoundaryClassVector:
-    """Advance one stage; all invariants are re-checked on the result."""
+    """Advance one stage by the integer transfer scan for sys.d.
+
+    The total M comes from its own scan, so the binomial-sum invariant
+    re-checked on the result stays an independent check of the counts.
+    """
+    if v.d != sys.d:
+        raise ValueError(f"vector dimension {v.d} does not match system {sys.d}")
+    factors = _mixed_counts(v)
+    counts = tuple(transfer_scan(v.d, k, factors, INT_RING) for k in range(v.d + 2))
+    m = transfer_scan(v.d, None, factors, INT_RING)
+    return BoundaryClassVector(d=v.d, n=v.n + 1, counts=counts, m=m)
+
+
+def apply_system(sys: RecursionSystem, v: BoundaryClassVector) -> BoundaryClassVector:
+    """Advance one stage by evaluating the given system's polynomials."""
     if v.d != sys.d:
         raise ValueError(f"vector dimension {v.d} does not match system {sys.d}")
     point = {f"c{k}": c for k, c in enumerate(v.counts)}
@@ -100,11 +127,31 @@ def step(sys: RecursionSystem, v: BoundaryClassVector) -> BoundaryClassVector:
     return BoundaryClassVector(d=v.d, n=v.n + 1, counts=counts, m=m)
 
 
+def check_system(sys: RecursionSystem) -> None:
+    """Check a loaded system against the scan; IntegrityError if they differ.
+
+    Every stage-1 count is positive, so every monomial of every polynomial
+    takes part in the comparison at that point.
+    """
+    v1 = step(sys, initial_vector(sys.d))
+    if apply_system(sys, v1) != step(sys, v1):
+        raise IntegrityError(
+            f"the d={sys.d} recursion system disagrees with the transfer scan "
+            "at stage 2"
+        )
+
+
 def evolve_to(sys: RecursionSystem, n_max: int,
-              digit_cap: int = DEFAULT_DIGIT_CAP) -> list[BoundaryClassVector]:
-    """Stages 0..n_max inclusive, guarded against runaway digit growth."""
+              digit_cap: int = DEFAULT_DIGIT_CAP,
+              advance=None) -> list[BoundaryClassVector]:
+    """Stages 0..n_max inclusive, guarded against runaway digit growth.
+
+    Each stage is advanced by step (the transfer scan), or by apply_system
+    when passed as advance to evolve by the system's polynomials.
+    """
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
+    advance = advance or step
     v = initial_vector(sys.d)
     out = [v]
     while v.n < n_max:
@@ -115,7 +162,7 @@ def evolve_to(sys: RecursionSystem, n_max: int,
                 f"evolving d={sys.d} to stage {n_max} predicts ~{predicted} digit "
                 f"counts, above the cap of {digit_cap}; raise it with --digit-cap"
             )
-        v = step(sys, v)
+        v = advance(sys, v)
         out.append(v)
     return out
 

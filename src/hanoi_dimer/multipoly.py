@@ -232,16 +232,6 @@ def _aligned(p: Polynomial, q: Polynomial) -> tuple[dict, dict, tuple[str, ...]]
 # -- module-level operations --------------------------------------------------
 
 
-def poly_add(p: Polynomial, q: Polynomial) -> Polynomial:
-    """Termwise sum; zero coefficients dropped."""
-    return p + q
-
-
-def poly_mul(p: Polynomial, q: Polynomial) -> Polynomial:
-    """Distributive product in canonical form."""
-    return p * q
-
-
 def substitute(p: Polynomial, bindings: Mapping[str, Polynomial]) -> Polynomial:
     """Simultaneous substitution of polynomials for variables.
 

@@ -10,25 +10,34 @@ connector edges.  Summing over the subset S of connector edges contained in
 the matching, each copy i contributes a mixed count N(a_i, b_i): its
 deg_S(i) connector-covered corners are forced monomer inside the copy, its
 global corner is forced dimer (b_i = 1) or monomer (a_i gains 1) depending
-on the class being built, and the remaining corners are free.  Fixing which
-k global corners are dimer-forced breaks copy symmetry, so the sum runs
-over subsets refined by the ordered degree sequence, not over unlabeled
-degree multisets; a transfer scan over copies performs that sum without
-materializing the 2^C(d+1,2) subsets one by one.
+on the class being built, and the remaining corners are free.
 
-Mixed counts expand linearly in the class basis,
-N(a, b) = sum_j C(d+1-a-b, j) * c_{b+j}, which turns the transfer scan's
-output into the degree-(d+1) class polynomials.
+A transfer scan over the copies performs that sum without materializing
+the 2^C(d+1,2) subsets one by one.  Its state is the multiset of connector
+degrees still pending for the copies not yet absorbed.  Fixing which k
+global corners are dimer-forced splits the copies into two groups, the
+dimer-forced and the free ones; copies within a group stay interchangeable,
+so the state keeps the pending degrees sorted within each group and states
+equal up to that symmetry are merged.
+
+The scan runs over two rings.  Mixed counts expand linearly in the class
+basis, N(a, b) = sum_j C(d+1-a-b, j) * c_{b+j}: with that linear form as
+each copy's factor the scan yields the degree-(d+1) class polynomials
+(generate), with the n{a}_{b} variable it yields the mixed-basis form
+(mixed_recursion), and with the integer N(a, b) of a stage's class vector
+it yields the next stage's counts directly (evolve.step).
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from itertools import groupby
 from math import comb
 from pathlib import Path
+from typing import Callable
 
-from .errors import CacheCorruption, CapExceeded, IntegrityError
+from .errors import CacheCorruption, IntegrityError
 from .hanoi_graph import connector_edges
 from .multipoly import Polynomial, parse_polynomial, serialize
 
@@ -47,22 +56,17 @@ def mixed_count_name(a: int, b: int) -> str:
     return f"n{a}_{b}"
 
 
+def corner_splits(d: int) -> tuple[tuple[int, int], ...]:
+    """Every (a, b) a copy can take: a monomer-forced, b dimer-forced corners.
+
+    b is 0 or 1 (a copy owns one global corner), so these are exactly the
+    n{a}_{b} variables of mixed_varset, in the same order.
+    """
+    return tuple((a, b) for b in (0, 1) for a in range(d + 2 - b))
+
+
 def mixed_varset(d: int) -> tuple[str, ...]:
-    # b is 0 or 1: a copy owns exactly one global corner
-    names = [mixed_count_name(a, 0) for a in range(d + 2)]
-    names += [mixed_count_name(a, 1) for a in range(d + 1)]
-    return tuple(names)
-
-
-@dataclass(frozen=True)
-class DegreeCensus:
-    """Connector-edge subsets of K_{d+1} grouped by sorted degree multiset."""
-
-    d: int
-    counts: dict[tuple[int, ...], int]
-
-    def total_subsets(self) -> int:
-        return sum(self.counts.values())
+    return tuple(mixed_count_name(a, b) for a, b in corner_splits(d))
 
 
 @dataclass(frozen=True)
@@ -78,39 +82,6 @@ class RecursionSystem:
     varset: tuple[str, ...]
     class_polys: tuple[Polynomial, ...]
     m_poly: Polynomial
-
-
-def census(d: int, subset_cap: int = DEFAULT_SUBSET_CAP) -> DegreeCensus:
-    """Exhaustive walk of all connector-edge subsets, grouped by degree multiset.
-
-    Gray-code order keeps the per-subset update O(1).  Refuses when
-    2^C(d+1,2) exceeds subset_cap (CLI: --census-cap).
-    """
-    if d < 2:
-        raise ValueError("dimension d must be >= 2")
-    pairs = [pair for pair, _ in connector_edges(d)]
-    n_edges = len(pairs)
-    total = 1 << n_edges
-    if total > subset_cap:
-        raise CapExceeded(
-            f"census for d={d} needs {total} subsets, above the cap of "
-            f"{subset_cap}; raise it with --census-cap"
-        )
-    degrees = [0] * (d + 1)
-    counts: dict[tuple[int, ...], int] = {}
-    key = tuple(degrees)
-    counts[key] = 1
-    included = [False] * n_edges
-    for k in range(1, total):
-        bit = (~(k - 1) & k).bit_length() - 1
-        i, j = pairs[bit]
-        delta = -1 if included[bit] else 1
-        included[bit] = not included[bit]
-        degrees[i] += delta
-        degrees[j] += delta
-        key = tuple(sorted(degrees))
-        counts[key] = counts.get(key, 0) + 1
-    return DegreeCensus(d=d, counts=counts)
 
 
 def mixed_count_expansion(d: int, forced_monomers: int, forced_dimers: int) -> Polynomial:
@@ -129,6 +100,126 @@ def mixed_count_expansion(d: int, forced_monomers: int, forced_dimers: int) -> P
     return Polynomial(varset, terms)
 
 
+# -- the transfer scan over copies -----------------------------------------------
+
+
+@dataclass(frozen=True)
+class Ring:
+    """How the scan's values absorb a copy's factor.
+
+    muladd(acc, value, factor) returns acc + value * factor, where acc None
+    stands for zero; it may update acc in place but never value.  scalar
+    maps a positive integer weight into a factor.
+    """
+
+    unit: object
+    scalar: Callable[[int], object]
+    muladd: Callable[[object, object, object], object]
+
+
+def _int_muladd(acc, value, factor):
+    value *= factor
+    return value if acc is None else acc + value
+
+
+def _terms_muladd(acc, terms, factor):
+    # terms: packed monomial -> coefficient; factor: (packed bump, weight) pairs
+    if acc is None:
+        acc = {}
+    get = acc.get
+    for mono, coeff in terms.items():
+        for bump, weight in factor:
+            key = mono + bump
+            acc[key] = get(key, 0) + coeff * weight
+    return acc
+
+
+# integer values: a copy's factor is its integer mixed count N(a, b)
+INT_RING = Ring(unit=1, scalar=int, muladd=_int_muladd)
+# term dicts over packed monomials: a copy's factor is a linear form
+TERM_RING = Ring(unit={0: 1}, scalar=lambda w: ((0, w),), muladd=_terms_muladd)
+
+
+def _connector_choices(rest: tuple[int, ...], forced: int):
+    """Ways for the next copy to take connector edges to the later copies.
+
+    rest holds the later copies' pending degrees, the first `forced` of them
+    dimer-forced, each group sorted.  Copies of one group with equal pending
+    degree are interchangeable: taking edges to t of a run of m gives one
+    canonical successor with weight C(m, t), and bumping the run's last t
+    entries keeps the group sorted.  Returns (successor, edges, weight).
+    """
+    options = [((), 0, 1)]
+    for group in (rest[:forced], rest[forced:]):
+        for deg, run in groupby(group):
+            m = len(tuple(run))
+            options = [(head + (deg,) * (m - t) + (deg + 1,) * t, edges + t,
+                        weight * comb(m, t))
+                       for head, edges, weight in options for t in range(m + 1)]
+    return options
+
+
+def transfer_scan(d: int, k: int | None, factors: dict, ring: Ring):
+    """Sum over connector-edge subsets of the product of per-copy factors.
+
+    One composition step: copies 0..k-1 have their global corner dimer-forced
+    (k=None leaves every global corner free), and factors[(a, b)] is the
+    factor of a copy with a monomer-forced and b dimer-forced corners.
+    Copies are absorbed in order; the state is the pending connector degrees
+    of the later copies, kept sorted within the dimer-forced and the free
+    group.  The edges still open form a complete graph on the later copies
+    and a copy's factor depends only on its degree and group, so states equal
+    up to that symmetry have the same completions and are merged.
+    """
+    copies = d + 1
+    if k is not None and not 0 <= k <= copies:
+        raise ValueError(f"k={k} out of range for d={d}")
+    states = {(0,) * copies: ring.unit}
+    for i in range(copies):
+        forced_later = 0 if k is None else max(0, k - i - 1)
+        buckets: dict = {}
+        for state, value in states.items():
+            own, rest = state[0], state[1:]
+            for successor, edges, weight in _connector_choices(rest, forced_later):
+                deg = own + edges
+                if k is None:
+                    split = (deg, 0)
+                elif i < k:
+                    split = (deg, 1)
+                else:
+                    split = (deg + 1, 0)
+                key = (successor, split)
+                buckets[key] = ring.muladd(buckets.get(key), value, ring.scalar(weight))
+        states = {}
+        for (successor, split), value in buckets.items():
+            states[successor] = ring.muladd(states.get(successor), value, factors[split])
+    (result,) = states.values()
+    return result
+
+
+def _polynomial_scan(d: int, k: int | None, varset: tuple[str, ...],
+                     forms: dict[tuple[int, int], Polynomial]) -> Polynomial:
+    """transfer_scan over term dicts; forms[(a, b)] is a linear Polynomial.
+
+    Monomials are packed into integers, one field per variable wide enough
+    for the largest exponent d+1, so a factor bumps a monomial by addition.
+    """
+    bits = (d + 1).bit_length()
+    nv = len(varset)
+
+    def pack(exps):
+        return sum(e << (bits * i) for i, e in enumerate(exps))
+
+    factors = {split: tuple((pack(exps), coeff) for exps, coeff in form.terms())
+               for split, form in forms.items()}
+    terms = transfer_scan(d, k, factors, TERM_RING)
+    mask = (1 << bits) - 1
+    return Polynomial(varset, {
+        tuple(key >> (bits * i) & mask for i in range(nv)): coeff
+        for key, coeff in terms.items()
+    })
+
+
 def mixed_recursion(d: int, k: int | None) -> Polynomial:
     """One composition step in the mixed-count basis.
 
@@ -137,116 +228,16 @@ def mixed_recursion(d: int, k: int | None) -> Polynomial:
     global corner stays free.  Returns a degree-(d+1) polynomial in the
     n{a}_{b} variables.
     """
-    copies = d + 1
-    if k is not None and not 0 <= k <= copies:
-        raise ValueError(f"k={k} out of range for d={d}")
     varset = mixed_varset(d)
-    index = {name: i for i, name in enumerate(varset)}
-    nv = len(varset)
-    zero_terms = {(0,) * nv: 1}
-
-    # transfer scan over copies: state = connector degrees still pending for
-    # the copies not yet absorbed, value = polynomial over absorbed copies
-    states: dict[tuple[int, ...], dict[tuple[int, ...], int]] = {
-        (0,) * copies: zero_terms
-    }
-    for i in range(copies):
-        later = copies - i - 1
-        buckets: dict[tuple[tuple[int, ...], int], dict[tuple[int, ...], int]] = {}
-        for partial, terms in states.items():
-            own = partial[0]
-            rest = partial[1:]
-            for choice in range(1 << later):
-                deg = own + choice.bit_count()
-                if k is None:
-                    a, b = deg, 0
-                else:
-                    b = 1 if i < k else 0
-                    a = deg + 1 - b
-                new_rest = list(rest)
-                for t in range(later):
-                    if choice >> t & 1:
-                        new_rest[t] += 1
-                bkey = (tuple(new_rest), index[mixed_count_name(a, b)])
-                bucket = buckets.get(bkey)
-                if bucket is None:
-                    buckets[bkey] = dict(terms)
-                else:
-                    for m, c in terms.items():
-                        bucket[m] = bucket.get(m, 0) + c
-        states = {}
-        for (new_rest, var_i), terms in buckets.items():
-            target = states.setdefault(new_rest, {})
-            for m, c in terms.items():
-                bumped = m[:var_i] + (m[var_i] + 1,) + m[var_i + 1:]
-                target[bumped] = target.get(bumped, 0) + c
-    (result,) = states.values()
-    return Polynomial(varset, result)
-
-
-def _class_scan(d: int, k: int | None) -> Polynomial:
-    """mixed_recursion with the class-basis expansion folded into the scan.
-
-    Same transfer over copies, but each copy's factor is applied as the
-    linear class-basis form of its mixed count, so the degree-(d+1) class
-    polynomial accumulates directly (equality with the substitution route
-    is covered by the tests).
-    """
-    copies = d + 1
-    if k is not None and not 0 <= k <= copies:
-        raise ValueError(f"k={k} out of range for d={d}")
-    varset = class_varset(d)
-    nv = len(varset)
-
-    # linear factors: (a, b) -> list of (class index, binomial weight)
-    factors: dict[tuple[int, int], list[tuple[int, int]]] = {}
-    for b in (0, 1):
-        for a in range(d + 2 - b):
-            free = d + 1 - a - b
-            factors[(a, b)] = [(b + j, comb(free, j)) for j in range(free + 1)]
-
-    states: dict[tuple[int, ...], dict[tuple[int, ...], int]] = {
-        (0,) * copies: {(0,) * nv: 1}
-    }
-    for i in range(copies):
-        later = copies - i - 1
-        buckets: dict[tuple[tuple[int, ...], tuple[int, int]], dict] = {}
-        for partial, terms in states.items():
-            own = partial[0]
-            rest = partial[1:]
-            for choice in range(1 << later):
-                deg = own + choice.bit_count()
-                if k is None:
-                    ab = (deg, 0)
-                else:
-                    b = 1 if i < k else 0
-                    ab = (deg + 1 - b, b)
-                new_rest = list(rest)
-                for t in range(later):
-                    if choice >> t & 1:
-                        new_rest[t] += 1
-                bkey = (tuple(new_rest), ab)
-                bucket = buckets.get(bkey)
-                if bucket is None:
-                    buckets[bkey] = dict(terms)
-                else:
-                    for m, c in terms.items():
-                        bucket[m] = bucket.get(m, 0) + c
-        states = {}
-        for (new_rest, ab), terms in buckets.items():
-            target = states.setdefault(new_rest, {})
-            for m, c in terms.items():
-                for idx, weight in factors[ab]:
-                    bumped = m[:idx] + (m[idx] + 1,) + m[idx + 1:]
-                    target[bumped] = target.get(bumped, 0) + c * weight
-    (result,) = states.values()
-    return Polynomial(varset, result)
+    forms = {(a, b): Polynomial.variable(varset, mixed_count_name(a, b))
+             for a, b in corner_splits(d)}
+    return _polynomial_scan(d, k, varset, forms)
 
 
 def _degree_profile_totals(d: int) -> dict[tuple[int, ...], int]:
     """Ordered degree-sequence census via a transfer scan over edges.
 
-    Independent of mixed_recursion's copy scan; used to cross-check the
+    Independent of the copy scan (transfer_scan); used to cross-check the
     generated polynomials' coefficient totals.
     """
     profile: dict[tuple[int, ...], int] = {(0,) * (d + 1): 1}
@@ -266,8 +257,12 @@ def _degree_profile_totals(d: int) -> dict[tuple[int, ...], int]:
 def generate(d: int) -> RecursionSystem:
     """Generate and validate the full recursion system for dimension d."""
     varset = class_varset(d)
-    class_polys = [_class_scan(d, k) for k in range(d + 2)]
-    m_poly = _class_scan(d, None)
+    # each copy's factor is the class-basis form of its mixed count, so the
+    # class polynomials accumulate directly (equality with the substitution
+    # route through mixed_recursion is covered by the tests)
+    forms = {(a, b): mixed_count_expansion(d, a, b) for a, b in corner_splits(d)}
+    class_polys = [_polynomial_scan(d, k, varset, forms) for k in range(d + 2)]
+    m_poly = _polynomial_scan(d, None, varset, forms)
 
     profile = _degree_profile_totals(d)
     class_total = 0
@@ -367,8 +362,11 @@ def save_system(sys: RecursionSystem, path: Path) -> None:
     path.write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
 
 
-def load_system(path: Path) -> RecursionSystem:
-    """Parse and sanity-check a cache file; CacheCorruption on any defect."""
+def load_system(path: Path, d: int | None = None) -> RecursionSystem:
+    """Parse and sanity-check a cache file; CacheCorruption on any defect.
+
+    Given d, a file written for another dimension is a defect too.
+    """
     try:
         text = Path(path).read_text(encoding="utf-8")
     except OSError as err:
@@ -379,6 +377,9 @@ def load_system(path: Path) -> RecursionSystem:
     header = _HEADER_RE.match(lines[0])
     if not header:
         raise CacheCorruption(f"cache file {path} has a malformed header")
+    if d is not None and int(header.group(1)) != d:
+        raise CacheCorruption(
+            f"cache file {path} holds the d={header.group(1)} system, not d={d}")
     d = int(header.group(1))
     if int(header.group(2)) != d + 1:
         raise CacheCorruption(f"cache file {path} header basis disagrees with d={d}")
@@ -409,14 +410,15 @@ def cached_system(d: int, cache_dir: Path | None = None,
                   regenerate: bool = False) -> RecursionSystem:
     """Load from cache when possible, else generate and store.
 
-    A corrupt cache file is regenerated in place with a warning.
+    A corrupt cache file, or one written for another dimension, is
+    regenerated in place with a warning.
     """
     if cache_dir is None:
         return generate(d)
     path = cache_path(Path(cache_dir), d)
     if not regenerate and path.exists():
         try:
-            return load_system(path)
+            return load_system(path, d)
         except CacheCorruption as err:
             import warnings
 

@@ -1,13 +1,23 @@
-"""Shared test utilities: classic-symbol polynomial parsing and fixtures."""
+"""Shared test utilities: classic-symbol polynomial parsing, fixtures and the
+connector-subset census."""
 
 from __future__ import annotations
 
+import os
 import re
+import subprocess
+import sys
+from dataclasses import dataclass
 from pathlib import Path
 
+import hanoi_dimer
+from hanoi_dimer.errors import CapExceeded
+from hanoi_dimer.hanoi_graph import connector_edges
 from hanoi_dimer.multipoly import Polynomial
+from hanoi_dimer.recursion_gen import DEFAULT_SUBSET_CAP
 
 DATA_DIR = Path(__file__).parent / "data"
+REPO_DIR = Path(__file__).resolve().parents[1]
 
 CLASSIC_SYMBOLS_D3 = "fghts"
 CLASS_VARS_D3 = tuple(f"c{i}" for i in range(5))
@@ -36,6 +46,16 @@ def parse_classic(rhs: str, symbols: str, varset: tuple[str, ...]) -> Polynomial
     return Polynomial(varset, terms)
 
 
+def run_python(*argv: str) -> subprocess.CompletedProcess:
+    """Run a fresh interpreter that imports this checkout's hanoi_dimer."""
+    src = str(Path(hanoi_dimer.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, *argv], capture_output=True, text=True, timeout=300,
+        env={**os.environ, "PYTHONPATH": path},
+    )
+
+
 def load_golden_d3() -> dict[str, Polynomial]:
     """The reference d=3 system, mapped onto the c0..c4 basis."""
     out: dict[str, Polynomial] = {}
@@ -45,3 +65,47 @@ def load_golden_d3() -> dict[str, Polynomial]:
         lhs, rhs = line.split(": ", 1)
         out[lhs] = parse_classic(rhs, CLASSIC_SYMBOLS_D3, CLASS_VARS_D3)
     return out
+
+
+@dataclass(frozen=True)
+class DegreeCensus:
+    """Connector-edge subsets of K_{d+1} grouped by sorted degree multiset."""
+
+    d: int
+    counts: dict[tuple[int, ...], int]
+
+    def total_subsets(self) -> int:
+        return sum(self.counts.values())
+
+
+def census(d: int, subset_cap: int = DEFAULT_SUBSET_CAP) -> DegreeCensus:
+    """Exhaustive walk of all connector-edge subsets, grouped by degree multiset.
+
+    Gray-code order keeps the per-subset update O(1).  Refuses when
+    2^C(d+1,2) exceeds subset_cap (CLI: --census-cap).
+    """
+    if d < 2:
+        raise ValueError("dimension d must be >= 2")
+    pairs = [pair for pair, _ in connector_edges(d)]
+    n_edges = len(pairs)
+    total = 1 << n_edges
+    if total > subset_cap:
+        raise CapExceeded(
+            f"census for d={d} needs {total} subsets, above the cap of "
+            f"{subset_cap}; raise it with --census-cap"
+        )
+    degrees = [0] * (d + 1)
+    counts: dict[tuple[int, ...], int] = {}
+    key = tuple(degrees)
+    counts[key] = 1
+    included = [False] * n_edges
+    for k in range(1, total):
+        bit = (~(k - 1) & k).bit_length() - 1
+        i, j = pairs[bit]
+        delta = -1 if included[bit] else 1
+        included[bit] = not included[bit]
+        degrees[i] += delta
+        degrees[j] += delta
+        key = tuple(sorted(degrees))
+        counts[key] = counts.get(key, 0) + 1
+    return DegreeCensus(d=d, counts=counts)

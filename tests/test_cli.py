@@ -8,8 +8,13 @@ from importlib import resources
 import jsonschema
 import pytest
 
+from hanoi_dimer import evolve
+from hanoi_dimer import reference_values as ref
 from hanoi_dimer.cli import main
-from hanoi_dimer.recursion_gen import cache_path
+from hanoi_dimer.evolve import BoundaryClassVector
+from hanoi_dimer.recursion_gen import cache_path, generate, save_system
+
+from .helpers import run_python
 
 
 def run_cli(capsys, *argv: str) -> tuple[int, str, str]:
@@ -224,3 +229,46 @@ def test_dimension_validation(capsys):
     code, _, err = run_cli(capsys, "oracle", "--d", "1", "--n", "0")
     assert code == 2
     assert "at least 2" in err
+
+
+# -- cache checks --------------------------------------------------------------------
+
+
+def test_count_rejects_cache_of_another_dimension(tmp_path):
+    save_system(generate(4), cache_path(tmp_path, 3))
+    run = run_python("-m", "hanoi_dimer", "count", "--d", "3", "--n", "1",
+                     "--cache-dir", str(tmp_path))
+    assert run.returncode == 0
+    assert json.loads(run.stdout)["c"] == [str(c) for c in ref.CLASS_COUNTS_D3[1]]
+    assert "regenerating corrupt recursion cache" in run.stderr
+    assert "d=4" in run.stderr
+    assert cache_path(tmp_path, 3).read_text().startswith("# d=3 basis=c0..c4\n")
+
+
+def test_count_rejects_self_consistent_tampered_cache(capsys, tmp_path):
+    run_cli(capsys, "gen-recursions", "--d", "2", "--cache-dir", str(tmp_path))
+    path = cache_path(tmp_path, 2)
+    text = path.read_text()
+    assert text.count("8*c0^3") == 2
+    path.write_text(text.replace("8*c0^3", "9*c0^3"))
+    code, out, err = run_cli(capsys, "count", "--d", "2", "--n", "1",
+                             "--cache-dir", str(tmp_path))
+    assert code == 1
+    assert out == ""
+    assert "disagrees with the transfer scan" in err
+
+
+def test_verify_reports_a_scan_mismatch(capsys, tmp_path, monkeypatch):
+    real_step = evolve.step
+
+    def off_by_one(sys_, v):
+        got = real_step(sys_, v)
+        counts = (got.counts[0] + 1,) + got.counts[1:]
+        return BoundaryClassVector(d=got.d, n=got.n, counts=counts, m=got.m + 1)
+
+    monkeypatch.setattr(evolve, "step", off_by_one)
+    code, out, _ = run_cli(capsys, "verify", "--d", "2", "--n-max", "1",
+                           "--cache-dir", str(tmp_path))
+    assert code == 1
+    assert out.splitlines() == ["stage 0: OK (4 class counts + total)",
+                                "stage 1: MISMATCH c0: scan 19, oracle 18"]

@@ -8,9 +8,13 @@ import pytest
 
 from hanoi_dimer import reference_values as ref
 from hanoi_dimer.errors import CapExceeded, IntegrityError
+from hanoi_dimer.multipoly import Polynomial
+from hanoi_dimer.recursion_gen import RecursionSystem
 from hanoi_dimer.evolve import (
     BoundaryClassVector,
+    apply_system,
     check_contraction,
+    check_system,
     eps_ratio_table_value,
     evolve_to,
     initial_vector,
@@ -48,6 +52,29 @@ def test_step_d4_reproduces_stage_one(systems):
     assert v1.m == 48645865
     assert v1.counts[5] == 3779500
     assert v1.counts == ref.CLASS_COUNTS_D4[1]
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5])
+def test_scan_equals_polynomial_evaluation(systems, d):
+    v = initial_vector(d)
+    for n in (1, 2, 3):
+        scanned = step(systems(d), v)
+        assert scanned.n == n
+        assert scanned == apply_system(systems(d), v)
+        v = scanned
+
+
+def test_check_system_accepts_generated_and_rejects_tampered(systems):
+    sys2 = systems(2)
+    check_system(sys2)
+    bump = Polynomial(sys2.varset, {(3, 0, 0, 0): 1})
+    tampered = RecursionSystem(
+        d=2, varset=sys2.varset,
+        class_polys=(sys2.class_polys[0] + bump,) + sys2.class_polys[1:],
+        m_poly=sys2.m_poly + bump,
+    )
+    with pytest.raises(IntegrityError):
+        check_system(tampered)
 
 
 def test_evolve_d4_stage_two(systems):

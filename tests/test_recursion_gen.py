@@ -12,7 +12,6 @@ from hanoi_dimer.multipoly import Polynomial, serialize, substitute
 from hanoi_dimer.recursion_gen import (
     cache_path,
     cached_system,
-    census,
     class_varset,
     generate,
     load_system,
@@ -26,7 +25,7 @@ from hanoi_dimer.recursion_gen import (
     save_system,
 )
 
-from .helpers import load_golden_d3, parse_classic
+from .helpers import census, load_golden_d3, parse_classic
 
 
 def brute_census(d: int) -> dict[tuple[int, ...], int]:
@@ -348,3 +347,14 @@ def test_cached_system_regenerates_on_corruption(tmp_path):
     with pytest.warns(UserWarning):
         sys2 = cached_system(2, tmp_path)
     assert load_system(path) == sys2
+
+
+def test_load_system_rejects_another_dimension(tmp_path, systems):
+    path = cache_path(tmp_path, 3)
+    save_system(systems(4), path)
+    assert load_system(path) == systems(4)
+    with pytest.raises(CacheCorruption, match="d=4 system, not d=3"):
+        load_system(path, 3)
+    with pytest.warns(UserWarning, match="d=4 system"):
+        assert cached_system(3, tmp_path) == systems(3)
+    assert load_system(path, 3) == systems(3)
