@@ -111,13 +111,7 @@ def _config(args: argparse.Namespace) -> RunConfig:
 
 def cmd_gen_recursions(args: argparse.Namespace) -> int:
     cfg = _config(args)
-    subsets = 1 << (cfg.d * (cfg.d + 1) // 2)
-    if subsets > cfg.census_cap:
-        raise CapExceeded(
-            f"generation for d={cfg.d} spans {subsets} connector subsets, "
-            f"above the cap of {cfg.census_cap}; raise it with --census-cap"
-        )
-    system = generate(cfg.d)
+    system = generate(cfg.d, subset_cap=cfg.census_cap)
     path = cache_path(cfg.cache_dir, cfg.d)
     save_system(system, path)
     sizes = ", ".join(str(p.term_count()) for p in system.class_polys)

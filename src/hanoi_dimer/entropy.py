@@ -29,7 +29,7 @@ from fractions import Fraction
 
 from .errors import IntegrityError
 from .evolve import BoundaryClassVector, RatioTrace, ratios
-from .intutil import ceil_div, digit_count, floor_div
+from .intutil import ceil_div, digit_count
 
 DEFAULT_PRECISION = 160
 GUARD_DIGITS = 20
@@ -177,11 +177,10 @@ def _ln_int_interval(m: int, w: int) -> Interval:
     return (lo, hi)
 
 
-def _ln_fraction_interval(value: Fraction, w: int) -> Interval:
-    if value <= 0:
-        raise ValueError("log of a nonpositive rational")
-    nlo, nhi = _ln_int_interval(value.numerator, w)
-    dlo, dhi = _ln_int_interval(value.denominator, w)
+def _ln_ratio_interval(num: int, den: int, w: int) -> Interval:
+    """Enclose 10^w * ln(num/den) for positive integers, reduced or not."""
+    nlo, nhi = _ln_int_interval(num, w)
+    dlo, dhi = _ln_int_interval(den, w)
     return (nlo - dhi, nhi - dlo)
 
 
@@ -195,10 +194,10 @@ def hp_ln(x: int | Fraction, precision: int = DEFAULT_PRECISION,
     if value <= 0:
         raise ValueError(f"ln domain error: {x} <= 0")
     w = precision + GUARD_DIGITS
-    lo, hi = _ln_fraction_interval(value, w)
+    lo, hi = _ln_ratio_interval(value.numerator, value.denominator, w)
     grain = 10**GUARD_DIGITS
     if rounding == "floor":
-        scaled = floor_div(lo, grain)
+        scaled = lo // grain
     else:
         scaled = ceil_div(hi, grain)
     return HighPrecisionReal(scaled=scaled, precision=precision, rounding=rounding)
@@ -214,9 +213,9 @@ def _stage_vector(vectors: list[BoundaryClassVector], k: int) -> BoundaryClassVe
     raise ValueError(f"no stage-{k} vector available")
 
 
-def _edge_factor(t: int, s: int) -> Fraction:
-    # 1 + 2 (t/s) + 2 (t/s)^2 as an exact rational
-    return Fraction(s * s + 2 * t * s + 2 * t * t, s * s)
+def _edge_factor(t: int, s: int) -> tuple[int, int]:
+    # 1 + 2 (t/s) + 2 (t/s)^2 as an unreduced numerator/denominator pair
+    return s * s + 2 * t * s + 2 * t * t, s * s
 
 
 def certified_digit_prefix(lower: str, upper: str) -> tuple[str, int]:
@@ -262,16 +261,16 @@ def bounds(d: int, k: int, vectors: list[BoundaryClassVector],
     lam = v.counts[d + 1]
     w = precision + GUARD_DIGITS
     lam_lo, lam_hi = _ln_int_interval(lam, w)
-    qw_lo, qw_hi = _ln_fraction_interval(_edge_factor(v.counts[d], v.counts[d + 1]), w)
-    qa_lo, qa_hi = _ln_fraction_interval(_edge_factor(v.counts[0], v.counts[1]), w)
+    qw_lo, qw_hi = _ln_ratio_interval(*_edge_factor(v.counts[d], v.counts[d + 1]), w)
+    qa_lo, qa_hi = _ln_ratio_interval(*_edge_factor(v.counts[0], v.counts[1]), w)
 
     div_lam = (d + 1) ** (k + 1)
     div_q = 2 * (d + 1) ** k
-    lower_w = floor_div(lam_lo, div_lam) + floor_div(qw_lo, div_q)
+    lower_w = lam_lo // div_lam + qw_lo // div_q
     upper_w = ceil_div(lam_hi, div_lam) + ceil_div(qa_hi, div_q)
 
     grain = 10**GUARD_DIGITS
-    lower = HighPrecisionReal(floor_div(lower_w, grain), precision, "floor")
+    lower = HighPrecisionReal(lower_w // grain, precision, "floor")
     upper = HighPrecisionReal(ceil_div(upper_w, grain), precision, "ceiling")
     if lower.scaled > upper.scaled:
         raise IntegrityError("lower bound exceeded upper bound")

@@ -19,9 +19,5 @@ def digit_count(m: int) -> int:
     return digits
 
 
-def floor_div(a: int, b: int) -> int:
-    return a // b
-
-
 def ceil_div(a: int, b: int) -> int:
     return -((-a) // b)

@@ -7,9 +7,11 @@ to one of its surviving neighbors.  Memoization is keyed by the surviving
 mask; the copy-major vertex order of HanoiGraph keeps the reachable state
 count small on these self-similar graphs.
 
-Corner constraints reduce to vertex deletions: a monomer-forced corner is
-deleted up front, and a dimer-forced set D is handled by inclusion-exclusion
-over its subsets, sum_{T subseteq D} (-1)^|T| N(G - monomers - T).
+Corner constraints act inside that recursion, so a constrained count is a
+single counter run: monomer-forced vertices are deleted up front, and a
+dimer-forced vertex never takes the unmatched branch.  The forced set is
+fixed for the whole call, so the surviving mask still determines the count
+and stays a sound memo key.
 
 Every call owns a private memo table, so concurrent calls are independent.
 Not meant to scale past a few dozen vertices; the recursion system is the
@@ -29,8 +31,6 @@ from .hanoi_graph import HanoiGraph
 
 DEFAULT_ORACLE_VERTEX_CAP = 40
 DEFAULT_MEMO_CAP = 1 << 26
-
-GraphLike = "HanoiGraph | tuple[int, Iterable[tuple[int, int]]]"
 
 
 class CornerState(Enum):
@@ -54,12 +54,6 @@ class CornerConstraint:
                 f"constraint {text!r} must use only 'm', 'd', 'f'"
             ) from None
 
-    @classmethod
-    def dimer_prefix(cls, d: int, k: int) -> CornerConstraint:
-        """First k corners dimer-forced, the rest monomer-forced."""
-        return cls(tuple(CornerState.DIMER if i < k else CornerState.MONOMER
-                         for i in range(d + 1)))
-
 
 def _graph_data(graph) -> tuple[int, tuple[tuple[int, int], ...]]:
     if isinstance(graph, HanoiGraph):
@@ -68,23 +62,36 @@ def _graph_data(graph) -> tuple[int, tuple[tuple[int, int], ...]]:
     return vertex_count, tuple(edges)
 
 
-def count_matchings(graph, *, vertex_cap: int = DEFAULT_ORACLE_VERTEX_CAP,
-                    memo_cap: int = DEFAULT_MEMO_CAP,
-                    _removed: frozenset[int] = frozenset()) -> int:
-    """Exact number of matchings (independent edge subsets), empty one included."""
+def count_matchings(graph, *, monomers: Iterable[int] = (),
+                    dimers: Iterable[int] = (),
+                    vertex_cap: int = DEFAULT_ORACLE_VERTEX_CAP,
+                    memo_cap: int = DEFAULT_MEMO_CAP) -> int:
+    """Exact number of matchings (independent edge subsets), empty one included.
+
+    Only matchings that leave every vertex of ``monomers`` unmatched and
+    cover every vertex of ``dimers`` are counted.
+    """
     vertex_count, edges = _graph_data(graph)
     if vertex_count > vertex_cap:
         raise CapExceeded(
             f"oracle refuses {vertex_count} vertices, above the cap of "
             f"{vertex_cap}; raise it with --vertex-cap"
         )
+    removed = frozenset(monomers)
+    forced_set = frozenset(dimers)
+    for v in removed | forced_set:
+        if not 0 <= v < vertex_count:
+            raise ValueError(f"constrained vertex {v} is not in the graph")
+    if removed & forced_set:
+        return 0  # no matching both avoids and covers a vertex
+    forced = sum(1 << v for v in forced_set)
     adjacency = [0] * vertex_count
     alive = 0
     for v in range(vertex_count):
-        if v not in _removed:
+        if v not in removed:
             alive |= 1 << v
     for u, v in edges:
-        if u in _removed or v in _removed:
+        if u in removed or v in removed:
             continue
         if u == v:
             raise ValueError(f"self-loop at vertex {u}")
@@ -102,7 +109,7 @@ def count_matchings(graph, *, vertex_cap: int = DEFAULT_ORACLE_VERTEX_CAP,
         v_bit = mask & -mask
         v = v_bit.bit_length() - 1
         rest = mask ^ v_bit
-        total = count(rest)  # v unmatched
+        total = 0 if v_bit & forced else count(rest)  # v unmatched
         neighbors = adjacency[v] & rest
         while neighbors:
             u_bit = neighbors & -neighbors
@@ -130,19 +137,15 @@ def count_constrained(graph, constraint: CornerConstraint, *,
             f"constraint has {len(constraint.states)} entries, graph has "
             f"{graph.d + 1} corners"
         )
-    monomers = frozenset(
-        c for c, s in zip(graph.corners, constraint.states) if s is CornerState.MONOMER
+
+    def corners(state: CornerState) -> list[int]:
+        return [c for c, s in zip(graph.corners, constraint.states) if s is state]
+
+    return count_matchings(
+        graph, monomers=corners(CornerState.MONOMER),
+        dimers=corners(CornerState.DIMER),
+        vertex_cap=vertex_cap, memo_cap=memo_cap,
     )
-    dimers = [c for c, s in zip(graph.corners, constraint.states) if s is CornerState.DIMER]
-    total = 0
-    for r in range(len(dimers) + 1):
-        for removed in combinations(dimers, r):
-            part = count_matchings(
-                graph, vertex_cap=vertex_cap, memo_cap=memo_cap,
-                _removed=monomers | frozenset(removed),
-            )
-            total += -part if r % 2 else part
-    return total
 
 
 def boundary_class_vector(graph: HanoiGraph, *,

@@ -106,12 +106,6 @@ class Polynomial:
     def is_zero(self) -> bool:
         return not self._terms
 
-    def total_degree(self) -> int:
-        """Degree of the largest monomial; -1 for the zero polynomial."""
-        if not self._terms:
-            return -1
-        return max(sum(e) for e in self._terms)
-
     def is_homogeneous(self, degree: int) -> bool:
         return all(sum(e) == degree for e in self._terms)
 

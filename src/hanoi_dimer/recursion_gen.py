@@ -37,7 +37,7 @@ from math import comb
 from pathlib import Path
 from typing import Callable
 
-from .errors import CacheCorruption, IntegrityError
+from .errors import CacheCorruption, CapExceeded, IntegrityError
 from .hanoi_graph import connector_edges
 from .multipoly import Polynomial, parse_polynomial, serialize
 
@@ -254,8 +254,18 @@ def _degree_profile_totals(d: int) -> dict[tuple[int, ...], int]:
     return profile
 
 
-def generate(d: int) -> RecursionSystem:
-    """Generate and validate the full recursion system for dimension d."""
+def generate(d: int, subset_cap: int = DEFAULT_SUBSET_CAP) -> RecursionSystem:
+    """Generate and validate the full recursion system for dimension d.
+
+    Refuses with CapExceeded when the 2^C(d+1,2) connector subsets the
+    system sums over exceed subset_cap.
+    """
+    subsets = 1 << (d * (d + 1) // 2)
+    if subsets > subset_cap:
+        raise CapExceeded(
+            f"generation for d={d} spans {subsets} connector subsets, above "
+            f"the cap of {subset_cap}; raise it with gen-recursions --census-cap"
+        )
     varset = class_varset(d)
     # each copy's factor is the class-basis form of its mixed count, so the
     # class polynomials accumulate directly (equality with the substitution

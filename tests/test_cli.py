@@ -191,6 +191,15 @@ def test_gen_recursions_census_cap(capsys, tmp_path):
     assert "census-cap" in err
 
 
+def test_count_applies_census_cap_before_generating(capsys, tmp_path):
+    code, out, err = run_cli(capsys, "count", "--d", "7", "--n", "1",
+                             "--cache-dir", str(tmp_path))
+    assert code == 3
+    assert out == ""
+    assert "census-cap" in err
+    assert not cache_path(tmp_path, 7).exists()
+
+
 def test_cache_env_variable_respected(capsys, tmp_path, monkeypatch):
     monkeypatch.setenv("HANOI_DIMER_CACHE", str(tmp_path))
     code, _, _ = run_cli(capsys, "gen-recursions", "--d", "2")

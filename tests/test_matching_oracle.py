@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from itertools import combinations, product
 from math import comb
 
 import pytest
@@ -20,14 +21,33 @@ from hanoi_dimer.matching_oracle import (
 )
 
 
-def brute_matchings(n_vertices: int, edges: list[tuple[int, int]]) -> int:
-    """Independent reference: grow matchings edge by edge."""
+def covered_vertex_sets(edges: list[tuple[int, int]]) -> list[frozenset[int]]:
+    """Independent reference: grow matchings edge by edge, one entry per
+    matching, each given by the vertices it covers."""
     matchings = [frozenset()]
     for u, v in edges:
         matchings += [
             m | {u, v} for m in matchings if u not in m and v not in m
         ]
-    return len(matchings)
+    return matchings
+
+
+def brute_matchings(n_vertices: int, edges: list[tuple[int, int]]) -> int:
+    return len(covered_vertex_sets(edges))
+
+
+def inclusion_exclusion(graph, constraint: CornerConstraint) -> int:
+    """Independent reference for dimer corners: sum over subsets T of the
+    dimer-forced corners of (-1)^|T| N(G - monomers - T)."""
+    monomers = [c for c, s in zip(graph.corners, constraint.states)
+                if s is CornerState.MONOMER]
+    dimers = [c for c, s in zip(graph.corners, constraint.states)
+              if s is CornerState.DIMER]
+    return sum(
+        (-1) ** r * count_matchings(graph, monomers=[*monomers, *removed])
+        for r in range(len(dimers) + 1)
+        for removed in combinations(dimers, r)
+    )
 
 
 def test_complete_graph_k4():
@@ -94,6 +114,21 @@ def test_constraint_never_increases_count():
         assert count_constrained(g, CornerConstraint.parse(text)) <= free
 
 
+@pytest.mark.parametrize("d,n", [(2, 0), (2, 1), (3, 0), (3, 1), (4, 0), (4, 1)])
+def test_every_constraint_matches_inclusion_exclusion(d, n):
+    g = build(d, n)
+    for letters in product("mdf", repeat=d + 1):
+        constraint = CornerConstraint.parse("".join(letters))
+        assert count_constrained(g, constraint) == inclusion_exclusion(g, constraint)
+
+
+def test_vertex_forced_both_ways_or_missing():
+    path = (3, [(0, 1), (1, 2)])
+    assert count_matchings(path, monomers=[1], dimers=[1]) == 0
+    with pytest.raises(ValueError):
+        count_matchings(path, dimers=[3])
+
+
 def test_constraint_parse_rejects_garbage():
     with pytest.raises(ValueError):
         CornerConstraint.parse("mxd")
@@ -123,7 +158,7 @@ def test_binomial_identity_on_oracle_vectors():
 
 @pytest.mark.parametrize(
     "d,n_max",
-    [(2, 2), (3, 1), (4, 1)],
+    [(2, 2), (3, 1), (4, 1), (5, 1)],
 )
 def test_oracle_equivalence_with_recursion(systems, d, n_max):
     """The generated recursions reproduce brute-force counts stage by stage."""
@@ -170,3 +205,21 @@ def test_deletion_recursion(graph):
 def test_count_matches_edge_growth_oracle(graph):
     n, edges = graph
     assert count_matchings((n, edges)) == brute_matchings(n, edges)
+
+
+@st.composite
+def constrained_graphs(draw):
+    n, edges = draw(small_graphs())
+    states = draw(st.lists(st.sampled_from("mdf"), min_size=n, max_size=n))
+    monomers = {v for v, state in enumerate(states) if state == "m"}
+    dimers = {v for v, state in enumerate(states) if state == "d"}
+    return n, edges, monomers, dimers
+
+
+@settings(max_examples=60)
+@given(constrained_graphs())
+def test_forced_vertices_match_edge_growth_oracle(case):
+    n, edges, monomers, dimers = case
+    want = sum(1 for covered in covered_vertex_sets(edges)
+               if not covered & monomers and dimers <= covered)
+    assert count_matchings((n, edges), monomers=monomers, dimers=dimers) == want
