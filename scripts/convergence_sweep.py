@@ -15,8 +15,8 @@ from __future__ import annotations
 
 import argparse
 
-from hanoi_dimer.entropy import bounds
-from hanoi_dimer.evolve import evolve_to, ratios
+from hanoi_dimer.entropy import bounds, ratios_bracketed
+from hanoi_dimer.evolve import evolve_to
 from hanoi_dimer.recursion_gen import generate
 
 
@@ -31,13 +31,11 @@ def main() -> None:
     vectors = evolve_to(system, args.k_max)
     print(f"d={args.d}, precision={args.precision}")
     print(f"{'k':>3} {'certified':>9} {'lambda digits':>13}  shared prefix")
-    trace = ratios(vectors)
     for k in range(1, args.k_max + 1):
-        row = trace.ratios[trace.stages.index(k)]
-        if max(row) != row[0] or min(row) != row[args.d]:
+        if not ratios_bracketed(vectors[k]):
             print(f"{k:>3} {'-':>9} {'-':>13}  ratios not bracketed, no bound")
             continue
-        result = bounds(args.d, k, vectors, trace, precision=args.precision)
+        result = bounds(args.d, k, vectors, precision=args.precision)
         prefix = result.lower.as_decimal()[: result.certified_digits + 2]
         shown = prefix if len(prefix) < 44 else prefix[:41] + "..."
         print(f"{k:>3} {result.certified_digits:>9} "

@@ -12,18 +12,22 @@ polynomial identities in (w, gaps):
     total gap-degree >= 2 (this is what squares the outer gap each stage).
 
 All three vanish at zero gaps (equal ratios are a fixed point).  The gap
-substitution is performed one ratio at a time -- each binding is the
-two-term sum r_j = r_{j+1} + gap_{j+1} -- which keeps intermediate
-expansions merged; a term budget aborts oversized runs ("not attempted")
-rather than reporting partial results.
+expansion is a binomial Taylor shift on exponent tuples, one ratio at a
+time: r_j = r_{j+1} + gap_{j+1} turns r_j^e into sum_t C(e, t)
+gap_{j+1}^t r_{j+1}^(e-t), accumulated in one dict with cancelled terms
+dropped after each pass.  A term budget on each pass's raw outgrowth aborts
+oversized runs ("not attempted") rather than reporting partial results.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import comb
 
 from .errors import CapExceeded
-from .multipoly import Polynomial, serialize, substitute
+from .multipoly import Polynomial, serialize
+# bound here only as the name perfbench/traced_cli.py wraps at start-up
+from .multipoly import substitute  # noqa: F401
 from .recursion_gen import (
     RecursionSystem,
     generate,
@@ -42,32 +46,38 @@ def gap_expansion(poly: Polynomial, d: int,
                   term_budget: int = DEFAULT_TERM_BUDGET) -> Polynomial:
     """Rewrite a ratio-basis polynomial over (w, gap1..gapd).
 
-    Exact substitution, no numerics.  Raises CapExceeded when an
-    intermediate or final expansion would exceed the term budget.
+    A binomial Taylor shift on the exponent tuples, one ratio at a time:
+    pass j expands r_j^e = sum_t C(e, t) gap_{j+1}^t r_{j+1}^(e-t), so slot j
+    then holds the gap_{j+1} exponent, and drops the terms that cancel.  The
+    last slot, r_d, is w.  Exact, no numerics.  Before each pass the raw
+    outgrowth sum(e + 1) is checked against the term budget (CapExceeded);
+    it also bounds the terms the pass leaves.  A variable outside r0..rd
+    raises ValueError.
     """
-    current = poly
+    # the term dicts themselves: terms() would sort, Polynomial() re-validate
+    terms = poly.with_varset(ratio_varset(d))._terms
+    binomials: dict[int, list[int]] = {}
     for j in range(d):
-        rj, rnext, gap = f"r{j}", f"r{j + 1}", f"gap{j + 1}"
-        pair = (rnext, gap)
-        binding = Polynomial(pair, {(1, 0): 1, (0, 1): 1})
-        index = current.varset.index(rj) if rj in current.varset else None
-        if index is not None:
-            outgrowth = sum(exps[index] + 1 for exps, _ in current.terms())
-            if outgrowth > term_budget:
-                raise CapExceeded(
-                    f"gap expansion would pass {outgrowth} raw terms, above "
-                    f"the budget of {term_budget}; raise it with --term-budget"
-                )
-            current = substitute(current, {rj: binding})
-        if current.term_count() > term_budget:
+        outgrowth = sum(exps[j] + 1 for exps in terms)
+        if outgrowth > term_budget:
             raise CapExceeded(
-                f"gap expansion reached {current.term_count()} terms, above "
+                f"gap expansion would pass {outgrowth} raw terms, above "
                 f"the budget of {term_budget}; raise it with --term-budget"
             )
-    w = Polynomial(("w",), {(1,): 1})
-    if f"r{d}" in current.varset:
-        current = substitute(current, {f"r{d}": w})
-    return current.with_varset(gap_varset(d))
+        shifted: dict[tuple[int, ...], int] = {}
+        for exps, coeff in terms.items():
+            e = exps[j]
+            head, rest, tail = exps[:j], exps[j + 1] + e, exps[j + 2:]
+            row = binomials.get(e)
+            if row is None:
+                row = binomials[e] = [comb(e, t) for t in range(e + 1)]
+            for t, b in enumerate(row):
+                key = head + (t, rest - t) + tail
+                shifted[key] = shifted.get(key, 0) + coeff * b
+        terms = {exps: c for exps, c in shifted.items() if c}
+    gaps = gap_varset(d)
+    return Polynomial._raw(gaps, {v: i for i, v in enumerate(gaps)},
+                           {exps[d:] + exps[:d]: c for exps, c in terms.items()})
 
 
 def w_power_coefficient(poly: Polynomial, power: int) -> Polynomial:

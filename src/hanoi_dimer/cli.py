@@ -342,7 +342,7 @@ def _reproduce_dimension(report: _Report, d: int) -> None:
             f"(want prefix {ref.RATIO_LIMIT_DIGITS[d]})",
         )
 
-    result = bounds(d, 6, vectors, trace, precision=160)
+    result = bounds(d, 6, vectors, precision=160)
     prefix = ref.Z_PREFIX[d]
     report.check(
         "entropy bounds k=6 share reference prefix",

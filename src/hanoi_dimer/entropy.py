@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import IntegrityError
-from .evolve import BoundaryClassVector, RatioTrace, ratios
+from .evolve import BoundaryClassVector
 from .intutil import ceil_div, digit_count
 
 DEFAULT_PRECISION = 160
@@ -235,8 +235,23 @@ def certified_digit_prefix(lower: str, upper: str) -> tuple[str, int]:
     return (prefix, len(common))
 
 
+def ratios_bracketed(v: BoundaryClassVector) -> bool:
+    """Whether r_0 >= r_j >= r_d for every ratio r_j = c_j/c_{j+1} of v.
+
+    Compared as integer cross-products, c_0 c_{j+1} >= c_j c_1 and
+    c_j c_{d+1} >= c_d c_{j+1}, so no rational is built.
+    """
+    c, d = v.counts, v.d
+    if 0 in c[1:]:
+        raise ZeroDivisionError(
+            f"ratios undefined at stage {v.n} (zero denominator)"
+        )
+    # r_0 >= r_j for 0 < j < d, then r_j >= r_d for j < d (r_0 >= r_d once)
+    return (all(c[0] * c[j + 1] >= c[j] * c[1] for j in range(1, d))
+            and all(c[j] * c[d + 1] >= c[d] * c[j + 1] for j in range(d)))
+
+
 def bounds(d: int, k: int, vectors: list[BoundaryClassVector],
-           trace: RatioTrace | None = None,
            precision: int = DEFAULT_PRECISION) -> BoundsResult:
     """Certified lower/upper bounds on the entropy per site from stage k.
 
@@ -249,10 +264,7 @@ def bounds(d: int, k: int, vectors: list[BoundaryClassVector],
     v = _stage_vector(vectors, k)
     if v.d != d:
         raise ValueError(f"vectors are for d={v.d}, not d={d}")
-    if trace is None:
-        trace = ratios([v])
-    row = trace.ratios[trace.stages.index(k)]
-    if max(row) != row[0] or min(row) != row[d]:
+    if not ratios_bracketed(v):
         raise IntegrityError(
             f"stage-{k} ratios of d={d} are not bracketed by r0 and r{d}; "
             "the sandwich argument does not apply at this stage"

@@ -1,5 +1,5 @@
-"""Shared test utilities: classic-symbol polynomial parsing, fixtures and the
-connector-subset census."""
+"""Shared test utilities: classic-symbol polynomial parsing, fixtures, the
+connector-subset census and the substitution-based gap expansion."""
 
 from __future__ import annotations
 
@@ -11,9 +11,10 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import hanoi_dimer
+from hanoi_dimer.appendix_check import gap_varset
 from hanoi_dimer.errors import CapExceeded
 from hanoi_dimer.hanoi_graph import connector_edges
-from hanoi_dimer.multipoly import Polynomial
+from hanoi_dimer.multipoly import Polynomial, substitute
 from hanoi_dimer.recursion_gen import DEFAULT_SUBSET_CAP
 
 DATA_DIR = Path(__file__).parent / "data"
@@ -109,3 +110,17 @@ def census(d: int, subset_cap: int = DEFAULT_SUBSET_CAP) -> DegreeCensus:
         key = tuple(sorted(degrees))
         counts[key] = counts.get(key, 0) + 1
     return DegreeCensus(d=d, counts=counts)
+
+
+def gap_expansion_by_substitution(poly: Polynomial, d: int) -> Polynomial:
+    """Reference for appendix_check.gap_expansion: the generic substitute,
+    one binding r_j = r_{j+1} + gap_{j+1} at a time, then r_d = w."""
+    current = poly
+    for j in range(d):
+        rj, rnext, gap = f"r{j}", f"r{j + 1}", f"gap{j + 1}"
+        if rj in current.varset:
+            binding = Polynomial((rnext, gap), {(1, 0): 1, (0, 1): 1})
+            current = substitute(current, {rj: binding})
+    if f"r{d}" in current.varset:
+        current = substitute(current, {f"r{d}": Polynomial(("w",), {(1,): 1})})
+    return current.with_varset(gap_varset(d))

@@ -3,9 +3,11 @@
 from __future__ import annotations
 
 import random
+import re
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hanoi_dimer.appendix_check import (
     alpha_descending_certificate,
@@ -16,10 +18,11 @@ from hanoi_dimer.appendix_check import (
     run_certificates,
     w_power_coefficient,
 )
+from hanoi_dimer.errors import CapExceeded
 from hanoi_dimer.multipoly import Polynomial, serialize
-from hanoi_dimer.recursion_gen import generate, ratio_varset, reduced_ratio_form
+from hanoi_dimer.recursion_gen import ratio_varset, reduced_ratio_form
 
-from .helpers import parse_classic
+from .helpers import gap_expansion_by_substitution, parse_classic
 
 GAPS_D3 = ("gap1", "gap2", "gap3")
 
@@ -176,6 +179,96 @@ def test_contraction_vanishes_at_zero_gaps(contraction_pair0_d3):
 
 def test_gap_varset_layout():
     assert gap_varset(3) == ("w", "gap1", "gap2", "gap3")
+
+
+def certificate_numerator(system, name: str) -> Polynomial:
+    """The ratio-basis numerator a certificate expands: omega, alpha or
+    contraction<j> for the pair j."""
+    d = system.d
+    reduced = reduced_ratio_form(system)
+    rvars = ratio_varset(d)
+    if name == "omega":
+        return reduced[d] - reduced[d + 1]
+    if name == "alpha":
+        return (Polynomial.variable(rvars, "r0") * reduced[1]
+                - Polynomial.variable(rvars, f"r{d}") * reduced[0])
+    j = int(name.removeprefix("contraction"))
+    return reduced[j] * reduced[j + 2] - reduced[j + 1] ** 2
+
+
+EXPANSION_CASES = [
+    (d, name)
+    for d in (2, 3)
+    for name in ("omega", "alpha", *(f"contraction{j}" for j in range(d)))
+] + [(4, "omega"), (4, "alpha")]
+
+
+@pytest.mark.parametrize("d, name", EXPANSION_CASES)
+def test_gap_expansion_matches_substitution(systems, d, name):
+    numerator = certificate_numerator(systems(d), name)
+    assert gap_expansion(numerator, d) == gap_expansion_by_substitution(numerator, d)
+
+
+@st.composite
+def ratio_polynomials(draw):
+    # random subsets and orders of r0..rd, so some r_j are absent entirely
+    d = draw(st.integers(2, 4))
+    varset = tuple(draw(st.lists(st.sampled_from(ratio_varset(d)),
+                                 min_size=1, unique=True)))
+    terms = draw(st.dictionaries(
+        st.tuples(*[st.integers(0, 5)] * len(varset)),
+        st.integers(-50, 50), max_size=8,
+    ))
+    return d, Polynomial(varset, terms)
+
+
+@settings(max_examples=80)
+@given(ratio_polynomials())
+def test_gap_expansion_matches_substitution_on_random_polynomials(case):
+    d, poly = case
+    assert gap_expansion(poly, d) == gap_expansion_by_substitution(poly, d)
+
+
+def test_gap_expansion_rejects_variable_outside_ratio_basis():
+    poly = Polynomial(("r0", "x"), {(1, 1): 1})
+    with pytest.raises(ValueError):
+        gap_expansion(poly, 2)
+
+
+def budget_message(outgrowth: int, budget: int) -> str:
+    return (f"^gap expansion would pass {outgrowth} raw terms, above the budget "
+            f"of {budget}; raise it with --term-budget$")
+
+
+def test_gap_expansion_budget_boundary_at_first_outgrowth(reduced_d3):
+    numerator = reduced_d3[0] * reduced_d3[2] - reduced_d3[1] ** 2
+    first = sum(exps[0] + 1 for exps, _ in numerator.terms())
+    with pytest.raises(CapExceeded, match=budget_message(first, first - 1)):
+        gap_expansion(numerator, 3, first - 1)
+    # at the budget the first pass runs; a later, larger outgrowth stops it
+    with pytest.raises(CapExceeded) as err:
+        gap_expansion(numerator, 3, first)
+    later = int(re.search(r"would pass (\d+) raw terms", str(err.value)).group(1))
+    assert later > first
+
+
+def test_gap_expansion_budget_boundary_at_peak_outgrowth():
+    # r0 r1^2: pass 0 emits r1^3 + gap1 r1^2 from 2 raw terms, pass 1 then
+    # needs 4 + 3 = 7.  No pass leaves more terms than the outgrowth checked
+    # before it, so at the peak outgrowth the whole expansion fits.
+    poly = Polynomial(ratio_varset(2), {(1, 2, 0): 1})
+    expected = Polynomial(gap_varset(2), {(3, 0, 0): 1, (2, 1, 0): 1,
+                                          (2, 0, 1): 3, (1, 1, 1): 2,
+                                          (1, 0, 2): 3, (0, 1, 2): 1,
+                                          (0, 0, 3): 1})
+    assert gap_expansion(poly, 2, 7) == expected
+    assert gap_expansion_by_substitution(poly, 2) == expected
+    with pytest.raises(CapExceeded, match=budget_message(7, 6)):
+        gap_expansion(poly, 2, 6)
+    with pytest.raises(CapExceeded, match=budget_message(7, 2)):
+        gap_expansion(poly, 2, 2)
+    with pytest.raises(CapExceeded, match=budget_message(2, 1)):
+        gap_expansion(poly, 2, 1)
 
 
 def test_gap_expansion_budget_reports_not_attempted(systems):

@@ -3,9 +3,11 @@
 from __future__ import annotations
 
 from fractions import Fraction
+from math import comb
 
 import mpmath
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hanoi_dimer import reference_values as ref
 from hanoi_dimer.entropy import (
@@ -13,8 +15,10 @@ from hanoi_dimer.entropy import (
     certified_digit_prefix,
     check_finite_sandwich,
     hp_ln,
+    ratios_bracketed,
 )
 from hanoi_dimer.errors import IntegrityError
+from hanoi_dimer.evolve import BoundaryClassVector, ratios
 
 
 def mp_ln(x, dps=220):
@@ -170,6 +174,48 @@ def test_bounds_refuse_unbracketed_stage_for_d2(trajectories):
     # precondition fails there and the bound must refuse
     with pytest.raises(IntegrityError):
         bounds(2, 1, trajectories(2, 1), precision=60)
+
+
+def fraction_bracketed(v: BoundaryClassVector) -> bool:
+    # the rational check bounds made before it compared integer cross-products
+    row = ratios([v]).ratios[0]
+    return max(row) == row[0] and min(row) == row[v.d]
+
+
+def class_vector(d: int, n: int, counts: tuple[int, ...]) -> BoundaryClassVector:
+    m = sum(comb(d + 1, k) * c for k, c in enumerate(counts))
+    return BoundaryClassVector(d=d, n=n, counts=counts, m=m)
+
+
+@pytest.mark.parametrize("d, n_max", [(2, 6), (3, 6), (4, 6), (5, 3)])
+def test_integer_bracket_matches_fraction_bracket(trajectories, d, n_max):
+    for v in trajectories(d, n_max)[1:]:
+        assert ratios_bracketed(v) == fraction_bracketed(v), (d, v.n)
+    if d == 2:
+        assert not ratios_bracketed(trajectories(2, 1)[1])
+
+
+@settings(max_examples=60)
+@given(st.lists(st.integers(1, 10**6), min_size=5, max_size=5, unique=True))
+def test_integer_bracket_matches_fraction_bracket_on_random_counts(counts):
+    v = class_vector(3, 1, tuple(sorted(counts)))
+    assert ratios_bracketed(v) == fraction_bracketed(v)
+
+
+def test_bracket_accepts_equal_ratios():
+    # r_0 = r_j = r_d: ties bracket, as max/min of the ratio row allowed
+    v = class_vector(3, 1, (1, 2, 4, 8, 16))
+    assert fraction_bracketed(v) and ratios_bracketed(v)
+
+
+def test_bracket_rejects_zero_denominator():
+    v = class_vector(2, 1, (3, 2, 1, 0))
+    with pytest.raises(ZeroDivisionError):
+        fraction_bracketed(v)
+    with pytest.raises(ZeroDivisionError):
+        ratios_bracketed(v)
+    with pytest.raises(ZeroDivisionError):
+        bounds(2, 1, [v], precision=60)
 
 
 def test_bounds_require_stage_at_least_one(trajectories):
