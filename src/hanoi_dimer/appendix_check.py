@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from math import comb
 
 from .errors import CapExceeded
-from .multipoly import Polynomial, serialize
+from .multipoly import Polynomial, _grlex_key, serialize
 # bound here only as the name perfbench/traced_cli.py wraps at start-up
 from .multipoly import substitute  # noqa: F401
 from .recursion_gen import (
@@ -132,22 +132,19 @@ def _nonnegativity_certificate(name: str, d: int, numerator: Polynomial,
         return _not_attempted(name, d, str(err))
     notes = []
     offending = None
-    passed = True
-    for exps, coeff in expanded.terms():
-        if coeff < 0:
-            offending = _monomial_str(expanded, exps)
-            passed = False
+    # the failing term terms() would reach first, from an unsorted scan
+    first = max((exps for exps, coeff in expanded._terms.items()
+                 if coeff < 0 or gap_degree(exps) == 0), key=_grlex_key, default=None)
+    if first is not None:
+        offending = _monomial_str(expanded, first)
+        if expanded._terms[first] < 0:
             notes.append(f"negative coefficient on {offending}")
-            break
-        if gap_degree(exps) == 0:
-            offending = _monomial_str(expanded, exps)
-            passed = False
+        else:
             notes.append(
                 f"gap-free monomial {offending}: no fixed point at equal ratios"
             )
-            break
     return CertificateReport(
-        name=name, d=d, attempted=True, passed=passed,
+        name=name, d=d, attempted=True, passed=first is None,
         term_count=expanded.term_count(), offending_monomial=offending,
         notes=tuple(notes),
     )
@@ -203,14 +200,15 @@ def quadratic_contraction_certificate(
         except CapExceeded as err:
             return _not_attempted(name, d, str(err))
         total_terms += expanded.term_count()
-        for exps, _coeff in expanded.terms():
-            if gap_degree(exps) < 2:
-                offending = _monomial_str(expanded, exps)
-                return CertificateReport(
-                    name=name, d=d, attempted=True, passed=False,
-                    term_count=total_terms, offending_monomial=offending,
-                    notes=(f"pair {j}: monomial {offending} has gap-degree < 2",),
-                )
+        first = max((exps for exps in expanded._terms if gap_degree(exps) < 2),
+                    key=_grlex_key, default=None)
+        if first is not None:
+            offending = _monomial_str(expanded, first)
+            return CertificateReport(
+                name=name, d=d, attempted=True, passed=False,
+                term_count=total_terms, offending_monomial=offending,
+                notes=(f"pair {j}: monomial {offending} has gap-degree < 2",),
+            )
         notes.append(f"pair {j}: {expanded.term_count()} terms, all gap-degree >= 2")
     return CertificateReport(
         name=name, d=d, attempted=True, passed=True, term_count=total_terms,

@@ -17,7 +17,7 @@ from pathlib import Path
 
 from . import reference_values as ref
 from .appendix_check import DEFAULT_TERM_BUDGET, run_certificates
-from .entropy import DEFAULT_PRECISION, bounds
+from .entropy import DEFAULT_PRECISION, bounds, working_bits
 from .errors import CapExceeded, HanoiDimerError, IntegrityError
 from .evolve import (
     DEFAULT_DIGIT_CAP,
@@ -235,7 +235,9 @@ def cmd_entropy(args: argparse.Namespace) -> int:
     cfg = _config(args)
     system = cached_system(cfg.d, cfg.cache_dir)
     check_system(system)
-    vectors = evolve_to(system, cfg.k, digit_cap=cfg.digit_cap)
+    # bounds needs only the leading bits: stop once the counts outgrow them
+    vectors = evolve_to(system, cfg.k, digit_cap=cfg.digit_cap,
+                        stop_bits=working_bits(cfg.precision, cfg.k))
     result = bounds(cfg.d, cfg.k, vectors, precision=cfg.precision)
     payload = {
         "d": cfg.d, "k": cfg.k, "precision": cfg.precision,

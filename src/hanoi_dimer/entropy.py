@@ -9,16 +9,28 @@ alpha = c_0(k)/c_1(k):
 
 with the lower bound rounded toward -inf and the upper toward +inf, so the
 reported interval is mathematically guaranteed at the working precision.
+It applies where r_0 >= r_j >= r_d at stage k (the bracket).
+
+The stage-k counts are not needed exactly, only their leading bits: the
+latest given stage at or below k is enclosed as an integer interval of a
+fixed bit width, [lo, hi] * 2^shift (evolve.CountInterval), and stepped to
+k by evolve.interval_step, which rounds lo down and hi up.  ln(lambda) then
+lies in [ln lo + shift ln 2, ln hi + shift ln 2], the lower bound takes
+omega at its smallest (lo_d over hi_{d+1}), the upper alpha at its largest
+(hi_0 over lo_1), and the bracket and the digit count of lambda are decided
+on the interval ends.  When the ends cannot decide them, the width doubles
+and the steps are redone; at full width the enclosure is exact, so the
+loop ends with the exact answer.
 
 Logarithms are computed in fixed point over plain integers: a value at
 precision w is an integer numerator of value/10^w, carried as a certified
-enclosing interval [lo, hi].  ln of an integer reduces to mantissa * 10^e
-with a power-of-two shift into [0.8, 1.6), whose log comes from the odd
-atanh series 2*atanh((x-1)/(x+1)) with an explicit tail bound; ln 2 and
-ln 10 come from the same series at 1/3 and 1/9 (ln 10 = 3 ln 2 + ln(10/8)).
-Everything is computed at precision + 20 guard digits and truncated outward
-at the end, so series slack of a few thousand ulps never reaches a reported
-digit.
+enclosing interval [lo, hi].  ln of an integer takes its leading w+10
+decimal digits as m * 10^e, shifts m/10^e into [0.8, 1.6) by powers of two
+and sums the odd atanh series 2*atanh((x-1)/(x+1)) with an explicit tail
+bound; ln 2 and ln 10 come from the same series at 1/3 and 1/9
+(ln 10 = 3 ln 2 + ln(10/8)).  Everything is computed at precision + 20
+guard digits and truncated outward at the end, so series slack of a few
+thousand ulps never reaches a reported digit.
 """
 
 from __future__ import annotations
@@ -26,9 +38,10 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
+from math import ceil, log2
 
 from .errors import IntegrityError
-from .evolve import BoundaryClassVector
+from .evolve import BoundaryClassVector, CountInterval, enclose, interval_step
 from .intutil import ceil_div, digit_count
 
 DEFAULT_PRECISION = 160
@@ -235,46 +248,81 @@ def certified_digit_prefix(lower: str, upper: str) -> tuple[str, int]:
     return (prefix, len(common))
 
 
+def _check_denominators(n: int, hi: tuple[int, ...]) -> None:
+    # hi bounds a count from above, so hi == 0 means the count is 0
+    if 0 in hi[1:]:
+        raise ZeroDivisionError(
+            f"ratios undefined at stage {n} (zero denominator)"
+        )
+
+
+def _bracket_decision(d: int, lo: tuple[int, ...],
+                      hi: tuple[int, ...]) -> bool | None:
+    """Whether r_0 >= r_j >= r_d for every count vector between lo and hi.
+
+    Compared as integer cross-products, c_0 c_{j+1} >= c_j c_1 and
+    c_j c_{d+1} >= c_d c_{j+1}: True when every left side at its smallest is
+    at least its right side at its largest, False when some left side at its
+    largest is below its right side at its smallest, None otherwise.
+    """
+    # r_0 >= r_j for 0 < j < d, then r_j >= r_d for j < d (r_0 >= r_d once)
+    pairs = ([(0, j + 1, j, 1) for j in range(1, d)]
+             + [(j, d + 1, d, j + 1) for j in range(d)])
+    decided = True
+    for a, b, c, e in pairs:
+        if lo[a] * lo[b] >= hi[c] * hi[e]:
+            continue
+        if hi[a] * hi[b] < lo[c] * lo[e]:
+            return False
+        decided = None
+    return decided
+
+
 def ratios_bracketed(v: BoundaryClassVector) -> bool:
     """Whether r_0 >= r_j >= r_d for every ratio r_j = c_j/c_{j+1} of v.
 
-    Compared as integer cross-products, c_0 c_{j+1} >= c_j c_1 and
-    c_j c_{d+1} >= c_d c_{j+1}, so no rational is built.
+    Compared as integer cross-products, so no rational is built.
     """
-    c, d = v.counts, v.d
-    if 0 in c[1:]:
-        raise ZeroDivisionError(
-            f"ratios undefined at stage {v.n} (zero denominator)"
-        )
-    # r_0 >= r_j for 0 < j < d, then r_j >= r_d for j < d (r_0 >= r_d once)
-    return (all(c[0] * c[j + 1] >= c[j] * c[1] for j in range(1, d))
-            and all(c[j] * c[d + 1] >= c[d] * c[j + 1] for j in range(d)))
+    _check_denominators(v.n, v.counts)
+    return _bracket_decision(v.d, v.counts, v.counts)
 
 
-def bounds(d: int, k: int, vectors: list[BoundaryClassVector],
-           precision: int = DEFAULT_PRECISION) -> BoundsResult:
-    """Certified lower/upper bounds on the entropy per site from stage k.
+def working_bits(precision: int, k: int) -> int:
+    """Enclosure width for bounds at stage k: the working digits in bits,
+    plus 4 guard bits for each of at most k interval steps and 64 more."""
+    return ceil((precision + GUARD_DIGITS) * log2(10)) + 4 * k + 64
 
-    Requires k >= 1 and the stage-k ratio interleaving (r_d minimal, r_0
-    maximal), which underwrites the sandwich; the d=2 system only satisfies
-    it from stage 2 on.
-    """
-    if k < 1:
-        raise ValueError("bound stage k must be >= 1")
-    v = _stage_vector(vectors, k)
-    if v.d != d:
-        raise ValueError(f"vectors are for d={v.d}, not d={d}")
-    if not ratios_bracketed(v):
+
+def _interval_bounds(iv: CountInterval, precision: int
+                     ) -> tuple[HighPrecisionReal, HighPrecisionReal, int] | None:
+    """(lower, upper, lambda_digits) from a stage-k enclosure, or None when
+    its ends cannot decide the bracket or the digit count of lambda."""
+    d, k, lo, hi = iv.d, iv.n, iv.lo, iv.hi
+    _check_denominators(k, hi)
+    bracketed = _bracket_decision(d, lo, hi)
+    if bracketed is False:
         raise IntegrityError(
             f"stage-{k} ratios of d={d} are not bracketed by r0 and r{d}; "
             "the sandwich argument does not apply at this stage"
         )
+    if bracketed is None or lo[1] == 0 or lo[d + 1] == 0:
+        return None
 
-    lam = v.counts[d + 1]
     w = precision + GUARD_DIGITS
-    lam_lo, lam_hi = _ln_int_interval(lam, w)
-    qw_lo, qw_hi = _ln_ratio_interval(*_edge_factor(v.counts[d], v.counts[d + 1]), w)
-    qa_lo, qa_hi = _ln_ratio_interval(*_edge_factor(v.counts[0], v.counts[1]), w)
+    l2lo, l2hi = _ln2_interval(w)
+    lam_lo = _ln_int_interval(lo[d + 1], w)[0] + iv.shift * l2lo
+    lam_hi = _ln_int_interval(hi[d + 1], w)[1] + iv.shift * l2hi
+    # the shifts cancel in omega and alpha
+    qw_lo = _ln_ratio_interval(*_edge_factor(lo[d], hi[d + 1]), w)[0]
+    qa_hi = _ln_ratio_interval(*_edge_factor(hi[0], lo[1]), w)[1]
+
+    # lambda >= 1, so its log10 lies in [max(lam_lo, 0) / ln 10, lam_hi / ln 10]
+    l10lo, l10hi = _ln10_interval(w)
+    floor_log10 = max(lam_lo, 0) // l10hi
+    if floor_log10 != lam_hi // l10lo:
+        if not iv.exact:
+            return None
+        floor_log10 = digit_count(lo[d + 1]) - 1
 
     div_lam = (d + 1) ** (k + 1)
     div_q = 2 * (d + 1) ** k
@@ -284,6 +332,37 @@ def bounds(d: int, k: int, vectors: list[BoundaryClassVector],
     grain = 10**GUARD_DIGITS
     lower = HighPrecisionReal(lower_w // grain, precision, "floor")
     upper = HighPrecisionReal(ceil_div(upper_w, grain), precision, "ceiling")
+    return lower, upper, floor_log10 + 1
+
+
+def bounds(d: int, k: int, vectors: list[BoundaryClassVector],
+           precision: int = DEFAULT_PRECISION) -> BoundsResult:
+    """Certified lower/upper bounds on the entropy per site from stage k.
+
+    Requires k >= 1 and the stage-k ratio interleaving (r_d minimal, r_0
+    maximal), which underwrites the sandwich; the d=2 system only satisfies
+    it from stage 2 on.  Starts from the stage-k vector if given, else from
+    the latest earlier one, and steps its enclosure to k.
+    """
+    if k < 1:
+        raise ValueError("bound stage k must be >= 1")
+    seeds = [v for v in vectors if v.n <= k]
+    if not seeds:
+        raise ValueError(f"no vector at or before stage {k} available")
+    seed = max(seeds, key=lambda v: v.n)
+    if seed.d != d:
+        raise ValueError(f"vectors are for d={seed.d}, not d={d}")
+
+    bits = working_bits(precision, k)
+    while True:
+        iv = enclose(seed, bits)
+        while iv.n < k:
+            iv = interval_step(iv, bits)
+        decided = _interval_bounds(iv, precision)
+        if decided is not None:
+            break
+        bits *= 2
+    lower, upper, lambda_digits = decided
     if lower.scaled > upper.scaled:
         raise IntegrityError("lower bound exceeded upper bound")
 
@@ -297,7 +376,7 @@ def bounds(d: int, k: int, vectors: list[BoundaryClassVector],
         warnings.warn(warning)
     return BoundsResult(
         d=d, k=k, lower=lower, upper=upper, certified_digits=digits,
-        lambda_digits=digit_count(lam), warning=warning,
+        lambda_digits=lambda_digits, warning=warning,
     )
 
 

@@ -4,10 +4,13 @@ Counts are exact big integers at every stage; ratios are exact rationals and
 are only rendered to decimals on output.  Stages advance by the integer
 transfer scan of recursion_gen (step); apply_system evaluates a given
 recursion system term by term instead, which is how a loaded system is
-checked.  Stage-0 vectors are the matching
-counts of K_{d+1} with the corner constraints applied: c_k(0) is the number
-of perfect matchings on the k dimer-forced corners, (k-1)!! for even k and 0
-for odd k.
+checked.  Stage-0 vectors are the matching counts of K_{d+1} with the corner
+constraints applied: c_k(0) is the number of perfect matchings on the k
+dimer-forced corners, (k-1)!! for even k and 0 for odd k.
+
+Where only the leading bits of later counts matter (the entropy bounds), a
+CountInterval carries them past a seed stage as outward-rounded integer
+intervals of a fixed bit width, advanced by the same scan (interval_step).
 
 Class counts are strictly monotone in k from stage 1 on: increasing for
 d >= 3, decreasing for d = 2 (the three-corner system is top-heavy, which
@@ -93,14 +96,17 @@ def initial_vector(d: int) -> BoundaryClassVector:
     return BoundaryClassVector(d=d, n=0, counts=counts, m=m)
 
 
-def _mixed_counts(v: BoundaryClassVector) -> dict[tuple[int, int], int]:
+def _mixed_counts(d: int, counts: tuple[int, ...]) -> dict[tuple[int, int], int]:
     """Integer mixed counts N(a, b) = sum_j C(d+1-a-b, j) c_{b+j} of a stage."""
-    d = v.d
     return {
-        (a, b): sum(comb(d + 1 - a - b, j) * v.counts[b + j]
+        (a, b): sum(comb(d + 1 - a - b, j) * counts[b + j]
                     for j in range(d + 2 - a - b))
         for a, b in corner_splits(d)
     }
+
+
+def _class_scans(d: int, factors: dict[tuple[int, int], int]) -> tuple[int, ...]:
+    return tuple(transfer_scan(d, k, factors, INT_RING) for k in range(d + 2))
 
 
 def step(sys: RecursionSystem, v: BoundaryClassVector) -> BoundaryClassVector:
@@ -111,10 +117,56 @@ def step(sys: RecursionSystem, v: BoundaryClassVector) -> BoundaryClassVector:
     """
     if v.d != sys.d:
         raise ValueError(f"vector dimension {v.d} does not match system {sys.d}")
-    factors = _mixed_counts(v)
-    counts = tuple(transfer_scan(v.d, k, factors, INT_RING) for k in range(v.d + 2))
+    factors = _mixed_counts(v.d, v.counts)
+    counts = _class_scans(v.d, factors)
     m = transfer_scan(v.d, None, factors, INT_RING)
     return BoundaryClassVector(d=v.d, n=v.n + 1, counts=counts, m=m)
+
+
+@dataclass(frozen=True)
+class CountInterval:
+    """Outward-rounded enclosure of a stage's class counts.
+
+    c_j(n) lies in [lo[j] * 2^shift, hi[j] * 2^shift]; all counts share the
+    one shift.  With shift 0 and lo == hi the counts are exact.
+    """
+
+    d: int
+    n: int
+    lo: tuple[int, ...]
+    hi: tuple[int, ...]
+    shift: int
+
+    @property
+    def exact(self) -> bool:
+        return self.shift == 0 and self.lo == self.hi
+
+
+def _truncate(d: int, n: int, lo: tuple[int, ...], hi: tuple[int, ...],
+              shift: int, bits: int) -> CountInterval:
+    # floor lo and ceil hi by one common shift that leaves the top count bits
+    # wide (bits + 1 where its ceiling carries)
+    drop = max(0, max(hi).bit_length() - bits)
+    return CountInterval(d=d, n=n, lo=tuple(c >> drop for c in lo),
+                         hi=tuple(-(-c >> drop) for c in hi), shift=shift + drop)
+
+
+def enclose(v: BoundaryClassVector, bits: int) -> CountInterval:
+    """Truncate an exact vector outward so that its top count has bits bits."""
+    return _truncate(v.d, v.n, v.counts, v.counts, 0, bits)
+
+
+def interval_step(iv: CountInterval, bits: int) -> CountInterval:
+    """Advance an enclosure one stage and re-truncate it to bits bits.
+
+    The class polynomials are homogeneous of degree d+1, so the shift
+    scales by d+1; every mixed count, scan weight and factor is a
+    nonnegative combination, so the scan is monotone and the images of lo
+    and hi enclose the next stage.
+    """
+    lo = _class_scans(iv.d, _mixed_counts(iv.d, iv.lo))
+    hi = _class_scans(iv.d, _mixed_counts(iv.d, iv.hi))
+    return _truncate(iv.d, iv.n + 1, lo, hi, iv.shift * (iv.d + 1), bits)
 
 
 def apply_system(sys: RecursionSystem, v: BoundaryClassVector) -> BoundaryClassVector:
@@ -143,11 +195,14 @@ def check_system(sys: RecursionSystem) -> None:
 
 def evolve_to(sys: RecursionSystem, n_max: int,
               digit_cap: int = DEFAULT_DIGIT_CAP,
-              advance=None) -> list[BoundaryClassVector]:
+              advance=None, stop_bits: int | None = None) -> list[BoundaryClassVector]:
     """Stages 0..n_max inclusive, guarded against runaway digit growth.
 
     Each stage is advanced by step (the transfer scan), or by apply_system
-    when passed as advance to evolve by the system's polynomials.
+    when passed as advance to evolve by the system's polynomials.  Given
+    stop_bits, evolution ends early at the first stage whose largest count
+    is wider than stop_bits bits; the digit cap is still checked for
+    stage n_max at every stage that is evolved.
     """
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
@@ -155,13 +210,15 @@ def evolve_to(sys: RecursionSystem, n_max: int,
     v = initial_vector(sys.d)
     out = [v]
     while v.n < n_max:
-        digits_now = digit_count(max(v.counts))
-        predicted = digits_now * (sys.d + 1) ** (n_max - v.n)
+        top = max(v.counts)
+        predicted = digit_count(top) * (sys.d + 1) ** (n_max - v.n)
         if predicted > digit_cap:
             raise CapExceeded(
                 f"evolving d={sys.d} to stage {n_max} predicts ~{predicted} digit "
                 f"counts, above the cap of {digit_cap}; raise it with --digit-cap"
             )
+        if stop_bits is not None and top.bit_length() > stop_bits:
+            break
         v = advance(sys, v)
         out.append(v)
     return out

@@ -38,7 +38,6 @@ from pathlib import Path
 from typing import Callable
 
 from .errors import CacheCorruption, CapExceeded, IntegrityError
-from .hanoi_graph import connector_edges
 from .multipoly import Polynomial, parse_polynomial, serialize
 
 DEFAULT_SUBSET_CAP = 1 << 21  # admits d <= 6
@@ -234,26 +233,6 @@ def mixed_recursion(d: int, k: int | None) -> Polynomial:
     return _polynomial_scan(d, k, varset, forms)
 
 
-def _degree_profile_totals(d: int) -> dict[tuple[int, ...], int]:
-    """Ordered degree-sequence census via a transfer scan over edges.
-
-    Independent of the copy scan (transfer_scan); used to cross-check the
-    generated polynomials' coefficient totals.
-    """
-    profile: dict[tuple[int, ...], int] = {(0,) * (d + 1): 1}
-    for (i, j), _ in connector_edges(d):
-        grown: dict[tuple[int, ...], int] = {}
-        for degs, cnt in profile.items():
-            grown[degs] = grown.get(degs, 0) + cnt
-            up = list(degs)
-            up[i] += 1
-            up[j] += 1
-            key = tuple(up)
-            grown[key] = grown.get(key, 0) + cnt
-        profile = grown
-    return profile
-
-
 def generate(d: int, subset_cap: int = DEFAULT_SUBSET_CAP) -> RecursionSystem:
     """Generate and validate the full recursion system for dimension d.
 
@@ -274,17 +253,12 @@ def generate(d: int, subset_cap: int = DEFAULT_SUBSET_CAP) -> RecursionSystem:
     class_polys = [_polynomial_scan(d, k, varset, forms) for k in range(d + 2)]
     m_poly = _polynomial_scan(d, None, varset, forms)
 
-    profile = _degree_profile_totals(d)
-    class_total = 0
-    m_total = 0
-    for degs, cnt in profile.items():
-        w_class = 1
-        w_m = 1
-        for deg in degs:
-            w_class *= 1 << (d - deg)
-            w_m *= 1 << (d + 1 - deg)
-        class_total += cnt * w_class
-        m_total += cnt * w_m
+    # coefficient totals, the values at c = 1 where N(a, b) = 2^(d+1-a-b): a
+    # class polynomial sums prod_i 2^(d - deg_S(i)) = 4^E / 4^|S| over the
+    # subsets S of the E connector edges, 4^E (1 + 1/4)^E = 5^E; in M each
+    # copy's global corner is free, one more factor 2 per copy
+    class_total = 5 ** (d * (d + 1) // 2)
+    m_total = class_total << (d + 1)
 
     for k, poly in enumerate(class_polys):
         if not poly.is_homogeneous(d + 1):
@@ -294,14 +268,14 @@ def generate(d: int, subset_cap: int = DEFAULT_SUBSET_CAP) -> RecursionSystem:
         if poly.coefficient_sum() != class_total:
             raise IntegrityError(
                 f"class polynomial c{k} coefficient total {poly.coefficient_sum()} "
-                f"!= census total {class_total}"
+                f"!= closed-form total {class_total}"
             )
     if not m_poly.is_homogeneous(d + 1) or m_poly.min_coefficient() < 0:
         raise IntegrityError("total polynomial failed shape checks")
     if m_poly.coefficient_sum() != m_total:
         raise IntegrityError(
             f"total polynomial coefficient sum {m_poly.coefficient_sum()} "
-            f"!= census total {m_total}"
+            f"!= closed-form total {m_total}"
         )
     return RecursionSystem(d=d, varset=varset, class_polys=tuple(class_polys), m_poly=m_poly)
 

@@ -1,5 +1,6 @@
 """Shared test utilities: classic-symbol polynomial parsing, fixtures, the
-connector-subset census and the substitution-based gap expansion."""
+connector-subset census, the substitution-based gap expansion and the
+exact-count entropy bounds."""
 
 from __future__ import annotations
 
@@ -11,9 +12,12 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import hanoi_dimer
+from hanoi_dimer import entropy
 from hanoi_dimer.appendix_check import gap_varset
-from hanoi_dimer.errors import CapExceeded
+from hanoi_dimer.errors import CapExceeded, IntegrityError
+from hanoi_dimer.evolve import BoundaryClassVector
 from hanoi_dimer.hanoi_graph import connector_edges
+from hanoi_dimer.intutil import digit_count
 from hanoi_dimer.multipoly import Polynomial, substitute
 from hanoi_dimer.recursion_gen import DEFAULT_SUBSET_CAP
 
@@ -112,6 +116,27 @@ def census(d: int, subset_cap: int = DEFAULT_SUBSET_CAP) -> DegreeCensus:
     return DegreeCensus(d=d, counts=counts)
 
 
+def degree_profile_totals(d: int) -> dict[tuple[int, ...], int]:
+    """Ordered connector-degree sequences of K_{d+1} with their subset counts.
+
+    A transfer scan over the edges, independent of the copy scan; weighted
+    by prod_i 2^(d - deg_i) it gives the coefficient total of every class
+    polynomial, which generate takes in closed form.
+    """
+    profile: dict[tuple[int, ...], int] = {(0,) * (d + 1): 1}
+    for (i, j), _ in connector_edges(d):
+        grown: dict[tuple[int, ...], int] = {}
+        for degs, cnt in profile.items():
+            grown[degs] = grown.get(degs, 0) + cnt
+            up = list(degs)
+            up[i] += 1
+            up[j] += 1
+            key = tuple(up)
+            grown[key] = grown.get(key, 0) + cnt
+        profile = grown
+    return profile
+
+
 def gap_expansion_by_substitution(poly: Polynomial, d: int) -> Polynomial:
     """Reference for appendix_check.gap_expansion: the generic substitute,
     one binding r_j = r_{j+1} + gap_{j+1} at a time, then r_d = w."""
@@ -124,3 +149,25 @@ def gap_expansion_by_substitution(poly: Polynomial, d: int) -> Polynomial:
     if f"r{d}" in current.varset:
         current = substitute(current, {f"r{d}": Polynomial(("w",), {(1,): 1})})
     return current.with_varset(gap_varset(d))
+
+
+def exact_bounds(d: int, k: int, v: BoundaryClassVector, precision: int):
+    """Reference for entropy.bounds: (lower, upper, certified digits, lambda
+    digits) read off the exact stage-k counts, as bounds did before it
+    enclosed them in intervals."""
+    if not entropy.ratios_bracketed(v):
+        raise IntegrityError(f"stage-{k} ratios of d={d} are not bracketed")
+    c = v.counts
+    w = precision + entropy.GUARD_DIGITS
+    lam_lo, lam_hi = entropy._ln_int_interval(c[d + 1], w)
+    qw_lo = entropy._ln_ratio_interval(*entropy._edge_factor(c[d], c[d + 1]), w)[0]
+    qa_hi = entropy._ln_ratio_interval(*entropy._edge_factor(c[0], c[1]), w)[1]
+    div_lam, div_q = (d + 1) ** (k + 1), 2 * (d + 1) ** k
+    grain = 10**entropy.GUARD_DIGITS
+    lower = entropy.HighPrecisionReal(
+        (lam_lo // div_lam + qw_lo // div_q) // grain, precision, "floor")
+    upper = entropy.HighPrecisionReal(entropy.ceil_div(
+        entropy.ceil_div(lam_hi, div_lam) + entropy.ceil_div(qa_hi, div_q), grain),
+        precision, "ceiling")
+    _, digits = entropy.certified_digit_prefix(lower.as_decimal(), upper.as_decimal())
+    return lower, upper, digits, digit_count(c[d + 1])

@@ -9,8 +9,10 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from hanoi_dimer import appendix_check
 from hanoi_dimer.appendix_check import (
     alpha_descending_certificate,
+    gap_degree,
     gap_expansion,
     gap_varset,
     omega_ascending_certificate,
@@ -222,7 +224,9 @@ def ratio_polynomials(draw):
     return d, Polynomial(varset, terms)
 
 
-@settings(max_examples=80)
+# no deadline: the substitution reference alone takes over 200 ms on some
+# degree-17 d=4 draws, which is no fault of gap_expansion
+@settings(max_examples=80, deadline=None)
 @given(ratio_polynomials())
 def test_gap_expansion_matches_substitution_on_random_polynomials(case):
     d, poly = case
@@ -298,3 +302,87 @@ def test_certificates_imply_numeric_monotonicity(systems, trajectories):
         numeric = check_contraction(ratios(trajectories(d, 4)))
         symbolic = run_certificates(d, "all", system=systems(d))
         assert numeric.ok and all(r.ok for r in symbolic)
+
+
+# -- FAIL reports from the unsorted scans ----------------------------------------
+
+
+def sorted_scan_report(expansions: list[Polynomial], contraction: bool):
+    """(passed, offending, notes) as the scans gave them over sorted terms()."""
+    for j, expanded in enumerate(expansions):
+        for exps, coeff in expanded.terms():
+            mono = serialize(Polynomial(expanded.varset, {exps: coeff}))
+            if contraction:
+                if gap_degree(exps) < 2:
+                    return False, mono, (f"pair {j}: monomial {mono} has gap-degree < 2",)
+            elif coeff < 0:
+                return False, mono, (f"negative coefficient on {mono}",)
+            elif gap_degree(exps) == 0:
+                return False, mono, (
+                    f"gap-free monomial {mono}: no fixed point at equal ratios",)
+    return True, None, None
+
+
+def certificate_on(monkeypatch, system, expansions: list[Polynomial],
+                   contraction: bool):
+    # the d=3 certificates see the given expansions in place of their numerators'
+    feed = iter(expansions)
+    monkeypatch.setattr(appendix_check, "gap_expansion", lambda *_args: next(feed))
+    if contraction:
+        return quadratic_contraction_certificate(3, system)
+    return omega_ascending_certificate(3, system)
+
+
+def gaps_poly(terms: dict[tuple[int, ...], int], d: int = 3) -> Polynomial:
+    return Polynomial(gap_varset(d), terms)
+
+
+FAILING_EXPANSIONS = {
+    "negative coefficient": [gaps_poly({(2, 1, 0, 0): 3, (1, 0, 1, 1): -2,
+                                        (0, 0, 0, 3): -1})],
+    "gap-free monomial": [gaps_poly({(3, 0, 0, 0): 1, (0, 2, 0, 1): 5,
+                                     (2, 1, 0, 0): 4})],
+    "negative before gap-free": [gaps_poly({(1, 0, 0, 0): 2, (0, 0, 0, 1): -1})],
+    "gap-free before negative": [gaps_poly({(2, 0, 0, 0): 2, (0, 1, 0, 0): -1})],
+}
+
+
+@pytest.mark.parametrize("case", sorted(FAILING_EXPANSIONS))
+def test_nonnegativity_fail_reports_grlex_first_term(monkeypatch, systems, case):
+    expansions = FAILING_EXPANSIONS[case]
+    report = certificate_on(monkeypatch, systems(3), expansions, contraction=False)
+    assert (report.passed, report.offending_monomial, report.notes) == \
+        sorted_scan_report(expansions, contraction=False)
+    assert not report.passed
+
+
+def test_contraction_fail_reports_grlex_first_term_of_first_failing_pair(monkeypatch,
+                                                                         systems):
+    expansions = [gaps_poly({(4, 2, 0, 0): 1, (3, 1, 1, 0): -2}),
+                  gaps_poly({(0, 0, 1, 1): 1, (2, 0, 1, 0): -3, (1, 0, 0, 1): 2,
+                             (5, 0, 0, 0): 1}),
+                  gaps_poly({(1, 1, 0, 0): 1})]
+    report = certificate_on(monkeypatch, systems(3), expansions, contraction=True)
+    assert (report.passed, report.offending_monomial, report.notes) == \
+        sorted_scan_report(expansions, contraction=True)
+    assert report.notes[0].startswith("pair 1:")
+    assert report.term_count == 2 + 4
+
+
+monomials_d3 = st.tuples(*[st.integers(0, 3)] * 4)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.dictionaries(monomials_d3, st.integers(-3, 3).filter(bool),
+                                min_size=1, max_size=12), min_size=3, max_size=3),
+       st.booleans())
+def test_unsorted_scans_report_as_sorted_scans(systems, terms, contraction):
+    expansions = [gaps_poly(t) for t in terms]
+    if not contraction:
+        expansions = expansions[:1]
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        report = certificate_on(monkeypatch, systems(3), expansions, contraction)
+    passed, offending, notes = sorted_scan_report(expansions, contraction)
+    assert (report.passed, report.offending_monomial) == (passed, offending)
+    if not passed:
+        assert report.notes == notes

@@ -172,6 +172,26 @@ def test_entropy_json_schema_and_prefix(capsys, tmp_path):
     assert payload["certified_digits"] >= 10
 
 
+def test_entropy_d3_k9_evolves_intervals_past_the_seed_stage(capsys, tmp_path,
+                                                              monkeypatch):
+    evolved = []
+
+    def recording(*args, **kwargs):
+        evolved.append(evolve.evolve_to(*args, **kwargs))
+        return evolved[-1]
+
+    monkeypatch.setattr("hanoi_dimer.cli.evolve_to", recording)
+    code, out, _ = run_cli(capsys, "entropy", "--d", "3", "--k", "9",
+                           "--precision", "1000", "--cache-dir", str(tmp_path))
+    assert code == 0
+    payload = json.loads(out)
+    validate(payload, "entropy.schema.json")
+    assert payload["certified_digits"] == 802
+    assert payload["lambda_digits"] == 299282
+    # exact counts stop at the first stage wider than the working width
+    assert evolved[0][-1].n < 9
+
+
 # -- gen-recursions ---------------------------------------------------------------
 
 

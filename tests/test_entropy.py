@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import warnings
 from fractions import Fraction
 from math import comb
 
@@ -9,6 +10,7 @@ import mpmath
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from hanoi_dimer import entropy
 from hanoi_dimer import reference_values as ref
 from hanoi_dimer.entropy import (
     bounds,
@@ -19,6 +21,8 @@ from hanoi_dimer.entropy import (
 )
 from hanoi_dimer.errors import IntegrityError
 from hanoi_dimer.evolve import BoundaryClassVector, ratios
+
+from .helpers import exact_bounds
 
 
 def mp_ln(x, dps=220):
@@ -237,6 +241,80 @@ def test_bounds_narrow_beyond_reference_dimensions(systems, d):
     width_first = first.upper.as_fraction() - first.lower.as_fraction()
     width_second = second.upper.as_fraction() - second.lower.as_fraction()
     assert width_second < width_first
+
+
+# -- bounds from interval evolution -------------------------------------------------
+
+
+def summary(result):
+    return (result.lower, result.upper, result.certified_digits, result.lambda_digits)
+
+
+INTERVAL_GRID = {2: 7, 3: 7, 4: 6, 5: 4, 6: 3}
+
+
+@pytest.mark.parametrize("d", sorted(INTERVAL_GRID))
+def test_interval_bounds_equal_exact_bounds(trajectories, d):
+    k_max = INTERVAL_GRID[d]
+    vectors = trajectories(d, k_max)
+    for k in range(1, k_max + 1):
+        for precision in (40, 160, 600):
+            try:
+                want = exact_bounds(d, k, vectors[k], precision)
+            except IntegrityError:
+                with pytest.raises(IntegrityError):
+                    bounds(d, k, vectors, precision)
+                continue
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                # seeded at stage k, and two stages earlier
+                from_k = bounds(d, k, vectors[: k + 1], precision)
+                stepped = bounds(d, k, vectors[: max(1, k - 2)], precision)
+            assert summary(from_k) == want, (k, precision)
+            assert summary(stepped) == want, (k, precision)
+
+
+def test_bounds_widen_until_the_bracket_is_decided(trajectories, monkeypatch):
+    decisions = []
+    decide = entropy._interval_bounds
+
+    def recorded(iv, precision):
+        decided = decide(iv, precision)
+        decisions.append((max(iv.hi).bit_length(), decided is not None))
+        return decided
+
+    monkeypatch.setattr(entropy, "_interval_bounds", recorded)
+    vectors = trajectories(3, 8)
+    with pytest.warns(UserWarning, match="too small to separate"):
+        result = bounds(3, 8, vectors[:6], precision=160)
+    assert summary(result) == exact_bounds(3, 8, vectors[8], 160)
+    # undecided at the base width, decided at twice it
+    base = entropy.working_bits(160, 8)
+    assert decisions == [(base, False), (2 * base, True)]
+
+
+@pytest.mark.parametrize("lam", [10**60, 10**60 - 1, 10**60 + 1],
+                         ids=["1e60", "1e60-1", "1e60+1"])
+def test_lambda_digits_decided_next_to_a_power_of_ten(lam):
+    # log10(lambda) within 1e-60 of an integer: the enclosure at the base
+    # width straddles it, so the digit count waits for the exact width
+    top = lam - lam % 20
+    # ratios 0.8 >= 0.714.. >= 0.7 >= 0.5 (up to the last count's offset)
+    v = class_vector(3, 1, (top // 5, top // 4, top * 7 // 20, top // 2, lam))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        result = bounds(3, 1, [v], precision=10)
+    assert summary(result) == exact_bounds(3, 1, v, 10)
+    assert result.lambda_digits == len(str(lam))
+
+
+def test_bounds_start_from_the_latest_stage_before_k(trajectories):
+    vectors = trajectories(3, 6)
+    want = summary(bounds(3, 6, vectors, precision=120))
+    assert summary(bounds(3, 6, vectors[:4], precision=120)) == want
+    assert summary(bounds(3, 6, [vectors[2], vectors[4]], precision=120)) == want
+    with pytest.raises(ValueError):
+        bounds(3, 2, vectors[3:], precision=120)
 
 
 # -- finite sandwich ------------------------------------------------------------

@@ -5,6 +5,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hanoi_dimer import reference_values as ref
 from hanoi_dimer.errors import CapExceeded, IntegrityError
@@ -15,9 +16,11 @@ from hanoi_dimer.evolve import (
     apply_system,
     check_contraction,
     check_system,
+    enclose,
     eps_ratio_table_value,
     evolve_to,
     initial_vector,
+    interval_step,
     ratios,
     render_decimal,
     step,
@@ -231,3 +234,47 @@ def test_eps_quadratic_contraction(trajectories, d):
     trace = ratios(trajectories(d, 4))
     for n in (1, 2, 3):
         assert trace.eps(n + 1) < 3 * trace.eps(n) ** 2
+
+
+# -- interval evolution ------------------------------------------------------------
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(2, 4), st.integers(0, 3), st.integers(0, 3), st.integers(4, 300))
+def test_interval_steps_enclose_exact_counts(trajectories, d, seed, steps, bits):
+    vectors = trajectories(d, 6)
+    iv = enclose(vectors[seed], bits)
+    for _ in range(steps):
+        iv = interval_step(iv, bits)
+    exact = vectors[seed + steps]
+    assert iv.n == exact.n
+    # the ceiling may carry into one more bit
+    assert max(iv.hi).bit_length() <= bits + 1 or iv.shift == 0
+    for lo, c, hi in zip(iv.lo, exact.counts, iv.hi):
+        assert lo << iv.shift <= c <= hi << iv.shift
+
+
+def test_enclosure_is_exact_at_full_width(trajectories):
+    v = trajectories(3, 5)[5]
+    iv = enclose(v, max(v.counts).bit_length())
+    assert iv.exact and iv.lo == v.counts
+    assert interval_step(iv, 10**6).lo == trajectories(3, 6)[6].counts
+    narrow = enclose(v, 64)
+    assert not narrow.exact
+    assert max(narrow.hi).bit_length() == 64
+    assert narrow.hi[0] - narrow.lo[0] == 1  # floor and ceiling one apart
+
+
+def test_evolve_to_stops_past_the_given_width(systems):
+    full = evolve_to(systems(3), 8)
+    widths = [max(v.counts).bit_length() for v in full]
+    stopped = evolve_to(systems(3), 8, stop_bits=widths[4])
+    # stage 5 is the first wider than stage 4's counts; nothing is evolved past it
+    assert [v.n for v in stopped] == [0, 1, 2, 3, 4, 5]
+    assert stopped == full[:6]
+    assert evolve_to(systems(3), 3, stop_bits=widths[4]) == full[:4]
+
+
+def test_evolve_to_checks_the_digit_cap_before_stopping(systems):
+    with pytest.raises(CapExceeded, match="stage 30"):
+        evolve_to(systems(3), 30, stop_bits=1)

@@ -25,7 +25,7 @@ from hanoi_dimer.recursion_gen import (
     save_system,
 )
 
-from .helpers import census, load_golden_d3, parse_classic
+from .helpers import census, degree_profile_totals, load_golden_d3, parse_classic
 
 
 def brute_census(d: int) -> dict[tuple[int, ...], int]:
@@ -175,6 +175,21 @@ def test_coefficient_totals_match_census(systems, d):
     for poly in sys_d.class_polys:
         assert poly.coefficient_sum() == class_total
     assert sys_d.m_poly.coefficient_sum() == m_total
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
+def test_closed_form_totals_match_degree_profile_census(d):
+    # generate checks against 5^E and 2^(d+1) 5^E over the E connector edges
+    profile = degree_profile_totals(d)
+    assert sum(profile.values()) == 2 ** (d * (d + 1) // 2)
+    class_total = sum(
+        cnt * _prod(2 ** (d - deg) for deg in degs) for degs, cnt in profile.items()
+    )
+    m_total = sum(
+        cnt * _prod(2 ** (d + 1 - deg) for deg in degs) for degs, cnt in profile.items()
+    )
+    assert class_total == 5 ** (d * (d + 1) // 2)
+    assert m_total == 2 ** (d + 1) * 5 ** (d * (d + 1) // 2)
 
 
 def _prod(values):
