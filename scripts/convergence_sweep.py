@@ -8,6 +8,10 @@ for a target accuracy.
 Stages whose ratios are not bracketed by r_0 and r_d (stage 1 for d=2)
 admit no bound and are listed as such.
 
+Counts are evolved by the transfer scan from d alone, exactly up to the
+first stage wider than the working precision and as fixed-width intervals
+beyond it (entropy.bounds), so d up to the scan-work cap (d <= 10) runs.
+
 Usage: python scripts/convergence_sweep.py [--d 3] [--k-max 6] [--precision 200]
 """
 
@@ -15,9 +19,8 @@ from __future__ import annotations
 
 import argparse
 
-from hanoi_dimer.entropy import bounds, ratios_bracketed
+from hanoi_dimer.entropy import bounds, ratios_bracketed, working_bits
 from hanoi_dimer.evolve import evolve_to
-from hanoi_dimer.recursion_gen import generate
 
 
 def main() -> None:
@@ -27,12 +30,13 @@ def main() -> None:
     parser.add_argument("--precision", type=int, default=200)
     args = parser.parse_args()
 
-    system = generate(args.d)
-    vectors = evolve_to(system, args.k_max)
+    vectors = evolve_to(args.d, args.k_max,
+                        stop_bits=working_bits(args.precision, args.k_max))
     print(f"d={args.d}, precision={args.precision}")
     print(f"{'k':>3} {'certified':>9} {'lambda digits':>13}  shared prefix")
     for k in range(1, args.k_max + 1):
-        if not ratios_bracketed(vectors[k]):
+        # past the exact stages bounds decides the bracket on the enclosure
+        if k < len(vectors) and not ratios_bracketed(vectors[k]):
             print(f"{k:>3} {'-':>9} {'-':>13}  ratios not bracketed, no bound")
             continue
         result = bounds(args.d, k, vectors, precision=args.precision)

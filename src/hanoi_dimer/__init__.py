@@ -21,7 +21,6 @@ from .evolve import (
     RatioTrace,
     apply_system,
     check_contraction,
-    check_system,
     evolve_to,
     initial_vector,
     ratios,
@@ -74,7 +73,6 @@ __all__ = [
     "build",
     "cached_system",
     "check_contraction",
-    "check_system",
     "check_finite_sandwich",
     "connector_edges",
     "count_constrained",

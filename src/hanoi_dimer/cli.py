@@ -13,6 +13,7 @@ import json
 import os
 import sys
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
 
 from . import reference_values as ref
@@ -23,7 +24,6 @@ from .evolve import (
     DEFAULT_DIGIT_CAP,
     apply_system,
     check_contraction,
-    check_system,
     eps_ratio_table_value,
     evolve_to,
     ratios,
@@ -56,6 +56,7 @@ class RunConfig:
     n: int | None = None
     k: int | None = None
     precision: int = DEFAULT_PRECISION
+    digits: int = 15
     fmt: str = "json"
     cache_dir: Path | None = None
     vertex_cap: int = DEFAULT_VERTEX_CAP
@@ -68,6 +69,10 @@ class RunConfig:
     def __post_init__(self):
         if self.d < 2:
             raise ValueError("--d must be at least 2")
+        if self.k is not None and self.k < 1:
+            raise ValueError("bound stage k must be >= 1")
+        if self.digits < 0:
+            raise ValueError("--digits must be >= 0")
         for name in ("vertex_cap", "oracle_vertex_cap", "memo_cap",
                      "digit_cap", "term_budget", "census_cap", "precision"):
             if getattr(self, name) <= 0:
@@ -93,6 +98,7 @@ def _config(args: argparse.Namespace) -> RunConfig:
         n=getattr(args, "n", None),
         k=getattr(args, "k", None),
         precision=getattr(args, "precision", DEFAULT_PRECISION),
+        digits=getattr(args, "digits", 15),
         fmt=getattr(args, "format", "json"),
         cache_dir=(resolve_cache_dir(args.cache_dir)
                    if hasattr(args, "cache_dir") else None),
@@ -123,9 +129,7 @@ def cmd_gen_recursions(args: argparse.Namespace) -> int:
 
 def cmd_count(args: argparse.Namespace) -> int:
     cfg = _config(args)
-    system = cached_system(cfg.d, cfg.cache_dir)
-    check_system(system)
-    vectors = evolve_to(system, cfg.n, digit_cap=cfg.digit_cap)
+    vectors = evolve_to(cfg.d, cfg.n, digit_cap=cfg.digit_cap)
     v = vectors[cfg.n]
     if cfg.fmt == "csv":
         heads = ["d", "n"] + [f"c{k}" for k in range(cfg.d + 2)] + ["M"]
@@ -171,9 +175,9 @@ def cmd_verify(args: argparse.Namespace) -> int:
     system = cached_system(cfg.d, cfg.cache_dir)
     # the loaded system, evaluated term by term, and the transfer scan
     sources = (
-        ("recursion", evolve_to(system, args.n_max, digit_cap=cfg.digit_cap,
-                                advance=apply_system)),
-        ("scan", evolve_to(system, args.n_max, digit_cap=cfg.digit_cap)),
+        ("recursion", evolve_to(cfg.d, args.n_max, digit_cap=cfg.digit_cap,
+                                advance=partial(apply_system, system))),
+        ("scan", evolve_to(cfg.d, args.n_max, digit_cap=cfg.digit_cap)),
     )
     for n in range(args.n_max + 1):
         graph = build(cfg.d, n, vertex_cap=max(cfg.vertex_cap,
@@ -197,11 +201,9 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 def cmd_ratios(args: argparse.Namespace) -> int:
     cfg = _config(args)
-    system = cached_system(cfg.d, cfg.cache_dir)
-    check_system(system)
-    vectors = evolve_to(system, args.max_n, digit_cap=cfg.digit_cap)
+    vectors = evolve_to(cfg.d, args.max_n, digit_cap=cfg.digit_cap)
     trace = ratios(vectors)
-    digits = args.digits
+    digits = cfg.digits
     stages = [
         {
             "n": n,
@@ -233,10 +235,8 @@ def cmd_ratios(args: argparse.Namespace) -> int:
 
 def cmd_entropy(args: argparse.Namespace) -> int:
     cfg = _config(args)
-    system = cached_system(cfg.d, cfg.cache_dir)
-    check_system(system)
     # bounds needs only the leading bits: stop once the counts outgrow them
-    vectors = evolve_to(system, cfg.k, digit_cap=cfg.digit_cap,
+    vectors = evolve_to(cfg.d, cfg.k, digit_cap=cfg.digit_cap,
                         stop_bits=working_bits(cfg.precision, cfg.k))
     result = bounds(cfg.d, cfg.k, vectors, precision=cfg.precision)
     payload = {
@@ -307,10 +307,10 @@ _REFERENCE_COUNTS = {
 
 def _reproduce_dimension(report: _Report, d: int) -> None:
     report.info(f"[d={d}]")
-    system = generate(d)
+    generate(d)  # checks each polynomial's shape and closed-form total
     report.info(f"  generated {d + 2} class polynomials over c0..c{d + 1}")
 
-    vectors = evolve_to(system, 6)
+    vectors = evolve_to(d, 6)
     for n in _ORACLE_STAGES[d]:
         reference = boundary_class_vector(build(d, n))
         report.check(f"oracle cross-check stage {n}", reference == vectors[n])
@@ -386,6 +386,14 @@ def _add_common(parser: argparse.ArgumentParser, *, d=True, cache=True) -> None:
                                  f"${CACHE_ENV} or ~/.cache/hanoi-dimer)")
 
 
+def _add_unused_cache_dir(parser: argparse.ArgumentParser) -> None:
+    # the scan-only commands keep accepting the flag so that scripts passing it
+    # to every command still run
+    parser.add_argument("--cache-dir", default=None,
+                        help="accepted and ignored: this command evolves by "
+                             "the transfer scan, from d alone")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="hanoi-dimer",
@@ -401,7 +409,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_gen_recursions)
 
     p = sub.add_parser("count", help="exact class counts at a stage")
-    _add_common(p)
+    _add_common(p, cache=False)
+    _add_unused_cache_dir(p)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--format", choices=("json", "csv"), default="json")
     p.add_argument("--digit-cap", type=int, default=DEFAULT_DIGIT_CAP)
@@ -431,7 +440,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("ratios", help="consecutive-class ratio trace")
-    _add_common(p)
+    _add_common(p, cache=False)
+    _add_unused_cache_dir(p)
     p.add_argument("--max-n", type=int, required=True)
     p.add_argument("--digits", type=int, default=15)
     p.add_argument("--format", choices=("json", "csv"), default="json")
@@ -439,7 +449,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_ratios)
 
     p = sub.add_parser("entropy", help="certified entropy-per-site bounds")
-    _add_common(p)
+    _add_common(p, cache=False)
+    _add_unused_cache_dir(p)
     p.add_argument("--k", type=int, required=True, help="bound stage (>= 1)")
     p.add_argument("--precision", type=int, default=DEFAULT_PRECISION)
     p.add_argument("--format", choices=("json",), default="json")

@@ -2,11 +2,12 @@
 
 Counts are exact big integers at every stage; ratios are exact rationals and
 are only rendered to decimals on output.  Stages advance by the integer
-transfer scan of recursion_gen (step); apply_system evaluates a given
-recursion system term by term instead, which is how a loaded system is
-checked.  Stage-0 vectors are the matching counts of K_{d+1} with the corner
-constraints applied: c_k(0) is the number of perfect matchings on the k
-dimer-forced corners, (k-1)!! for even k and 0 for odd k.
+transfer scan of recursion_gen (step), which needs nothing but d;
+apply_system evaluates a given recursion system term by term instead,
+which is how verify checks a loaded system against the oracle.  Stage-0
+vectors are the matching counts of K_{d+1} with the corner constraints
+applied: c_k(0) is the number of perfect matchings on the k dimer-forced
+corners, (k-1)!! for even k and 0 for odd k.
 
 Where only the leading bits of later counts matter (the entropy bounds), a
 CountInterval carries them past a seed stage as outward-rounded integer
@@ -28,9 +29,18 @@ from math import comb
 from .errors import CapExceeded, IntegrityError
 from .intutil import digit_count
 from .multipoly import evaluate_int
-from .recursion_gen import INT_RING, RecursionSystem, corner_splits, transfer_scan
+from .recursion_gen import (
+    INT_RING,
+    RecursionSystem,
+    corner_splits,
+    scan_pairs,
+    transfer_scan,
+)
 
 DEFAULT_DIGIT_CAP = 10**7
+# (state, choice) pairs the d+3 transfer scans of one step enumerate;
+# admits d <= 10 (1,364,855 pairs), refuses d = 11 (4,823,427)
+SCAN_WORK_CAP = 2_000_000
 
 
 @dataclass(frozen=True)
@@ -105,21 +115,38 @@ def _mixed_counts(d: int, counts: tuple[int, ...]) -> dict[tuple[int, int], int]
     }
 
 
-def _class_scans(d: int, factors: dict[tuple[int, int], int]) -> tuple[int, ...]:
-    return tuple(transfer_scan(d, k, factors, INT_RING) for k in range(d + 2))
+def _class_scans(d: int, factors: dict[tuple[int, int], int],
+                 choices: dict) -> tuple[int, ...]:
+    return tuple(transfer_scan(d, k, factors, INT_RING, choices)
+                 for k in range(d + 2))
 
 
-def step(sys: RecursionSystem, v: BoundaryClassVector) -> BoundaryClassVector:
-    """Advance one stage by the integer transfer scan for sys.d.
+def check_scan_work(d: int) -> None:
+    """CapExceeded if one step for d enumerates more than SCAN_WORK_CAP pairs.
+
+    Priced from d alone by scan_pairs, whose running sum stops at the cap,
+    so a huge d is refused after a few terms.
+    """
+    work = 0
+    for pairs in scan_pairs(d):
+        work += pairs
+        if work > SCAN_WORK_CAP:
+            raise CapExceeded(
+                f"one d={d} stage step scans more than {SCAN_WORK_CAP} "
+                "(state, choice) pairs, above the scan-work cap"
+            )
+
+
+def step(v: BoundaryClassVector) -> BoundaryClassVector:
+    """Advance one stage by the integer transfer scan for v.d.
 
     The total M comes from its own scan, so the binomial-sum invariant
     re-checked on the result stays an independent check of the counts.
     """
-    if v.d != sys.d:
-        raise ValueError(f"vector dimension {v.d} does not match system {sys.d}")
+    choices: dict = {}
     factors = _mixed_counts(v.d, v.counts)
-    counts = _class_scans(v.d, factors)
-    m = transfer_scan(v.d, None, factors, INT_RING)
+    counts = _class_scans(v.d, factors, choices)
+    m = transfer_scan(v.d, None, factors, INT_RING, choices)
     return BoundaryClassVector(d=v.d, n=v.n + 1, counts=counts, m=m)
 
 
@@ -164,8 +191,9 @@ def interval_step(iv: CountInterval, bits: int) -> CountInterval:
     nonnegative combination, so the scan is monotone and the images of lo
     and hi enclose the next stage.
     """
-    lo = _class_scans(iv.d, _mixed_counts(iv.d, iv.lo))
-    hi = _class_scans(iv.d, _mixed_counts(iv.d, iv.hi))
+    choices: dict = {}
+    lo = _class_scans(iv.d, _mixed_counts(iv.d, iv.lo), choices)
+    hi = _class_scans(iv.d, _mixed_counts(iv.d, iv.hi), choices)
     return _truncate(iv.d, iv.n + 1, lo, hi, iv.shift * (iv.d + 1), bits)
 
 
@@ -179,47 +207,42 @@ def apply_system(sys: RecursionSystem, v: BoundaryClassVector) -> BoundaryClassV
     return BoundaryClassVector(d=v.d, n=v.n + 1, counts=counts, m=m)
 
 
-def check_system(sys: RecursionSystem) -> None:
-    """Check a loaded system against the scan; IntegrityError if they differ.
-
-    Every stage-1 count is positive, so every monomial of every polynomial
-    takes part in the comparison at that point.
-    """
-    v1 = step(sys, initial_vector(sys.d))
-    if apply_system(sys, v1) != step(sys, v1):
-        raise IntegrityError(
-            f"the d={sys.d} recursion system disagrees with the transfer scan "
-            "at stage 2"
-        )
-
-
-def evolve_to(sys: RecursionSystem, n_max: int,
+def evolve_to(d: int, n_max: int,
               digit_cap: int = DEFAULT_DIGIT_CAP,
               advance=None, stop_bits: int | None = None) -> list[BoundaryClassVector]:
-    """Stages 0..n_max inclusive, guarded against runaway digit growth.
+    """Stages 0..n_max inclusive, guarded against runaway work.
 
-    Each stage is advanced by step (the transfer scan), or by apply_system
-    when passed as advance to evolve by the system's polynomials.  Given
-    stop_bits, evolution ends early at the first stage whose largest count
-    is wider than stop_bits bits; the digit cap is still checked for
-    stage n_max at every stage that is evolved.
+    Each stage is advanced by step (the transfer scan), or by advance, a
+    function of the vector alone (verify passes the loaded system's
+    evaluator, apply_system bound to it).  The scan-work cap is checked
+    first, for any n_max; the digit cap predicts the digits of stage n_max
+    at every stage that is evolved.  Given stop_bits, evolution ends early
+    at the first stage whose largest count is wider than stop_bits bits.
     """
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
+    check_scan_work(d)
     advance = advance or step
-    v = initial_vector(sys.d)
+    v = initial_vector(d)
     out = [v]
     while v.n < n_max:
         top = max(v.counts)
-        predicted = digit_count(top) * (sys.d + 1) ** (n_max - v.n)
+        steps = n_max - v.n
+        if steps >= digit_cap.bit_length() + 64:
+            # (d+1)^steps >= 2^steps is far past the cap; build no such power
+            raise CapExceeded(
+                f"evolving d={d} to stage {n_max} predicts over 2^{steps} digit "
+                f"counts, above the cap of {digit_cap}; raise it with --digit-cap"
+            )
+        predicted = digit_count(top) * (d + 1) ** steps
         if predicted > digit_cap:
             raise CapExceeded(
-                f"evolving d={sys.d} to stage {n_max} predicts ~{predicted} digit "
+                f"evolving d={d} to stage {n_max} predicts ~{predicted} digit "
                 f"counts, above the cap of {digit_cap}; raise it with --digit-cap"
             )
         if stop_bits is not None and top.bit_length() > stop_bits:
             break
-        v = advance(sys, v)
+        v = advance(v)
         out.append(v)
     return out
 

@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from itertools import groupby
+from itertools import chain, groupby
 from math import comb
 from pathlib import Path
 from typing import Callable
@@ -158,7 +158,8 @@ def _connector_choices(rest: tuple[int, ...], forced: int):
     return options
 
 
-def transfer_scan(d: int, k: int | None, factors: dict, ring: Ring):
+def transfer_scan(d: int, k: int | None, factors: dict, ring: Ring,
+                  choices: dict | None = None):
     """Sum over connector-edge subsets of the product of per-copy factors.
 
     One composition step: copies 0..k-1 have their global corner dimer-forced
@@ -169,17 +170,26 @@ def transfer_scan(d: int, k: int | None, factors: dict, ring: Ring):
     group.  The edges still open form a complete graph on the later copies
     and a copy's factor depends only on its degree and group, so states equal
     up to that symmetry have the same completions and are merged.
+
+    choices memoizes _connector_choices by (rest, forced); scans of one step
+    may share it, as they meet the same rests.
     """
     copies = d + 1
     if k is not None and not 0 <= k <= copies:
         raise ValueError(f"k={k} out of range for d={d}")
+    if choices is None:
+        choices = {}
     states = {(0,) * copies: ring.unit}
     for i in range(copies):
         forced_later = 0 if k is None else max(0, k - i - 1)
         buckets: dict = {}
         for state, value in states.items():
             own, rest = state[0], state[1:]
-            for successor, edges, weight in _connector_choices(rest, forced_later):
+            options = choices.get((rest, forced_later))
+            if options is None:
+                options = choices[rest, forced_later] = _connector_choices(
+                    rest, forced_later)
+            for successor, edges, weight in options:
                 deg = own + edges
                 if k is None:
                     split = (deg, 0)
@@ -194,6 +204,33 @@ def transfer_scan(d: int, k: int | None, factors: dict, ring: Ring):
             states[successor] = ring.muladd(states.get(successor), value, factors[split])
     (result,) = states.values()
     return result
+
+
+def scan_pairs(d: int):
+    """Yield the (state, choice) pairs of each copy of each scan of one step.
+
+    The scans are k = 0..d+1 and k=None, in that order, copies in scan
+    order.  Every degree vector in {0..i}^(d+1-i) is reachable before
+    copy i, so the states are all pairs of sorted groups: a dimer-forced
+    group of k-i copies (while i < k) and a free group of the rest, own
+    copy first in its group.  A state offers prod (m+1) choices over the
+    runs of m equal later degrees.  Summed over a group of b degrees in
+    0..i that is [x^b] (1-x)^(-2(i+1)) = C(b+2i+1, b); with the own copy
+    first, the run holding the minimum v counts one short, which gives
+    sum_{u=0..i} C(b+2u, b-1) (u = i - v).
+    """
+    def group(b, i):
+        return comb(b + 2 * i + 1, b)
+
+    def own_group(b, i):
+        return sum(comb(b + 2 * u, b - 1) for u in range(i + 1))
+
+    for k in chain(range(d + 2), (None,)):
+        for i in range(d + 1):
+            if k is not None and i < k:
+                yield own_group(k - i, i) * group(d + 1 - k, i)
+            else:
+                yield own_group(d + 1 - i, i)
 
 
 def _polynomial_scan(d: int, k: int | None, varset: tuple[str, ...],
@@ -239,10 +276,12 @@ def generate(d: int, subset_cap: int = DEFAULT_SUBSET_CAP) -> RecursionSystem:
     Refuses with CapExceeded when the 2^C(d+1,2) connector subsets the
     system sums over exceed subset_cap.
     """
-    subsets = 1 << (d * (d + 1) // 2)
-    if subsets > subset_cap:
+    edges = d * (d + 1) // 2
+    # 2^edges > subset_cap exactly when edges reaches the cap's bit length;
+    # compare exponents so that a huge d builds no huge power
+    if edges >= subset_cap.bit_length():
         raise CapExceeded(
-            f"generation for d={d} spans {subsets} connector subsets, above "
+            f"generation for d={d} spans 2^{edges} connector subsets, above "
             f"the cap of {subset_cap}; raise it with gen-recursions --census-cap"
         )
     varset = class_varset(d)

@@ -20,7 +20,7 @@ def systems():
 
 
 @pytest.fixture(scope="session")
-def trajectories(systems):
+def trajectories():
     """Evolved stage lists, keyed by (d, n_max)."""
     cache = {}
 
@@ -28,7 +28,7 @@ def trajectories(systems):
         have = [n for (dd, n) in cache if dd == d and n >= n_max]
         if have:
             return cache[(d, min(have))][: n_max + 1]
-        cache[(d, n_max)] = evolve_to(systems(d), n_max)
+        cache[(d, n_max)] = evolve_to(d, n_max)
         return cache[(d, n_max)]
 
     return get

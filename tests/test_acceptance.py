@@ -43,9 +43,9 @@ def report(criterion: int, text: str) -> None:
     print(f"ACCEPTANCE {criterion:02d}: PASS -- {text}")
 
 
-def test_criterion_01_stage_counts_d3(systems):
+def test_criterion_01_stage_counts_d3():
     with budget(1.0):
-        stages = evolve_to(systems(3), 2)
+        stages = evolve_to(3, 2)
         for n in (1, 2):
             assert stages[n].counts == ref.CLASS_COUNTS_D3[n]
             assert stages[n].m == ref.TOTALS_D3[n]
@@ -53,9 +53,9 @@ def test_criterion_01_stage_counts_d3(systems):
     report(1, "d=3 class counts at n=1,2 match all twelve reference integers")
 
 
-def test_criterion_02_stage_counts_d4(systems):
+def test_criterion_02_stage_counts_d4():
     with budget(1.0):
-        stages = evolve_to(systems(4), 2)
+        stages = evolve_to(4, 2)
         for n in (1, 2):
             assert stages[n].counts == ref.CLASS_COUNTS_D4[n]
             assert stages[n].m == ref.TOTALS_D4[n]
@@ -63,10 +63,10 @@ def test_criterion_02_stage_counts_d4(systems):
     report(2, "d=4 class counts at n=1,2 match all fourteen reference integers")
 
 
-def test_criterion_03_oracle_equivalence(systems):
+def test_criterion_03_oracle_equivalence():
     with budget(300.0):
         for d, n_max in ((2, 2), (3, 1), (4, 1)):
-            evolved = evolve_to(systems(d), n_max)
+            evolved = evolve_to(d, n_max)
             for n in range(n_max + 1):
                 assert boundary_class_vector(build(d, n)) == evolved[n]
     report(3, "recursions equal brute-force constrained counts "
@@ -99,9 +99,9 @@ def test_criterion_05_ratio_tables(trajectories):
               "every printed digit")
 
 
-def test_criterion_06_entropy_d3(systems):
+def test_criterion_06_entropy_d3():
     with budget(30.0):
-        vectors = evolve_to(systems(3), 6)
+        vectors = evolve_to(3, 6)
         result = bounds(3, 6, vectors, precision=160)
         assert result.certified_digits >= 101
         assert result.lower.as_decimal().startswith("0.65719921144295911522")
@@ -110,9 +110,9 @@ def test_criterion_06_entropy_d3(systems):
               "with the reference prefix")
 
 
-def test_criterion_07_entropy_d4(systems):
+def test_criterion_07_entropy_d4():
     with budget(120.0):
-        vectors = evolve_to(systems(4), 6)
+        vectors = evolve_to(4, 6)
         result = bounds(4, 6, vectors, precision=160)
         assert result.certified_digits >= 120
         assert result.lower.as_decimal().startswith("0.72291383087181938879")
@@ -121,9 +121,9 @@ def test_criterion_07_entropy_d4(systems):
               "with the reference prefix")
 
 
-def test_criterion_08_entropy_d2(systems):
+def test_criterion_08_entropy_d2():
     with budget(10.0):
-        vectors = evolve_to(systems(2), 6)
+        vectors = evolve_to(2, 6)
         result = bounds(2, 6, vectors, precision=160)
         assert result.lower.as_decimal().startswith("0.5764643016")
         assert result.upper.as_decimal().startswith("0.5764643016")
@@ -159,9 +159,9 @@ def test_criterion_10_appendix_certificates(systems):
                "with printed d=3 spot coefficients")
 
 
-def test_criterion_11_higher_dimension_probe_d5(systems):
+def test_criterion_11_higher_dimension_probe_d5():
     with budget(600.0):
-        vectors = evolve_to(systems(5), 3)
+        vectors = evolve_to(5, 3)
         results = [bounds(5, k, vectors, precision=120) for k in (1, 2, 3)]
         for a, b in zip(results, results[1:]):
             assert b.lower.as_fraction() >= a.lower.as_fraction()

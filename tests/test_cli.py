@@ -3,16 +3,17 @@
 from __future__ import annotations
 
 import json
+import time
 from importlib import resources
+from itertools import count
 
 import jsonschema
 import pytest
 
 from hanoi_dimer import evolve
-from hanoi_dimer import reference_values as ref
 from hanoi_dimer.cli import main
-from hanoi_dimer.evolve import BoundaryClassVector
-from hanoi_dimer.recursion_gen import cache_path, generate, save_system
+from hanoi_dimer.evolve import SCAN_WORK_CAP, BoundaryClassVector
+from hanoi_dimer.recursion_gen import cache_path, generate, save_system, scan_pairs
 
 from .helpers import run_python
 
@@ -211,13 +212,47 @@ def test_gen_recursions_census_cap(capsys, tmp_path):
     assert "census-cap" in err
 
 
-def test_count_applies_census_cap_before_generating(capsys, tmp_path):
-    code, out, err = run_cli(capsys, "count", "--d", "7", "--n", "1",
+# the first dimension whose one-step scan work is over the cap
+FIRST_D_OVER_SCAN_CAP = next(d for d in count(2)
+                             if sum(scan_pairs(d)) > SCAN_WORK_CAP)
+
+
+def test_count_applies_scan_work_cap_before_evolving(capsys, tmp_path):
+    d = FIRST_D_OVER_SCAN_CAP
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "count", "--d", str(d), "--n", "1",
                              "--cache-dir", str(tmp_path))
+    assert time.perf_counter() - start < 1.0
     assert code == 3
     assert out == ""
-    assert "census-cap" in err
-    assert not cache_path(tmp_path, 7).exists()
+    assert "resource cap" in err and "scan-work cap" in err
+    assert not cache_path(tmp_path, d).exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ("entropy", "--k", "6"),
+    ("ratios", "--max-n", "2"),
+    ("count", "--n", "0"),
+], ids=["entropy", "ratios", "count-n0"])
+def test_scan_only_commands_refuse_the_first_d_over_the_scan_cap(capsys, argv):
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, argv[0], "--d", str(FIRST_D_OVER_SCAN_CAP),
+                             *argv[1:])
+    assert time.perf_counter() - start < 1.0
+    assert (code, out) == (3, "")
+    assert "scan-work cap" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("count", "--d", "1000000", "--n", "1"),
+    ("entropy", "--d", "3", "--k", "1000000000000"),
+], ids=["count-d1e6", "entropy-k1e12"])
+def test_huge_d_or_k_is_refused_without_building_it(capsys, argv):
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, *argv)
+    assert time.perf_counter() - start < 1.0
+    assert (code, out) == (3, "")
+    assert "resource cap" in err
 
 
 def test_cache_env_variable_respected(capsys, tmp_path, monkeypatch):
@@ -260,38 +295,59 @@ def test_dimension_validation(capsys):
     assert "at least 2" in err
 
 
+def test_negative_digits_is_a_usage_error(capsys):
+    code, out, err = run_cli(capsys, "ratios", "--d", "3", "--max-n", "2",
+                             "--digits", "-1")
+    assert (code, out) == (2, "")
+    assert "usage error: --digits must be >= 0" in err
+
+
+@pytest.mark.parametrize("k", ["0", "-2"])
+def test_bound_stage_below_one_is_a_usage_error(capsys, k):
+    code, out, err = run_cli(capsys, "entropy", "--d", "3", "--k", k)
+    assert (code, out) == (2, "")
+    assert "usage error: bound stage k must be >= 1" in err
+
+
 # -- cache checks --------------------------------------------------------------------
 
 
-def test_count_rejects_cache_of_another_dimension(tmp_path):
+def test_verify_regenerates_cache_of_another_dimension(tmp_path):
     save_system(generate(4), cache_path(tmp_path, 3))
-    run = run_python("-m", "hanoi_dimer", "count", "--d", "3", "--n", "1",
+    run = run_python("-m", "hanoi_dimer", "verify", "--d", "3", "--n-max", "1",
                      "--cache-dir", str(tmp_path))
     assert run.returncode == 0
-    assert json.loads(run.stdout)["c"] == [str(c) for c in ref.CLASS_COUNTS_D3[1]]
+    assert run.stdout.splitlines()[-1] == "stage 1: OK (5 class counts + total)"
     assert "regenerating corrupt recursion cache" in run.stderr
     assert "d=4" in run.stderr
     assert cache_path(tmp_path, 3).read_text().startswith("# d=3 basis=c0..c4\n")
 
 
-def test_count_rejects_self_consistent_tampered_cache(capsys, tmp_path):
+@pytest.mark.parametrize("argv", [
+    ("count", "--n", "1"),
+    ("ratios", "--max-n", "2"),
+    ("entropy", "--k", "3", "--precision", "40"),
+], ids=["count", "ratios", "entropy"])
+def test_scan_only_commands_ignore_a_tampered_cache(capsys, tmp_path, argv):
+    # the self-consistent tamper that verify exposes cannot reach these commands
+    clean = run_cli(capsys, argv[0], "--d", "2", *argv[1:],
+                    "--cache-dir", str(tmp_path / "none"))
+    assert clean[0] == 0
+    assert not (tmp_path / "none").exists()
     run_cli(capsys, "gen-recursions", "--d", "2", "--cache-dir", str(tmp_path))
     path = cache_path(tmp_path, 2)
     text = path.read_text()
     assert text.count("8*c0^3") == 2
     path.write_text(text.replace("8*c0^3", "9*c0^3"))
-    code, out, err = run_cli(capsys, "count", "--d", "2", "--n", "1",
-                             "--cache-dir", str(tmp_path))
-    assert code == 1
-    assert out == ""
-    assert "disagrees with the transfer scan" in err
+    assert run_cli(capsys, argv[0], "--d", "2", *argv[1:],
+                   "--cache-dir", str(tmp_path)) == clean
 
 
 def test_verify_reports_a_scan_mismatch(capsys, tmp_path, monkeypatch):
     real_step = evolve.step
 
-    def off_by_one(sys_, v):
-        got = real_step(sys_, v)
+    def off_by_one(v):
+        got = real_step(v)
         counts = (got.counts[0] + 1,) + got.counts[1:]
         return BoundaryClassVector(d=got.d, n=got.n, counts=counts, m=got.m + 1)
 

@@ -228,11 +228,11 @@ def test_bounds_require_stage_at_least_one(trajectories):
 
 
 @pytest.mark.parametrize("d", [5, 6])
-def test_bounds_narrow_beyond_reference_dimensions(systems, d):
+def test_bounds_narrow_beyond_reference_dimensions(d):
     # no reference values exist out here; the sandwich must still hold and shrink
     from hanoi_dimer.evolve import evolve_to
 
-    vectors = evolve_to(systems(d), 2)
+    vectors = evolve_to(d, 2)
     first = bounds(d, 1, vectors, precision=80)
     second = bounds(d, 2, vectors, precision=80)
     assert first.lower.as_fraction() < first.upper.as_fraction()

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from fractions import Fraction
+from math import comb
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -10,12 +11,21 @@ from hypothesis import given, settings, strategies as st
 from hanoi_dimer import reference_values as ref
 from hanoi_dimer.errors import CapExceeded, IntegrityError
 from hanoi_dimer.multipoly import Polynomial
-from hanoi_dimer.recursion_gen import RecursionSystem
+from hanoi_dimer.recursion_gen import (
+    INT_RING,
+    RecursionSystem,
+    Ring,
+    corner_splits,
+    scan_pairs,
+    transfer_scan,
+)
 from hanoi_dimer.evolve import (
+    SCAN_WORK_CAP,
     BoundaryClassVector,
+    _mixed_counts,
     apply_system,
     check_contraction,
-    check_system,
+    check_scan_work,
     enclose,
     eps_ratio_table_value,
     evolve_to,
@@ -35,23 +45,23 @@ def test_initial_vectors_match_reference():
     assert initial_vector(2).counts == ref.CLASS_COUNTS_D2[0]
 
 
-def test_step_d3_reproduces_stage_one(systems):
-    v1 = step(systems(3), initial_vector(3))
+def test_step_d3_reproduces_stage_one():
+    v1 = step(initial_vector(3))
     assert v1.counts == ref.CLASS_COUNTS_D3[1]
     assert v1.m == ref.TOTALS_D3[1]
 
 
-def test_two_steps_d3_reproduce_stage_two(systems):
+def test_two_steps_d3_reproduce_stage_two():
     v = initial_vector(3)
     for _ in range(2):
-        v = step(systems(3), v)
+        v = step(v)
     assert v.counts == ref.CLASS_COUNTS_D3[2]
     assert v.counts[0] == 49464202269253193
     assert v.m == ref.TOTALS_D3[2]
 
 
-def test_step_d4_reproduces_stage_one(systems):
-    v1 = step(systems(4), initial_vector(4))
+def test_step_d4_reproduces_stage_one():
+    v1 = step(initial_vector(4))
     assert v1.m == 48645865
     assert v1.counts[5] == 3779500
     assert v1.counts == ref.CLASS_COUNTS_D4[1]
@@ -61,47 +71,106 @@ def test_step_d4_reproduces_stage_one(systems):
 def test_scan_equals_polynomial_evaluation(systems, d):
     v = initial_vector(d)
     for n in (1, 2, 3):
-        scanned = step(systems(d), v)
+        scanned = step(v)
         assert scanned.n == n
         assert scanned == apply_system(systems(d), v)
         v = scanned
 
 
-def test_check_system_accepts_generated_and_rejects_tampered(systems):
+def test_polynomial_evaluation_exposes_a_tampered_system(systems):
+    # c0^3 bumped in c0 and M together keeps the total invariant, so only a
+    # comparison with the scan (what verify runs) can tell the systems apart
     sys2 = systems(2)
-    check_system(sys2)
     bump = Polynomial(sys2.varset, {(3, 0, 0, 0): 1})
     tampered = RecursionSystem(
         d=2, varset=sys2.varset,
         class_polys=(sys2.class_polys[0] + bump,) + sys2.class_polys[1:],
         m_poly=sys2.m_poly + bump,
     )
-    with pytest.raises(IntegrityError):
-        check_system(tampered)
+    v1 = step(initial_vector(2))
+    assert apply_system(sys2, v1) == step(v1)
+    assert apply_system(tampered, v1) != step(v1)
 
 
-def test_evolve_d4_stage_two(systems):
-    stages = evolve_to(systems(4), 2)
+# (state, choice) pairs the d+3 scans of one step enumerate, d = 2..10
+ENUMERATED_PAIRS = {2: 63, 3: 226, 4: 785, 5: 2700, 6: 9283, 7: 32039,
+                    8: 111205, 9: 388396, 10: 1364855}
+
+
+def enumerate_scan_pairs(d: int) -> int:
+    """Run the d+3 scans of one step over a ring that counts the choices taken."""
+    taken = 0
+
+    def muladd(acc, value, factor):
+        nonlocal taken
+        taken += factor == "choice"
+        return 0
+
+    ring = Ring(unit=0, scalar=lambda weight: "choice", muladd=muladd)
+    factors = dict.fromkeys(corner_splits(d), "absorb")
+    choices: dict = {}
+    for k in (*range(d + 2), None):
+        transfer_scan(d, k, factors, ring, choices)
+    return taken
+
+
+@pytest.mark.parametrize("d", range(2, 9))
+def test_scan_price_bounds_the_enumerated_pairs(d):
+    assert enumerate_scan_pairs(d) == ENUMERATED_PAIRS[d]
+    assert sum(scan_pairs(d)) >= ENUMERATED_PAIRS[d]
+
+
+def test_scan_work_cap_admits_d10_and_refuses_d11():
+    assert sum(scan_pairs(10)) <= SCAN_WORK_CAP < sum(scan_pairs(11))
+    check_scan_work(10)
+    with pytest.raises(CapExceeded, match="scan-work cap"):
+        check_scan_work(11)
+    # the cap is checked for any target stage, before the stage-0 vector
+    with pytest.raises(CapExceeded, match="scan-work cap"):
+        evolve_to(11, 0)
+
+
+def test_scan_work_cap_refuses_a_huge_d_after_a_few_terms():
+    with pytest.raises(CapExceeded):
+        check_scan_work(10**9)
+
+
+@pytest.mark.parametrize("d", range(2, 9))
+def test_scan_at_all_ones_gives_closed_form_totals(d):
+    # c = 1 makes every mixed count N(a, b) = 2^(d+1-a-b): each class count is
+    # 5^C(d+1,2) and M is 2^(d+1) times that, past the oracle's reach for d >= 7
+    ones = (1,) * (d + 2)
+    factors = _mixed_counts(d, ones)
+    assert factors == {(a, b): 2 ** (d + 1 - a - b) for a, b in corner_splits(d)}
+    class_total = 5 ** comb(d + 1, 2)
+    choices: dict = {}
+    for k in range(d + 2):
+        assert transfer_scan(d, k, factors, INT_RING, choices) == class_total
+    assert transfer_scan(d, None, factors, INT_RING, choices) == class_total << (d + 1)
+
+
+def test_evolve_d4_stage_two():
+    stages = evolve_to(4, 2)
     assert stages[2].counts[0] == 12567379442065248794102222711306394841
     assert stages[2].counts == ref.CLASS_COUNTS_D4[2]
     assert stages[2].m == ref.TOTALS_D4[2]
 
 
-def test_evolve_to_zero_returns_initial(systems):
-    stages = evolve_to(systems(3), 0)
+def test_evolve_to_zero_returns_initial():
+    stages = evolve_to(3, 0)
     assert stages == [initial_vector(3)]
 
 
-def test_evolve_d2_matches_frozen_oracle_counts(systems):
-    stages = evolve_to(systems(2), 2)
+def test_evolve_d2_matches_frozen_oracle_counts():
+    stages = evolve_to(2, 2)
     for n in (0, 1, 2):
         assert stages[n].counts == ref.CLASS_COUNTS_D2[n]
         assert stages[n].m == ref.TOTALS_D2[n]
 
 
-def test_digit_guard_aborts_with_prediction(systems):
+def test_digit_guard_aborts_with_prediction():
     with pytest.raises(CapExceeded) as err:
-        evolve_to(systems(3), 30)
+        evolve_to(3, 30)
     assert "predict" in str(err.value)
 
 
@@ -126,9 +195,9 @@ def test_vector_integrity_monotonicity():
 
 
 @pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
-def test_strict_class_monotonicity_every_stage(systems, d):
+def test_strict_class_monotonicity_every_stage(d):
     n_max = 2 if d >= 6 else 3
-    for v in evolve_to(systems(d), n_max)[1:]:
+    for v in evolve_to(d, n_max)[1:]:
         pairs = list(zip(v.counts, v.counts[1:]))
         if d == 2:
             assert all(a > b for a, b in pairs)
@@ -136,9 +205,9 @@ def test_strict_class_monotonicity_every_stage(systems, d):
             assert all(a < b for a, b in pairs)
 
 
-def test_rerunning_is_bit_identical(systems):
-    a = evolve_to(systems(3), 3)
-    b = evolve_to(systems(3), 3)
+def test_rerunning_is_bit_identical():
+    a = evolve_to(3, 3)
+    b = evolve_to(3, 3)
     assert a == b
 
 
@@ -265,16 +334,16 @@ def test_enclosure_is_exact_at_full_width(trajectories):
     assert narrow.hi[0] - narrow.lo[0] == 1  # floor and ceiling one apart
 
 
-def test_evolve_to_stops_past_the_given_width(systems):
-    full = evolve_to(systems(3), 8)
+def test_evolve_to_stops_past_the_given_width():
+    full = evolve_to(3, 8)
     widths = [max(v.counts).bit_length() for v in full]
-    stopped = evolve_to(systems(3), 8, stop_bits=widths[4])
+    stopped = evolve_to(3, 8, stop_bits=widths[4])
     # stage 5 is the first wider than stage 4's counts; nothing is evolved past it
     assert [v.n for v in stopped] == [0, 1, 2, 3, 4, 5]
     assert stopped == full[:6]
-    assert evolve_to(systems(3), 3, stop_bits=widths[4]) == full[:4]
+    assert evolve_to(3, 3, stop_bits=widths[4]) == full[:4]
 
 
-def test_evolve_to_checks_the_digit_cap_before_stopping(systems):
+def test_evolve_to_checks_the_digit_cap_before_stopping():
     with pytest.raises(CapExceeded, match="stage 30"):
-        evolve_to(systems(3), 30, stop_bits=1)
+        evolve_to(3, 30, stop_bits=1)

@@ -160,9 +160,9 @@ def test_binomial_identity_on_oracle_vectors():
     "d,n_max",
     [(2, 2), (3, 1), (4, 1), (5, 1)],
 )
-def test_oracle_equivalence_with_recursion(systems, d, n_max):
+def test_oracle_equivalence_with_recursion(d, n_max):
     """The generated recursions reproduce brute-force counts stage by stage."""
-    evolved = evolve_to(systems(d), n_max)
+    evolved = evolve_to(d, n_max)
     for n in range(n_max + 1):
         oracle_vec = boundary_class_vector(build(d, n))
         assert oracle_vec == evolved[n]
