@@ -12,7 +12,6 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass
 from functools import partial
 from pathlib import Path
 
@@ -37,46 +36,9 @@ from .matching_oracle import (
     boundary_class_vector,
     count_constrained,
 )
-from .recursion_gen import (
-    DEFAULT_SUBSET_CAP,
-    cache_path,
-    cached_system,
-    generate,
-    save_system,
-)
+from .recursion_gen import cache_path, cached_system, generate, save_system
 
 CACHE_ENV = "HANOI_DIMER_CACHE"
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Validated bundle of per-invocation options and resource caps."""
-
-    d: int
-    n: int | None = None
-    k: int | None = None
-    precision: int = DEFAULT_PRECISION
-    digits: int = 15
-    fmt: str = "json"
-    cache_dir: Path | None = None
-    vertex_cap: int = DEFAULT_VERTEX_CAP
-    oracle_vertex_cap: int = DEFAULT_ORACLE_VERTEX_CAP
-    memo_cap: int = DEFAULT_MEMO_CAP
-    digit_cap: int = DEFAULT_DIGIT_CAP
-    term_budget: int = DEFAULT_TERM_BUDGET
-    census_cap: int = DEFAULT_SUBSET_CAP
-
-    def __post_init__(self):
-        if self.d < 2:
-            raise ValueError("--d must be at least 2")
-        if self.k is not None and self.k < 1:
-            raise ValueError("bound stage k must be >= 1")
-        if self.digits < 0:
-            raise ValueError("--digits must be >= 0")
-        for name in ("vertex_cap", "oracle_vertex_cap", "memo_cap",
-                     "digit_cap", "term_budget", "census_cap", "precision"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
 
 
 def resolve_cache_dir(explicit: str | None) -> Path:
@@ -92,33 +54,12 @@ def _emit(text: str) -> None:
     sys.stdout.write(text + "\n")
 
 
-def _config(args: argparse.Namespace) -> RunConfig:
-    return RunConfig(
-        d=args.d,
-        n=getattr(args, "n", None),
-        k=getattr(args, "k", None),
-        precision=getattr(args, "precision", DEFAULT_PRECISION),
-        digits=getattr(args, "digits", 15),
-        fmt=getattr(args, "format", "json"),
-        cache_dir=(resolve_cache_dir(args.cache_dir)
-                   if hasattr(args, "cache_dir") else None),
-        vertex_cap=getattr(args, "vertex_cap", DEFAULT_VERTEX_CAP),
-        oracle_vertex_cap=getattr(args, "oracle_vertex_cap",
-                                  DEFAULT_ORACLE_VERTEX_CAP),
-        memo_cap=getattr(args, "memo_cap", DEFAULT_MEMO_CAP),
-        digit_cap=getattr(args, "digit_cap", DEFAULT_DIGIT_CAP),
-        term_budget=getattr(args, "term_budget", DEFAULT_TERM_BUDGET),
-        census_cap=getattr(args, "census_cap", DEFAULT_SUBSET_CAP),
-    )
-
-
 # -- commands ----------------------------------------------------------------
 
 
 def cmd_gen_recursions(args: argparse.Namespace) -> int:
-    cfg = _config(args)
-    system = generate(cfg.d, subset_cap=cfg.census_cap)
-    path = cache_path(cfg.cache_dir, cfg.d)
+    system = generate(args.d)
+    path = cache_path(resolve_cache_dir(args.cache_dir), args.d)
     save_system(system, path)
     sizes = ", ".join(str(p.term_count()) for p in system.class_polys)
     _emit(f"wrote {path}")
@@ -128,62 +69,57 @@ def cmd_gen_recursions(args: argparse.Namespace) -> int:
 
 
 def cmd_count(args: argparse.Namespace) -> int:
-    cfg = _config(args)
-    vectors = evolve_to(cfg.d, cfg.n, digit_cap=cfg.digit_cap)
-    v = vectors[cfg.n]
-    if cfg.fmt == "csv":
-        heads = ["d", "n"] + [f"c{k}" for k in range(cfg.d + 2)] + ["M"]
-        row = [str(cfg.d), str(cfg.n)] + [str(c) for c in v.counts] + [str(v.m)]
+    vectors = evolve_to(args.d, args.n, digit_cap=args.digit_cap)
+    v = vectors[args.n]
+    if args.format == "csv":
+        heads = ["d", "n"] + [f"c{k}" for k in range(args.d + 2)] + ["M"]
+        row = [str(args.d), str(args.n)] + [str(c) for c in v.counts] + [str(v.m)]
         _emit(",".join(heads))
         _emit(",".join(row))
     else:
         _emit(json.dumps({
-            "d": cfg.d, "n": cfg.n,
+            "d": args.d, "n": args.n,
             "c": [str(c) for c in v.counts], "M": str(v.m),
         }))
     return 0
 
 
 def cmd_oracle(args: argparse.Namespace) -> int:
-    cfg = _config(args)
-    graph = build(cfg.d, cfg.n, vertex_cap=max(cfg.vertex_cap,
-                                               cfg.oracle_vertex_cap))
+    graph = build(args.d, args.n, vertex_cap=args.vertex_cap)
     if args.emit_graph:
         sys.stdout.write(edge_csv(graph))
         return 0
     if args.constraint is not None:
         constraint = CornerConstraint.parse(args.constraint)
         value = count_constrained(graph, constraint,
-                                  vertex_cap=cfg.oracle_vertex_cap,
-                                  memo_cap=cfg.memo_cap)
+                                  vertex_cap=args.oracle_vertex_cap,
+                                  memo_cap=args.memo_cap)
         _emit(json.dumps({
-            "d": cfg.d, "n": cfg.n,
+            "d": args.d, "n": args.n,
             "constraint": args.constraint, "count": str(value),
         }))
         return 0
-    vector = boundary_class_vector(graph, vertex_cap=cfg.oracle_vertex_cap,
-                                   memo_cap=cfg.memo_cap)
+    vector = boundary_class_vector(graph, vertex_cap=args.oracle_vertex_cap,
+                                   memo_cap=args.memo_cap)
     _emit(json.dumps({
-        "d": cfg.d, "n": cfg.n, "M": str(vector.m),
+        "d": args.d, "n": args.n, "M": str(vector.m),
         "c": [str(c) for c in vector.counts],
     }))
     return 0
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    cfg = _config(args)
-    system = cached_system(cfg.d, cfg.cache_dir)
+    system = cached_system(args.d, resolve_cache_dir(args.cache_dir))
     # the loaded system, evaluated term by term, and the transfer scan
     sources = (
-        ("recursion", evolve_to(cfg.d, args.n_max, digit_cap=cfg.digit_cap,
+        ("recursion", evolve_to(args.d, args.n_max, digit_cap=args.digit_cap,
                                 advance=partial(apply_system, system))),
-        ("scan", evolve_to(cfg.d, args.n_max, digit_cap=cfg.digit_cap)),
+        ("scan", evolve_to(args.d, args.n_max, digit_cap=args.digit_cap)),
     )
     for n in range(args.n_max + 1):
-        graph = build(cfg.d, n, vertex_cap=max(cfg.vertex_cap,
-                                               cfg.oracle_vertex_cap))
         reference = boundary_class_vector(
-            graph, vertex_cap=cfg.oracle_vertex_cap, memo_cap=cfg.memo_cap)
+            build(args.d, n), vertex_cap=args.oracle_vertex_cap,
+            memo_cap=args.memo_cap)
         for label, vectors in sources:
             got = vectors[n]
             if got == reference:
@@ -195,20 +131,19 @@ def cmd_verify(args: argparse.Namespace) -> int:
             else:
                 _emit(f"stage {n}: MISMATCH M: {label} {got.m}, oracle {reference.m}")
             return 1
-        _emit(f"stage {n}: OK ({cfg.d + 2} class counts + total)")
+        _emit(f"stage {n}: OK ({args.d + 2} class counts + total)")
     return 0
 
 
 def cmd_ratios(args: argparse.Namespace) -> int:
-    cfg = _config(args)
-    vectors = evolve_to(cfg.d, args.max_n, digit_cap=cfg.digit_cap)
+    vectors = evolve_to(args.d, args.max_n, digit_cap=args.digit_cap)
     trace = ratios(vectors)
-    digits = cfg.digits
+    digits = args.digits
     stages = [
         {
             "n": n,
             "r": [render_decimal(trace.ratio(n, j), digits)
-                  for j in range(cfg.d + 1)],
+                  for j in range(args.d + 1)],
             "eps": render_decimal(trace.eps(n), digits),
         }
         for n in trace.stages
@@ -221,26 +156,25 @@ def cmd_ratios(args: argparse.Namespace) -> int:
         }
         for n in trace.stages[:-1]
     ]
-    if cfg.fmt == "csv":
-        _emit(",".join(["n"] + [f"r{j}" for j in range(cfg.d + 1)] + ["eps"]))
+    if args.format == "csv":
+        _emit(",".join(["n"] + [f"r{j}" for j in range(args.d + 1)] + ["eps"]))
         for row in stages:
             _emit(",".join([str(row["n"])] + row["r"] + [row["eps"]]))
     else:
         _emit(json.dumps({
-            "d": cfg.d, "digits": digits,
+            "d": args.d, "digits": digits,
             "stages": stages, "eps_ratios": quotients,
         }))
     return 0
 
 
 def cmd_entropy(args: argparse.Namespace) -> int:
-    cfg = _config(args)
     # bounds needs only the leading bits: stop once the counts outgrow them
-    vectors = evolve_to(cfg.d, cfg.k, digit_cap=cfg.digit_cap,
-                        stop_bits=working_bits(cfg.precision, cfg.k))
-    result = bounds(cfg.d, cfg.k, vectors, precision=cfg.precision)
+    vectors = evolve_to(args.d, args.k, digit_cap=args.digit_cap,
+                        stop_bits=working_bits(args.precision, args.k))
+    result = bounds(args.d, args.k, vectors, precision=args.precision)
     payload = {
-        "d": cfg.d, "k": cfg.k, "precision": cfg.precision,
+        "d": args.d, "k": args.k, "precision": args.precision,
         "lower": result.lower.as_decimal(),
         "upper": result.upper.as_decimal(),
         "certified_digits": result.certified_digits,
@@ -253,18 +187,17 @@ def cmd_entropy(args: argparse.Namespace) -> int:
 
 
 def cmd_appendix_check(args: argparse.Namespace) -> int:
-    cfg = _config(args)
-    reports = run_certificates(cfg.d, args.which, term_budget=cfg.term_budget)
+    reports = run_certificates(args.d, args.which, term_budget=args.term_budget)
     status = 0
     for report in reports:
         if not report.attempted:
-            _emit(f"{report.name} d={cfg.d}: NOT ATTEMPTED "
+            _emit(f"{report.name} d={args.d}: NOT ATTEMPTED "
                   f"({'; '.join(report.notes)})")
             status = max(status, 3)
         elif report.passed:
-            _emit(f"{report.name} d={cfg.d}: PASS ({report.term_count} terms)")
+            _emit(f"{report.name} d={args.d}: PASS ({report.term_count} terms)")
         else:
-            _emit(f"{report.name} d={cfg.d}: FAIL "
+            _emit(f"{report.name} d={args.d}: FAIL "
                   f"(offending monomial {report.offending_monomial})")
             status = max(status, 1)
     return status
@@ -405,7 +338,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("gen-recursions",
                        help="generate a recursion system and write its cache file")
     _add_common(p)
-    p.add_argument("--census-cap", type=int, default=DEFAULT_SUBSET_CAP)
     p.set_defaults(func=cmd_gen_recursions)
 
     p = sub.add_parser("count", help="exact class counts at a stage")
@@ -473,12 +405,30 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _check_flags(args: argparse.Namespace) -> None:
+    """ValueError for the first out-of-range flag value, before any work.
+
+    A flag the command does not take is absent from args and passes.
+    """
+    if getattr(args, "d", 2) < 2:
+        raise ValueError("--d must be at least 2")
+    if getattr(args, "k", 1) < 1:
+        raise ValueError("bound stage k must be >= 1")
+    if getattr(args, "digits", 0) < 0:
+        raise ValueError("--digits must be >= 0")
+    for name in ("vertex_cap", "oracle_vertex_cap", "memo_cap",
+                 "digit_cap", "term_budget", "precision"):
+        if getattr(args, name, 1) <= 0:
+            raise ValueError(f"{name} must be positive")
+
+
 def main(argv: list[str] | None = None) -> int:
     if hasattr(sys, "set_int_max_str_digits"):
         sys.set_int_max_str_digits(20_000_000)
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        _check_flags(args)
         return args.func(args)
     except CapExceeded as err:
         print(f"resource cap: {err}", file=sys.stderr)

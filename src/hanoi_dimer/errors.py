@@ -1,7 +1,9 @@
 """Exception types shared across the package.
 
 The CLI maps these onto exit codes: integrity/mismatch failures exit 1,
-resource-cap refusals exit 3 (usage errors exit 2 via argparse).
+resource-cap refusals exit 3.  Usage errors exit 2: argparse rejects
+malformed flags, and cli.main turns a ValueError (an out-of-range flag
+value or argument) into exit 2.
 """
 
 
@@ -10,8 +12,9 @@ class HanoiDimerError(Exception):
 
 
 class CapExceeded(HanoiDimerError):
-    """A configurable resource cap (vertices, memo entries, digits, terms)
-    would be exceeded.  The message names the cap and how to raise it."""
+    """A resource cap (vertices, memo entries, digits, terms, scan work)
+    would be exceeded.  The message names the cap and, for each cap but
+    the fixed scan-work cap, the flag that raises it."""
 
 
 class IntegrityError(HanoiDimerError):

@@ -31,16 +31,14 @@ from .intutil import digit_count
 from .multipoly import evaluate_int
 from .recursion_gen import (
     INT_RING,
+    SCAN_WORK_CAP,  # noqa: F401  (kept importable here: evolve_to applies it)
     RecursionSystem,
+    check_scan_work,
     corner_splits,
-    scan_pairs,
     transfer_scan,
 )
 
 DEFAULT_DIGIT_CAP = 10**7
-# (state, choice) pairs the d+3 transfer scans of one step enumerate;
-# admits d <= 10 (1,364,855 pairs), refuses d = 11 (4,823,427)
-SCAN_WORK_CAP = 2_000_000
 
 
 @dataclass(frozen=True)
@@ -119,22 +117,6 @@ def _class_scans(d: int, factors: dict[tuple[int, int], int],
                  choices: dict) -> tuple[int, ...]:
     return tuple(transfer_scan(d, k, factors, INT_RING, choices)
                  for k in range(d + 2))
-
-
-def check_scan_work(d: int) -> None:
-    """CapExceeded if one step for d enumerates more than SCAN_WORK_CAP pairs.
-
-    Priced from d alone by scan_pairs, whose running sum stops at the cap,
-    so a huge d is refused after a few terms.
-    """
-    work = 0
-    for pairs in scan_pairs(d):
-        work += pairs
-        if work > SCAN_WORK_CAP:
-            raise CapExceeded(
-                f"one d={d} stage step scans more than {SCAN_WORK_CAP} "
-                "(state, choice) pairs, above the scan-work cap"
-            )
 
 
 def step(v: BoundaryClassVector) -> BoundaryClassVector:

@@ -57,7 +57,8 @@ def build(d: int, n: int, vertex_cap: int = DEFAULT_VERTEX_CAP) -> HanoiGraph:
     total = (d + 1) ** (n + 1)
     if total > vertex_cap:
         raise CapExceeded(
-            f"TH_{d}({n}) has {total} vertices, above the cap of {vertex_cap}"
+            f"TH_{d}({n}) has {total} vertices, above the cap of {vertex_cap}; "
+            "raise it with --vertex-cap"
         )
 
     size = d + 1

@@ -75,7 +75,7 @@ def count_matchings(graph, *, monomers: Iterable[int] = (),
     if vertex_count > vertex_cap:
         raise CapExceeded(
             f"oracle refuses {vertex_count} vertices, above the cap of "
-            f"{vertex_cap}; raise it with --vertex-cap"
+            f"{vertex_cap}; raise it with --oracle-vertex-cap"
         )
     removed = frozenset(monomers)
     forced_set = frozenset(dimers)

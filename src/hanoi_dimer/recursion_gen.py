@@ -40,7 +40,11 @@ from typing import Callable
 from .errors import CacheCorruption, CapExceeded, IntegrityError
 from .multipoly import Polynomial, parse_polynomial, serialize
 
-DEFAULT_SUBSET_CAP = 1 << 21  # admits d <= 6
+# caps the scans' price from d alone: a stage step's (state, choice) pairs
+# (scan_pairs) admit d <= 10 (1,364,855) and refuse d = 11 (4,823,427);
+# generation's terms (scan_terms) admit d <= 6 (1,385,546) and refuse
+# d = 7 (11,284,603)
+SCAN_WORK_CAP = 2_000_000
 
 
 def class_varset(d: int) -> tuple[str, ...]:
@@ -233,6 +237,34 @@ def scan_pairs(d: int):
                 yield own_group(d + 1 - i, i)
 
 
+def scan_terms(d: int):
+    """Yield scan_pairs(d) with the pairs of copy i weighted by C(i+d+1, d+1).
+
+    That is the most monomials a degree-i value over the d+2 class
+    variables holds, so the yields bound the terms that the bucket muladds
+    of generate's polynomial scans touch.
+    """
+    for n, pairs in enumerate(scan_pairs(d)):
+        i = n % (d + 1)  # each scan yields its d+1 copies in order
+        yield pairs * comb(i + d + 1, i)
+
+
+def _check_price(prices, what: str) -> None:
+    # the running sum stops at the cap, so a huge d is refused after a few
+    # prices
+    work = 0
+    for price in prices:
+        work += price
+        if work > SCAN_WORK_CAP:
+            raise CapExceeded(f"{what}, above the scan-work cap")
+
+
+def check_scan_work(d: int) -> None:
+    """CapExceeded if one step for d enumerates more than SCAN_WORK_CAP pairs."""
+    _check_price(scan_pairs(d), f"one d={d} stage step scans more than "
+                                f"{SCAN_WORK_CAP} (state, choice) pairs")
+
+
 def _polynomial_scan(d: int, k: int | None, varset: tuple[str, ...],
                      forms: dict[tuple[int, int], Polynomial]) -> Polynomial:
     """transfer_scan over term dicts; forms[(a, b)] is a linear Polynomial.
@@ -270,20 +302,14 @@ def mixed_recursion(d: int, k: int | None) -> Polynomial:
     return _polynomial_scan(d, k, varset, forms)
 
 
-def generate(d: int, subset_cap: int = DEFAULT_SUBSET_CAP) -> RecursionSystem:
+def generate(d: int) -> RecursionSystem:
     """Generate and validate the full recursion system for dimension d.
 
-    Refuses with CapExceeded when the 2^C(d+1,2) connector subsets the
-    system sums over exceed subset_cap.
+    Refuses with CapExceeded, before any scan, when the terms its scans
+    touch (scan_terms) price above the scan-work cap.
     """
-    edges = d * (d + 1) // 2
-    # 2^edges > subset_cap exactly when edges reaches the cap's bit length;
-    # compare exponents so that a huge d builds no huge power
-    if edges >= subset_cap.bit_length():
-        raise CapExceeded(
-            f"generation for d={d} spans 2^{edges} connector subsets, above "
-            f"the cap of {subset_cap}; raise it with gen-recursions --census-cap"
-        )
+    _check_price(scan_terms(d), f"generating the d={d} system touches more "
+                                f"than {SCAN_WORK_CAP} polynomial terms")
     varset = class_varset(d)
     # each copy's factor is the class-basis form of its mixed count, so the
     # class polynomials accumulate directly (equality with the substitution

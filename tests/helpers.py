@@ -19,10 +19,12 @@ from hanoi_dimer.evolve import BoundaryClassVector
 from hanoi_dimer.hanoi_graph import connector_edges
 from hanoi_dimer.intutil import digit_count
 from hanoi_dimer.multipoly import Polynomial, substitute
-from hanoi_dimer.recursion_gen import DEFAULT_SUBSET_CAP
 
 DATA_DIR = Path(__file__).parent / "data"
 REPO_DIR = Path(__file__).resolve().parents[1]
+
+# census walks every subset one by one: 2^21 admits d <= 6
+CENSUS_SUBSET_CAP = 1 << 21
 
 CLASSIC_SYMBOLS_D3 = "fghts"
 CLASS_VARS_D3 = tuple(f"c{i}" for i in range(5))
@@ -83,11 +85,11 @@ class DegreeCensus:
         return sum(self.counts.values())
 
 
-def census(d: int, subset_cap: int = DEFAULT_SUBSET_CAP) -> DegreeCensus:
+def census(d: int, subset_cap: int = CENSUS_SUBSET_CAP) -> DegreeCensus:
     """Exhaustive walk of all connector-edge subsets, grouped by degree multiset.
 
     Gray-code order keeps the per-subset update O(1).  Refuses when
-    2^C(d+1,2) exceeds subset_cap (CLI: --census-cap).
+    2^C(d+1,2) exceeds subset_cap.
     """
     if d < 2:
         raise ValueError("dimension d must be >= 2")
@@ -97,7 +99,7 @@ def census(d: int, subset_cap: int = DEFAULT_SUBSET_CAP) -> DegreeCensus:
     if total > subset_cap:
         raise CapExceeded(
             f"census for d={d} needs {total} subsets, above the cap of "
-            f"{subset_cap}; raise it with --census-cap"
+            f"{subset_cap}"
         )
     degrees = [0] * (d + 1)
     counts: dict[tuple[int, ...], int] = {}

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import re
 import time
 from importlib import resources
 from itertools import count
@@ -11,7 +12,7 @@ import jsonschema
 import pytest
 
 from hanoi_dimer import evolve
-from hanoi_dimer.cli import main
+from hanoi_dimer.cli import build_parser, main
 from hanoi_dimer.evolve import SCAN_WORK_CAP, BoundaryClassVector
 from hanoi_dimer.recursion_gen import cache_path, generate, save_system, scan_pairs
 
@@ -205,11 +206,30 @@ def test_gen_recursions_writes_cache(capsys, tmp_path):
     assert path.read_text().startswith("# d=3 basis=c0..c4\n")
 
 
-def test_gen_recursions_census_cap(capsys, tmp_path):
+def test_gen_recursions_scan_work_cap(capsys, tmp_path):
+    start = time.perf_counter()
     code, _, err = run_cli(capsys, "gen-recursions", "--d", "7",
                            "--cache-dir", str(tmp_path))
+    assert time.perf_counter() - start < 1.0
     assert code == 3
-    assert "census-cap" in err
+    assert "scan-work cap" in err
+    assert not cache_path(tmp_path, 7).exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ("verify", "--n-max", "1", "--cache-dir", "CACHE"),
+    ("appendix-check", "--which", "omega"),
+], ids=["verify", "appendix-check"])
+def test_generating_commands_refuse_d7_on_the_scan_work_cap(capsys, tmp_path,
+                                                            argv):
+    argv = [str(tmp_path) if a == "CACHE" else a for a in argv]
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, argv[0], "--d", "7", *argv[1:])
+    assert time.perf_counter() - start < 1.0
+    assert (code, out) == (3, "")
+    # the scan-work cap is a constant: its refusal names no flag
+    assert "scan-work cap" in err and "raise it with" not in err
+    assert not cache_path(tmp_path, 7).exists()
 
 
 # the first dimension whose one-step scan work is over the cap
@@ -246,7 +266,8 @@ def test_scan_only_commands_refuse_the_first_d_over_the_scan_cap(capsys, argv):
 @pytest.mark.parametrize("argv", [
     ("count", "--d", "1000000", "--n", "1"),
     ("entropy", "--d", "3", "--k", "1000000000000"),
-], ids=["count-d1e6", "entropy-k1e12"])
+    ("gen-recursions", "--d", "100000000000000000000"),
+], ids=["count-d1e6", "entropy-k1e12", "gen-recursions-d1e20"])
 def test_huge_d_or_k_is_refused_without_building_it(capsys, argv):
     start = time.perf_counter()
     code, out, err = run_cli(capsys, *argv)
@@ -280,6 +301,63 @@ def test_appendix_check_not_attempted_exit(capsys):
     assert "NOT ATTEMPTED" in out
 
 
+# -- cap advice ----------------------------------------------------------------------
+
+ADVICE = re.compile(r"raise it with (--[a-z-]+)")
+CAP = re.compile(r"(?:cap|budget) of (\d+)")
+# the size the refused instance needs, where the refusal can tell it
+NEEDED = re.compile(r"(\d+) [a-z ]+, above the")
+
+
+def with_flag(argv: list[str], flag: str, value: int | str) -> list[str]:
+    if flag in argv:
+        argv = list(argv)
+        argv[argv.index(flag) + 1] = str(value)
+        return argv
+    return [*argv, flag, str(value)]
+
+
+@pytest.mark.parametrize("argv", [
+    ("count", "--d", "2", "--n", "3", "--digit-cap", "5"),
+    ("ratios", "--d", "2", "--max-n", "3", "--digit-cap", "5"),
+    ("entropy", "--d", "2", "--k", "3", "--precision", "40", "--digit-cap", "5"),
+    ("verify", "--d", "2", "--n-max", "1", "--digit-cap", "2", "--cache-dir", "CACHE"),
+    ("appendix-check", "--d", "2", "--which", "omega", "--term-budget", "1"),
+    ("appendix-check", "--d", "3", "--which", "contraction", "--term-budget", "50"),
+    ("oracle", "--d", "2", "--n", "1", "--memo-cap", "4"),
+    ("verify", "--d", "2", "--n-max", "1", "--memo-cap", "4", "--cache-dir", "CACHE"),
+    ("oracle", "--d", "2", "--n", "3"),
+    ("verify", "--d", "2", "--n-max", "3", "--cache-dir", "CACHE"),
+    ("oracle", "--d", "3", "--n", "1", "--emit-graph", "--vertex-cap", "10"),
+    ("oracle", "--d", "3", "--n", "1", "--vertex-cap", "10"),
+], ids=["count-digit", "ratios-digit", "entropy-digit", "verify-digit",
+        "appendix-term-d2", "appendix-term-d3", "oracle-memo", "verify-memo",
+        "oracle-vertex", "verify-oracle-vertex", "oracle-emit-graph-vertex",
+        "oracle-build-vertex"])
+def test_following_cap_advice_gets_past_the_cap(capsys, tmp_path, argv):
+    # every refusal names a flag of the command that refused; setting it to
+    # the size the refusal reports passes that check, so following the
+    # advice ends in success.  A memo refusal cannot know the size it
+    # needs, so it is followed by doubling the cap.
+    argv = [str(tmp_path) if a == "CACHE" else a for a in argv]
+    parser = build_parser()
+    code, out, err = run_cli(capsys, *argv)
+    for _ in range(5):
+        assert code == 3
+        message = err or out  # appendix-check reports NOT ATTEMPTED on stdout
+        flag = ADVICE.search(message).group(1)
+        cap = int(CAP.search(message).group(1))
+        needed = NEEDED.search(message)
+        size = int(needed.group(1)) if needed else 2 * cap
+        assert size > cap
+        argv = with_flag(argv, flag, size)
+        assert parser.parse_known_args(argv)[1] == []
+        code, out, err = run_cli(capsys, *argv)
+        if code == 0:
+            return
+    pytest.fail(f"still refused after following the advice: {argv}")
+
+
 # -- usage errors --------------------------------------------------------------------
 
 
@@ -300,6 +378,59 @@ def test_negative_digits_is_a_usage_error(capsys):
                              "--digits", "-1")
     assert (code, out) == (2, "")
     assert "usage error: --digits must be >= 0" in err
+
+
+# each integer flag's usage error; --digits 0 is valid
+FLAG_ERRORS = {
+    "--d": ("--d must be at least 2", ("0", "-1")),
+    "--k": ("bound stage k must be >= 1", ("0", "-1")),
+    "--digits": ("--digits must be >= 0", ("-1",)),
+    "--precision": ("precision must be positive", ("0", "-1")),
+    "--digit-cap": ("digit_cap must be positive", ("0", "-1")),
+    "--term-budget": ("term_budget must be positive", ("0", "-1")),
+    "--memo-cap": ("memo_cap must be positive", ("0", "-1")),
+    "--vertex-cap": ("vertex_cap must be positive", ("0", "-1")),
+    "--oracle-vertex-cap": ("oracle_vertex_cap must be positive", ("0", "-1")),
+}
+# a valid invocation of each command and the integer flags it takes
+COMMAND_FLAGS = {
+    "gen-recursions": (("--d", "2", "--cache-dir", "CACHE"), ("--d",)),
+    "count": (("--d", "2", "--n", "1"), ("--d", "--digit-cap")),
+    "oracle": (("--d", "2", "--n", "1"),
+               ("--d", "--vertex-cap", "--oracle-vertex-cap", "--memo-cap")),
+    "verify": (("--d", "2", "--n-max", "1", "--cache-dir", "CACHE"),
+               ("--d", "--oracle-vertex-cap", "--memo-cap", "--digit-cap")),
+    "ratios": (("--d", "2", "--max-n", "2"), ("--d", "--digits", "--digit-cap")),
+    "entropy": (("--d", "2", "--k", "3", "--precision", "40"),
+                ("--d", "--k", "--precision", "--digit-cap")),
+    "appendix-check": (("--d", "2", "--which", "omega"), ("--d", "--term-budget")),
+}
+
+
+@pytest.mark.parametrize("command,flag", [
+    (command, flag) for command, (_, flags) in COMMAND_FLAGS.items()
+    for flag in flags
+])
+def test_out_of_range_flag_is_a_usage_error(capsys, tmp_path, command, flag):
+    base, _ = COMMAND_FLAGS[command]
+    argv = [command, *(str(tmp_path) if a == "CACHE" else a for a in base)]
+    message, invalid = FLAG_ERRORS[flag]
+    for value in invalid:
+        code, out, err = run_cli(capsys, *with_flag(argv, flag, value))
+        assert (code, out, err) == (2, "", f"usage error: {message}\n")
+    with pytest.raises(SystemExit) as exc:
+        main(with_flag(argv, flag, "2.5"))
+    assert exc.value.code == 2
+    assert capsys.readouterr().out == ""
+    assert not any(tmp_path.iterdir())
+
+
+def test_census_cap_flag_is_gone(capsys, tmp_path):
+    with pytest.raises(SystemExit) as exc:
+        main(["gen-recursions", "--d", "2", "--cache-dir", str(tmp_path),
+              "--census-cap", "5"])
+    assert exc.value.code == 2
+    assert not any(tmp_path.iterdir())
 
 
 @pytest.mark.parametrize("k", ["0", "-2"])

@@ -7,9 +7,12 @@ from math import comb
 
 import pytest
 
+from hanoi_dimer import recursion_gen
 from hanoi_dimer.errors import CacheCorruption, CapExceeded
 from hanoi_dimer.multipoly import Polynomial, serialize, substitute
 from hanoi_dimer.recursion_gen import (
+    SCAN_WORK_CAP,
+    Ring,
     cache_path,
     cached_system,
     class_varset,
@@ -23,6 +26,7 @@ from hanoi_dimer.recursion_gen import (
     ratio_varset,
     reduced_ratio_form,
     save_system,
+    scan_terms,
 )
 
 from .helpers import census, degree_profile_totals, load_golden_d3, parse_classic
@@ -71,10 +75,11 @@ def test_census_entries_bounded_by_d():
             assert len(multiset) == d + 1
 
 
-def test_census_cap_suggests_flag():
+def test_census_cap_reports_subset_count():
     with pytest.raises(CapExceeded) as err:
         census(7, subset_cap=1 << 21)
-    assert "census-cap" in str(err.value)
+    assert str(err.value) == (f"census for d=7 needs {1 << 28} subsets, above "
+                              f"the cap of {1 << 21}")
 
 
 # -- mixed counts ----------------------------------------------------------------
@@ -264,6 +269,39 @@ def test_class_polys_equal_substituted_mixed_recursions(systems, d):
         assert via_sub == sys_d.class_polys[k]
     via_sub = substitute(mixed_recursion(d, None), bindings).with_varset(class_varset(d))
     assert via_sub == sys_d.m_poly
+
+
+# -- generation price ----------------------------------------------------------------
+
+
+class ChoiceWeight(tuple):
+    """A scan's choice weight as a factor, told apart from a copy's form."""
+
+
+@pytest.mark.parametrize("d", range(2, 7))
+def test_generation_price_bounds_the_bucket_terms(monkeypatch, d):
+    touched = 0
+
+    def muladd(acc, terms, factor):
+        nonlocal touched
+        if isinstance(factor, ChoiceWeight):
+            touched += len(terms)
+        return recursion_gen._terms_muladd(acc, terms, factor)
+
+    counting = Ring(unit={0: 1}, scalar=lambda w: ChoiceWeight(((0, w),)),
+                    muladd=muladd)
+    monkeypatch.setattr(recursion_gen, "TERM_RING", counting)
+    generate(d)
+    assert 0 < touched <= sum(scan_terms(d))
+
+
+def test_generation_scan_work_cap_admits_d6_and_refuses_d7():
+    assert sum(scan_terms(6)) == 1_385_546 <= SCAN_WORK_CAP
+    assert sum(scan_terms(7)) == 11_284_603
+    with pytest.raises(CapExceeded, match="scan-work cap"):
+        generate(7)
+    with pytest.raises(CapExceeded, match="scan-work cap"):
+        generate(10**20)
 
 
 # -- ratio form -----------------------------------------------------------------------
