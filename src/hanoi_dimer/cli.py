@@ -191,8 +191,8 @@ def cmd_appendix_check(args: argparse.Namespace) -> int:
     status = 0
     for report in reports:
         if not report.attempted:
-            _emit(f"{report.name} d={args.d}: NOT ATTEMPTED "
-                  f"({'; '.join(report.notes)})")
+            reasons = (note.removeprefix("not attempted: ") for note in report.notes)
+            _emit(f"{report.name} d={args.d}: NOT ATTEMPTED ({'; '.join(reasons)})")
             status = max(status, 3)
         elif report.passed:
             _emit(f"{report.name} d={args.d}: PASS ({report.term_count} terms)")

@@ -54,6 +54,13 @@ def build(d: int, n: int, vertex_cap: int = DEFAULT_VERTEX_CAP) -> HanoiGraph:
         raise ValueError("dimension d must be >= 2")
     if n < 0:
         raise ValueError("stage n must be >= 0")
+    # (d+1)^(n+1) >= 2^floor_bits: far past the cap, form no such power
+    floor_bits = (n + 1) * ((d + 1).bit_length() - 1)
+    if floor_bits >= vertex_cap.bit_length() + 64:
+        raise CapExceeded(
+            f"TH_{d}({n}) has at least 2^{floor_bits} vertices, above the cap "
+            f"of {vertex_cap}; raise it with --vertex-cap"
+        )
     total = (d + 1) ** (n + 1)
     if total > vertex_cap:
         raise CapExceeded(

@@ -13,6 +13,15 @@ dimer-forced vertex never takes the unmatched branch.  The forced set is
 fixed for the whole call, so the surviving mask still determines the count
 and stays a sound memo key.
 
+A class vector needs the count for every corner subset, and one elimination
+run gives them all: its memo maps each surviving mask to a dict from the
+bitmask of corners a matching covers to the number of such matchings.  The
+unmatched branch takes the child's dict as it is; matching v to u adds the
+corner bits of v and u to every pattern of the child.  The memo cap counts
+the stored (mask, pattern) entries.  M comes from a separate unconstrained
+run, so the binomial identity checked by BoundaryClassVector compares two
+independent computations.
+
 Every call owns a private memo table, so concurrent calls are independent.
 Not meant to scale past a few dozen vertices; the recursion system is the
 scalable path.
@@ -22,7 +31,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from itertools import combinations
 from typing import Iterable
 
 from .errors import CapExceeded, IntegrityError
@@ -62,6 +70,34 @@ def _graph_data(graph) -> tuple[int, tuple[tuple[int, int], ...]]:
     return vertex_count, tuple(edges)
 
 
+def _check_vertex_cap(vertex_count: int, vertex_cap: int) -> None:
+    if vertex_count > vertex_cap:
+        raise CapExceeded(
+            f"oracle refuses {vertex_count} vertices, above the cap of "
+            f"{vertex_cap}; raise it with --oracle-vertex-cap"
+        )
+
+
+def _adjacency_masks(vertex_count: int, edges, removed=frozenset()) -> list[int]:
+    """Neighbor bitmask per vertex, edges at a removed vertex left out."""
+    adjacency = [0] * vertex_count
+    for u, v in edges:
+        if u in removed or v in removed:
+            continue
+        if u == v:
+            raise ValueError(f"self-loop at vertex {u}")
+        adjacency[u] |= 1 << v
+        adjacency[v] |= 1 << u
+    return adjacency
+
+
+def _memo_full(memo_cap: int) -> CapExceeded:
+    return CapExceeded(
+        f"matching memo table hit the cap of {memo_cap} entries; "
+        "raise it with --memo-cap"
+    )
+
+
 def count_matchings(graph, *, monomers: Iterable[int] = (),
                     dimers: Iterable[int] = (),
                     vertex_cap: int = DEFAULT_ORACLE_VERTEX_CAP,
@@ -72,11 +108,7 @@ def count_matchings(graph, *, monomers: Iterable[int] = (),
     cover every vertex of ``dimers`` are counted.
     """
     vertex_count, edges = _graph_data(graph)
-    if vertex_count > vertex_cap:
-        raise CapExceeded(
-            f"oracle refuses {vertex_count} vertices, above the cap of "
-            f"{vertex_cap}; raise it with --oracle-vertex-cap"
-        )
+    _check_vertex_cap(vertex_count, vertex_cap)
     removed = frozenset(monomers)
     forced_set = frozenset(dimers)
     for v in removed | forced_set:
@@ -85,18 +117,11 @@ def count_matchings(graph, *, monomers: Iterable[int] = (),
     if removed & forced_set:
         return 0  # no matching both avoids and covers a vertex
     forced = sum(1 << v for v in forced_set)
-    adjacency = [0] * vertex_count
+    adjacency = _adjacency_masks(vertex_count, edges, removed)
     alive = 0
     for v in range(vertex_count):
         if v not in removed:
             alive |= 1 << v
-    for u, v in edges:
-        if u in removed or v in removed:
-            continue
-        if u == v:
-            raise ValueError(f"self-loop at vertex {u}")
-        adjacency[u] |= 1 << v
-        adjacency[v] |= 1 << u
 
     memo: dict[int, int] = {}
 
@@ -116,14 +141,61 @@ def count_matchings(graph, *, monomers: Iterable[int] = (),
             total += count(rest ^ u_bit)  # v matched to u
             neighbors ^= u_bit
         if len(memo) >= memo_cap:
-            raise CapExceeded(
-                f"matching memo table hit the cap of {memo_cap} entries; "
-                "raise it with --memo-cap"
-            )
+            raise _memo_full(memo_cap)
         memo[mask] = total
         return total
 
     return count(alive)
+
+
+_NO_CORNERS = {0: 1}  # the empty mask: one matching, covering no corner
+
+
+def _corner_pattern_counts(graph: HanoiGraph, *, vertex_cap: int,
+                           memo_cap: int) -> dict[int, int]:
+    """Matchings of the graph keyed by the corners they cover.
+
+    Bit i of a key is set when corner i is covered; a pattern that no
+    matching has is absent.  memo_cap bounds the stored (mask, pattern)
+    entries summed over all masks.
+    """
+    vertex_count = graph.vertex_count
+    _check_vertex_cap(vertex_count, vertex_cap)
+    adjacency = _adjacency_masks(vertex_count, graph.edges)
+    corner_bits = [0] * vertex_count
+    for i, corner in enumerate(graph.corners):
+        corner_bits[corner] |= 1 << i
+
+    memo: dict[int, dict[int, int]] = {}
+    entries = 0
+
+    def patterns(mask: int) -> dict[int, int]:
+        nonlocal entries
+        if mask == 0:
+            return _NO_CORNERS
+        cached = memo.get(mask)
+        if cached is not None:
+            return cached
+        v_bit = mask & -mask
+        v = v_bit.bit_length() - 1
+        rest = mask ^ v_bit
+        total = dict(patterns(rest))  # v unmatched: the child's patterns as they are
+        neighbors = adjacency[v] & rest
+        while neighbors:
+            u_bit = neighbors & -neighbors
+            # v matched to u: neither is in the child's mask, so their bits are new
+            gained = corner_bits[v] | corner_bits[u_bit.bit_length() - 1]
+            for pattern, count in patterns(rest ^ u_bit).items():
+                key = pattern | gained
+                total[key] = total.get(key, 0) + count
+            neighbors ^= u_bit
+        entries += len(total)
+        if entries > memo_cap:
+            raise _memo_full(memo_cap)
+        memo[mask] = total
+        return total
+
+    return patterns((1 << vertex_count) - 1)
 
 
 def count_constrained(graph, constraint: CornerConstraint, *,
@@ -153,20 +225,18 @@ def boundary_class_vector(graph: HanoiGraph, *,
                           memo_cap: int = DEFAULT_MEMO_CAP) -> BoundaryClassVector:
     """All d+2 class counts of a built graph, with the symmetry cross-check.
 
-    For every k, each k-subset of corners must give the same count; a
+    The counts come from one corner-pattern run and M from an unconstrained
+    count_matchings run.  For every k, each k-subset of corners must give the same count; a
     disagreement would indicate a construction bug and raises IntegrityError.
     """
     d = graph.d
+    patterns = _corner_pattern_counts(graph, vertex_cap=vertex_cap,
+                                      memo_cap=memo_cap)
+    by_size: list[set[int]] = [set() for _ in range(d + 2)]
+    for pattern in range(1 << (d + 1)):
+        by_size[pattern.bit_count()].add(patterns.get(pattern, 0))
     counts = []
-    for k in range(d + 2):
-        seen: set[int] = set()
-        for chosen in combinations(range(d + 1), k):
-            states = tuple(
-                CornerState.DIMER if i in chosen else CornerState.MONOMER
-                for i in range(d + 1)
-            )
-            seen.add(count_constrained(graph, CornerConstraint(states),
-                                       vertex_cap=vertex_cap, memo_cap=memo_cap))
+    for k, seen in enumerate(by_size):
         if len(seen) != 1:
             raise IntegrityError(
                 f"corner-symmetry violation for k={k} on TH_{d}({graph.n}): "

@@ -1,6 +1,6 @@
 """Shared test utilities: classic-symbol polynomial parsing, fixtures, the
-connector-subset census, the substitution-based gap expansion and the
-exact-count entropy bounds."""
+connector-subset census, the substitution-based gap expansion, the exact-count
+entropy bounds and the per-corner-subset class vector."""
 
 from __future__ import annotations
 
@@ -9,6 +9,7 @@ import re
 import subprocess
 import sys
 from dataclasses import dataclass
+from itertools import combinations
 from pathlib import Path
 
 import hanoi_dimer
@@ -16,8 +17,14 @@ from hanoi_dimer import entropy
 from hanoi_dimer.appendix_check import gap_varset
 from hanoi_dimer.errors import CapExceeded, IntegrityError
 from hanoi_dimer.evolve import BoundaryClassVector
-from hanoi_dimer.hanoi_graph import connector_edges
+from hanoi_dimer.hanoi_graph import HanoiGraph, connector_edges
 from hanoi_dimer.intutil import digit_count
+from hanoi_dimer.matching_oracle import (
+    CornerConstraint,
+    CornerState,
+    count_constrained,
+    count_matchings,
+)
 from hanoi_dimer.multipoly import Polynomial, substitute
 
 DATA_DIR = Path(__file__).parent / "data"
@@ -173,3 +180,26 @@ def exact_bounds(d: int, k: int, v: BoundaryClassVector, precision: int):
         precision, "ceiling")
     _, digits = entropy.certified_digit_prefix(lower.as_decimal(), upper.as_decimal())
     return lower, upper, digits, digit_count(c[d + 1])
+
+
+def boundary_class_vector_by_subsets(graph: HanoiGraph) -> BoundaryClassVector:
+    """Reference for matching_oracle.boundary_class_vector: one constrained
+    counter run per corner subset (dimer on the subset, monomer elsewhere),
+    each k-subset required to give the same count, plus one run for M."""
+    d = graph.d
+    counts = []
+    for k in range(d + 2):
+        seen = {
+            count_constrained(graph, CornerConstraint(tuple(
+                CornerState.DIMER if i in chosen else CornerState.MONOMER
+                for i in range(d + 1))))
+            for chosen in combinations(range(d + 1), k)
+        }
+        if len(seen) != 1:
+            raise IntegrityError(
+                f"corner-symmetry violation for k={k} on TH_{d}({graph.n}): "
+                f"distinct counts {sorted(seen)}"
+            )
+        counts.append(seen.pop())
+    return BoundaryClassVector(d=d, n=graph.n, counts=tuple(counts),
+                               m=count_matchings(graph))

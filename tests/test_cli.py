@@ -301,6 +301,16 @@ def test_appendix_check_not_attempted_exit(capsys):
     assert "NOT ATTEMPTED" in out
 
 
+def test_appendix_check_not_attempted_states_the_reason_once(capsys):
+    code, out, _ = run_cli(capsys, "appendix-check", "--d", "2", "--which",
+                           "omega", "--term-budget", "1")
+    assert code == 3
+    assert out == (
+        "omega-ascending d=2: NOT ATTEMPTED (gap expansion would pass 24 raw "
+        "terms, above the budget of 1; raise it with --term-budget)\n"
+    )
+
+
 # -- cap advice ----------------------------------------------------------------------
 
 ADVICE = re.compile(r"raise it with (--[a-z-]+)")
@@ -356,6 +366,14 @@ def test_following_cap_advice_gets_past_the_cap(capsys, tmp_path, argv):
         if code == 0:
             return
     pytest.fail(f"still refused after following the advice: {argv}")
+
+
+def test_oracle_far_past_the_vertex_cap_exits_at_once(capsys):
+    start = time.perf_counter()
+    code, _, err = run_cli(capsys, "oracle", "--d", "2", "--n", "10000000")
+    assert time.perf_counter() - start < 1
+    assert code == 3
+    assert "raise it with --vertex-cap" in err
 
 
 # -- usage errors --------------------------------------------------------------------

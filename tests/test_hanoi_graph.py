@@ -99,6 +99,12 @@ def test_vertex_cap_refusal_reports_size():
     assert str(3**16) in str(err.value)
 
 
+@pytest.mark.parametrize("d,n", [(2, 10**7), (10**6, 10**5)])
+def test_vertex_cap_far_past_refuses_by_exponent(d, n):
+    with pytest.raises(CapExceeded, match=r"at least 2\^\d+ vertices"):
+        build(d, n)
+
+
 def test_edge_csv_header_and_rows():
     g = build(2, 0)
     text = edge_csv(g)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
 from itertools import combinations, product
 from math import comb
 
@@ -9,7 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hanoi_dimer import reference_values as ref
-from hanoi_dimer.errors import CapExceeded
+from hanoi_dimer.errors import CapExceeded, IntegrityError
 from hanoi_dimer.evolve import evolve_to
 from hanoi_dimer.hanoi_graph import build
 from hanoi_dimer.matching_oracle import (
@@ -19,6 +20,8 @@ from hanoi_dimer.matching_oracle import (
     count_constrained,
     count_matchings,
 )
+
+from .helpers import boundary_class_vector_by_subsets
 
 
 def covered_vertex_sets(edges: list[tuple[int, int]]) -> list[frozenset[int]]:
@@ -148,6 +151,36 @@ def test_boundary_vector_k4():
 
 def test_boundary_vector_k5():
     assert boundary_class_vector(build(4, 0)).counts == (1, 0, 1, 0, 3, 0)
+
+
+@pytest.mark.parametrize("d,n", [(2, 0), (2, 1), (2, 2), (3, 0), (3, 1), (4, 0), (4, 1)])
+def test_one_pass_vector_matches_per_subset_runs(d, n):
+    g = build(d, n)
+    assert boundary_class_vector(g) == boundary_class_vector_by_subsets(g)
+
+
+def test_relabeled_corners_break_corner_symmetry():
+    # vertices 1 and 2 of TH_2(1) carry connector edges, vertex 0 does not
+    g = replace(build(2, 1), corners=(0, 1, 2))
+    with pytest.raises(IntegrityError, match="corner-symmetry violation"):
+        boundary_class_vector(g)
+
+
+def test_class_vector_memo_cap_counts_corner_patterns():
+    # the one-pass run memoizes the same masks as the unconstrained count,
+    # each with several corner patterns, so a cap that admits every mask
+    # once still refuses it
+    g = build(3, 1)
+    lo, hi = 1, 1 << 16  # smallest memo cap count_matchings admits
+    while lo < hi:
+        mid = (lo + hi) // 2
+        try:
+            count_matchings(g, memo_cap=mid)
+            hi = mid
+        except CapExceeded:
+            lo = mid + 1
+    with pytest.raises(CapExceeded, match="raise it with --memo-cap"):
+        boundary_class_vector(g, memo_cap=lo)
 
 
 def test_binomial_identity_on_oracle_vectors():
