@@ -136,9 +136,17 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_ratios(args: argparse.Namespace) -> int:
+    digits = args.digits
+    # render_decimal is quadratic in its places: price the rendering before
+    # evolving, d+2 values per stage 1..max_n and one quotient per stage pair
+    rendered = digits * (args.max_n * (args.d + 2) + max(args.max_n - 1, 0))
+    if rendered > args.digit_cap:
+        raise CapExceeded(
+            f"rendering d={args.d} ratios to stage {args.max_n} at {digits} "
+            f"places prints {rendered} digits, above the cap of "
+            f"{args.digit_cap}; raise it with --digit-cap")
     vectors = evolve_to(args.d, args.max_n, digit_cap=args.digit_cap)
     trace = ratios(vectors)
-    digits = args.digits
     stages = [
         {
             "n": n,

@@ -12,9 +12,10 @@ class HanoiDimerError(Exception):
 
 
 class CapExceeded(HanoiDimerError):
-    """A resource cap (vertices, memo entries, digits, terms, scan work)
-    would be exceeded.  The message names the cap and, for each cap but
-    the fixed scan-work cap, the flag that raises it."""
+    """A resource cap (vertices, memo entries, digits, terms, scan work,
+    the oracle's recursion ceiling) would be exceeded.  The message names
+    the cap and, for each cap but the fixed scan-work cap and recursion
+    ceiling, the flag that raises it."""
 
 
 class IntegrityError(HanoiDimerError):

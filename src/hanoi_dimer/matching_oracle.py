@@ -24,11 +24,14 @@ independent computations.
 
 Every call owns a private memo table, so concurrent calls are independent.
 Not meant to scale past a few dozen vertices; the recursion system is the
-scalable path.
+scalable path.  The counters recurse once per eliminated vertex, so a graph
+with more vertices than recursion_ceiling() is refused with CapExceeded
+before any count, whatever the vertex cap.
 """
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable
@@ -39,6 +42,8 @@ from .hanoi_graph import HanoiGraph
 
 DEFAULT_ORACLE_VERTEX_CAP = 40
 DEFAULT_MEMO_CAP = 1 << 26
+# frames of the recursion limit kept for the counters' callers
+CALLER_FRAMES = 200
 
 
 class CornerState(Enum):
@@ -70,11 +75,27 @@ def _graph_data(graph) -> tuple[int, tuple[tuple[int, int], ...]]:
     return vertex_count, tuple(edges)
 
 
+def recursion_ceiling() -> int:
+    """The most vertices the counters can eliminate, one frame each.
+
+    Python's recursion limit less the frames left to their callers.
+    """
+    return sys.getrecursionlimit() - CALLER_FRAMES
+
+
 def _check_vertex_cap(vertex_count: int, vertex_cap: int) -> None:
     if vertex_count > vertex_cap:
         raise CapExceeded(
             f"oracle refuses {vertex_count} vertices, above the cap of "
             f"{vertex_cap}; raise it with --oracle-vertex-cap"
+        )
+    ceiling = recursion_ceiling()
+    if vertex_count > ceiling:
+        raise CapExceeded(
+            f"oracle refuses {vertex_count} vertices: it recurses once per "
+            f"vertex, past its fixed ceiling of {ceiling} (the interpreter's "
+            f"recursion limit {sys.getrecursionlimit()} less {CALLER_FRAMES} "
+            f"frames for its callers)"
         )
 
 

@@ -20,12 +20,18 @@ dimer-forced and the free ones; copies within a group stay interchangeable,
 so the state keeps the pending degrees sorted within each group and states
 equal up to that symmetry are merged.
 
-The scan runs over two rings.  Mixed counts expand linearly in the class
-basis, N(a, b) = sum_j C(d+1-a-b, j) * c_{b+j}: with that linear form as
-each copy's factor the scan yields the degree-(d+1) class polynomials
-(generate), with the n{a}_{b} variable it yields the mixed-basis form
-(mixed_recursion), and with the integer N(a, b) of a stage's class vector
-it yields the next stage's counts directly (evolve.step).
+The scan runs over two rings, integers and term dicts, for three uses.
+With the integer N(a, b) of a stage's class vector as each copy's factor
+it yields the next stage's counts directly (evolve.step).  With the
+n{a}_{b} variable it yields the mixed-basis form (mixed_recursion).
+generate runs a single scan, k=None, over term dicts whose coefficients
+are t-polynomials packed into one integer each (Kronecker substitution):
+a copy's factor is
+F = t N(deg, 1) + N(deg+1, 0), its global corner dimer-forced (t) or
+monomer-forced, with each mixed count expanded linearly in the class basis,
+N(a, b) = sum_j C(d+1-a-b, j) c_{b+j}.  By corner symmetry that scan yields
+sum_k C(d+1, k) t^k P_k over the class polynomials P_k, and since
+N(a, 0) = N(a, 1) + N(a+1, 0) its value at t = 1 is the total M.
 """
 
 from __future__ import annotations
@@ -42,8 +48,8 @@ from .multipoly import Polynomial, parse_polynomial, serialize
 
 # caps the scans' price from d alone: a stage step's (state, choice) pairs
 # (scan_pairs) admit d <= 10 (1,364,855) and refuse d = 11 (4,823,427);
-# generation's terms (scan_terms) admit d <= 6 (1,385,546) and refuse
-# d = 7 (11,284,603)
+# generation's packed coefficients (scan_terms) admit d <= 6 (604,845) and
+# refuse d = 7 (4,567,478)
 SCAN_WORK_CAP = 2_000_000
 
 
@@ -210,6 +216,16 @@ def transfer_scan(d: int, k: int | None, factors: dict, ring: Ring,
     return result
 
 
+def _group_pairs(b: int, i: int) -> int:
+    # choices summed over the sorted groups of b later degrees in 0..i
+    return comb(b + 2 * i + 1, b)
+
+
+def _own_group_pairs(b: int, i: int) -> int:
+    # the same with the own copy first in its group of b
+    return sum(comb(b + 2 * u, b - 1) for u in range(i + 1))
+
+
 def scan_pairs(d: int):
     """Yield the (state, choice) pairs of each copy of each scan of one step.
 
@@ -223,30 +239,24 @@ def scan_pairs(d: int):
     first, the run holding the minimum v counts one short, which gives
     sum_{u=0..i} C(b+2u, b-1) (u = i - v).
     """
-    def group(b, i):
-        return comb(b + 2 * i + 1, b)
-
-    def own_group(b, i):
-        return sum(comb(b + 2 * u, b - 1) for u in range(i + 1))
-
     for k in chain(range(d + 2), (None,)):
         for i in range(d + 1):
             if k is not None and i < k:
-                yield own_group(k - i, i) * group(d + 1 - k, i)
+                yield _own_group_pairs(k - i, i) * _group_pairs(d + 1 - k, i)
             else:
-                yield own_group(d + 1 - i, i)
+                yield _own_group_pairs(d + 1 - i, i)
 
 
 def scan_terms(d: int):
-    """Yield scan_pairs(d) with the pairs of copy i weighted by C(i+d+1, d+1).
+    """Yield the packed coefficients generate's scan can touch, per copy.
 
-    That is the most monomials a degree-i value over the d+2 class
-    variables holds, so the yields bound the terms that the bucket muladds
-    of generate's polynomial scans touch.
+    generate runs only the k=None scan, the last d+1 yields of scan_pairs.
+    The pairs of copy i are weighted by C(i+d+1, d+1), the most monomials
+    a degree-i value over the d+2 class variables holds, and by i+1, the
+    t-slots its coefficients fill.
     """
-    for n, pairs in enumerate(scan_pairs(d)):
-        i = n % (d + 1)  # each scan yields its d+1 copies in order
-        yield pairs * comb(i + d + 1, i)
+    for i in range(d + 1):
+        yield _own_group_pairs(d + 1 - i, i) * comb(i + d + 1, i) * (i + 1)
 
 
 def _check_price(prices, what: str) -> None:
@@ -305,26 +315,95 @@ def mixed_recursion(d: int, k: int | None) -> Polynomial:
 def generate(d: int) -> RecursionSystem:
     """Generate and validate the full recursion system for dimension d.
 
-    Refuses with CapExceeded, before any scan, when the terms its scans
-    touch (scan_terms) price above the scan-work cap.
+    One packed transfer scan (_scan_system) yields every class polynomial
+    and M.  Refuses with CapExceeded, before any scan, when the packed
+    coefficients the scan touches (scan_terms) price above the scan-work
+    cap.
     """
     _check_price(scan_terms(d), f"generating the d={d} system touches more "
                                 f"than {SCAN_WORK_CAP} polynomial terms")
-    varset = class_varset(d)
-    # each copy's factor is the class-basis form of its mixed count, so the
-    # class polynomials accumulate directly (equality with the substitution
-    # route through mixed_recursion is covered by the tests)
-    forms = {(a, b): mixed_count_expansion(d, a, b) for a, b in corner_splits(d)}
-    class_polys = [_polynomial_scan(d, k, varset, forms) for k in range(d + 2)]
-    m_poly = _polynomial_scan(d, None, varset, forms)
+    return _scan_system(d, _closed_form_totals(d)[1].bit_length())
 
+
+def _closed_form_totals(d: int) -> tuple[int, int]:
     # coefficient totals, the values at c = 1 where N(a, b) = 2^(d+1-a-b): a
     # class polynomial sums prod_i 2^(d - deg_S(i)) = 4^E / 4^|S| over the
     # subsets S of the E connector edges, 4^E (1 + 1/4)^E = 5^E; in M each
     # copy's global corner is free, one more factor 2 per copy
     class_total = 5 ** (d * (d + 1) // 2)
-    m_total = class_total << (d + 1)
+    return class_total, class_total << (d + 1)
 
+
+def _scan_system(d: int, width: int) -> RecursionSystem:
+    """The k=None scan with t-polynomial coefficients packed width bits a slot.
+
+    Slot k of a packed coefficient, at bit width*k, holds the t^k
+    coefficient, so one integer multiply-add acts on a whole t-polynomial.
+    Every coefficient is a nonnegative integer, and each intermediate
+    coefficient, a state's or a bucket's, is at most some final one: it is
+    multiplied by a completion (the later factors and choice weights)
+    whose terms all have nonnegative coefficients and which has a term
+    with a coefficient of at least 1.  The final coefficients sum to M's
+    closed-form total m_total, so with width = m_total.bit_length() no slot
+    ever carries into the next.
+
+    A narrower width does carry.  The packed integer is still the exact
+    value of the t-polynomial at t = 2^width, so each carry lowers its
+    digit sum in base 2^width by 2^width - 1, and M's coefficient total,
+    the sum of the digits, then misses m_total (a digit past the top slot
+    is refused at once): every narrowed width raises IntegrityError and
+    returns nothing.
+    """
+    if width < 1:
+        raise IntegrityError(f"a t-slot of {width} bits holds no coefficient")
+    class_total, m_total = _closed_form_totals(d)
+    varset = class_varset(d)
+    nv = len(varset)
+    slots = nv  # t^0..t^(d+1): the k dimer-forced corners of class k
+    bits = (d + 1).bit_length()  # one exponent field per class variable
+    # F_deg's weight for c_j is C(f, j-1) t + C(f, j), where f = d - deg
+    # corners stay free: N(deg, 1) gives the t slot, N(deg+1, 0) the t^0 slot
+    factors = {
+        (deg, 0): tuple(
+            (1 << (bits * j),
+             ((comb(d - deg, j - 1) if j else 0) << width) + comb(d - deg, j))
+            for j in range(d - deg + 2))
+        for deg in range(d + 1)
+    }
+    packed_terms = transfer_scan(d, None, factors, TERM_RING)
+
+    exp_mask, slot_mask = (1 << bits) - 1, (1 << width) - 1
+    slotted = [{} for _ in range(slots)]
+    m_terms = {}
+    for key, packed in packed_terms.items():
+        if packed >> (width * slots):
+            raise IntegrityError(f"packed coefficients overflow {slots} t-slots "
+                                 f"of {width} bits")
+        exps = tuple(key >> (bits * i) & exp_mask for i in range(nv))
+        m_terms[exps] = 0
+        for k in range(slots):
+            coeff = packed >> (width * k) & slot_mask
+            slotted[k][exps] = coeff
+            m_terms[exps] += coeff
+    m_poly = Polynomial(varset, m_terms)
+    if m_poly.coefficient_sum() != m_total:
+        raise IntegrityError(
+            f"total polynomial coefficient sum {m_poly.coefficient_sum()} "
+            f"!= closed-form total {m_total}"
+        )
+    if not m_poly.is_homogeneous(d + 1) or m_poly.min_coefficient() < 0:
+        raise IntegrityError("total polynomial failed shape checks")
+
+    for k, terms in enumerate(slotted):
+        # every k-subset of dimer-forced corners gives the same P_k
+        choices = comb(d + 1, k)
+        for exps, coeff in terms.items():
+            terms[exps], rem = divmod(coeff, choices)
+            if rem:
+                raise IntegrityError(
+                    f"t^{k} coefficient {coeff} is not divisible by the "
+                    f"C({d + 1},{k}) = {choices} corner choices")
+    class_polys = tuple(Polynomial(varset, terms) for terms in slotted)
     for k, poly in enumerate(class_polys):
         if not poly.is_homogeneous(d + 1):
             raise IntegrityError(f"class polynomial c{k} is not homogeneous of degree {d + 1}")
@@ -335,14 +414,7 @@ def generate(d: int) -> RecursionSystem:
                 f"class polynomial c{k} coefficient total {poly.coefficient_sum()} "
                 f"!= closed-form total {class_total}"
             )
-    if not m_poly.is_homogeneous(d + 1) or m_poly.min_coefficient() < 0:
-        raise IntegrityError("total polynomial failed shape checks")
-    if m_poly.coefficient_sum() != m_total:
-        raise IntegrityError(
-            f"total polynomial coefficient sum {m_poly.coefficient_sum()} "
-            f"!= closed-form total {m_total}"
-        )
-    return RecursionSystem(d=d, varset=varset, class_polys=tuple(class_polys), m_poly=m_poly)
+    return RecursionSystem(d=d, varset=varset, class_polys=class_polys, m_poly=m_poly)
 
 
 def ratio_form(sys: RecursionSystem) -> tuple[Polynomial, ...]:

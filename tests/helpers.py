@@ -1,6 +1,7 @@
 """Shared test utilities: classic-symbol polynomial parsing, fixtures, the
-connector-subset census, the substitution-based gap expansion, the exact-count
-entropy bounds and the per-corner-subset class vector."""
+connector-subset census, the per-class generation scans, the substitution-based
+gap expansion, the exact-count entropy bounds and the per-corner-subset class
+vector."""
 
 from __future__ import annotations
 
@@ -26,6 +27,13 @@ from hanoi_dimer.matching_oracle import (
     count_matchings,
 )
 from hanoi_dimer.multipoly import Polynomial, substitute
+from hanoi_dimer.recursion_gen import (
+    RecursionSystem,
+    _polynomial_scan,
+    class_varset,
+    corner_splits,
+    mixed_count_expansion,
+)
 
 DATA_DIR = Path(__file__).parent / "data"
 REPO_DIR = Path(__file__).resolve().parents[1]
@@ -144,6 +152,19 @@ def degree_profile_totals(d: int) -> dict[tuple[int, ...], int]:
             grown[key] = grown.get(key, 0) + cnt
         profile = grown
     return profile
+
+
+def system_by_class_scans(d: int) -> RecursionSystem:
+    """Reference for recursion_gen.generate: one term-dict scan per class k,
+    copies 0..k-1 dimer-forced, and one more with every corner free for M.
+    Each copy's factor is the class-basis form of its mixed count, and no
+    coefficient is packed."""
+    varset = class_varset(d)
+    forms = {(a, b): mixed_count_expansion(d, a, b) for a, b in corner_splits(d)}
+    return RecursionSystem(
+        d=d, varset=varset,
+        class_polys=tuple(_polynomial_scan(d, k, varset, forms) for k in range(d + 2)),
+        m_poly=_polynomial_scan(d, None, varset, forms))
 
 
 def gap_expansion_by_substitution(poly: Polynomial, d: int) -> Polynomial:

@@ -11,9 +11,10 @@ from itertools import count
 import jsonschema
 import pytest
 
-from hanoi_dimer import evolve
+from hanoi_dimer import cli, evolve
 from hanoi_dimer.cli import build_parser, main
 from hanoi_dimer.evolve import SCAN_WORK_CAP, BoundaryClassVector
+from hanoi_dimer.matching_oracle import recursion_ceiling
 from hanoi_dimer.recursion_gen import cache_path, generate, save_system, scan_pairs
 
 from .helpers import run_python
@@ -99,6 +100,29 @@ def test_oracle_vertex_cap_exit(capsys):
     assert "cap" in err
 
 
+def test_oracle_past_the_recursion_ceiling_exits_3(capsys):
+    # TH_2(6) has 2187 vertices, past the ceiling under the default
+    # recursion limit; the refusal comes before the counter recurses
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "oracle", "--d", "2", "--n", "6",
+                             "--oracle-vertex-cap", "5000")
+    assert time.perf_counter() - start < 1.0
+    assert (code, out) == (3, "")
+    assert "resource cap: oracle refuses 2187 vertices" in err
+    assert f"ceiling of {recursion_ceiling()}" in err
+
+
+def test_oracle_below_the_recursion_ceiling_answers(capsys):
+    # TH_2(5), 729 vertices, is counted in full and agrees with the scan
+    code, out, _ = run_cli(capsys, "oracle", "--d", "2", "--n", "5",
+                           "--oracle-vertex-cap", "5000")
+    assert code == 0
+    payload = json.loads(out)
+    want = evolve.evolve_to(2, 5)[5]
+    assert payload["c"] == [str(c) for c in want.counts]
+    assert payload["M"] == str(want.m)
+
+
 # -- verify ----------------------------------------------------------------------
 
 
@@ -158,6 +182,27 @@ def test_ratios_csv(capsys, tmp_path):
     lines = out.splitlines()
     assert lines[0] == "n,r0,r1,r2,eps"
     assert len(lines) == 3
+
+
+def test_ratios_digits_are_priced_before_evolving(capsys, monkeypatch):
+    # 15 places for the 4 values of stages 1..2 and one quotient: 135 digits
+    assert run_cli(capsys, "ratios", "--d", "2", "--max-n", "2",
+                   "--digit-cap", "135")[0] == 0
+
+    def no_evolving(*args, **kwargs):
+        raise AssertionError("evolved past the rendering price")
+
+    monkeypatch.setattr(cli, "evolve_to", no_evolving)
+    code, out, err = run_cli(capsys, "ratios", "--d", "2", "--max-n", "2",
+                             "--digit-cap", "134")
+    assert (code, out) == (3, "")
+    assert "prints 135 digits, above the cap of 134; raise it with --digit-cap" in err
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "ratios", "--d", "3", "--max-n", "4",
+                             "--digits", "10000000")
+    assert time.perf_counter() - start < 1.0
+    assert (code, out) == (3, "")
+    assert "raise it with --digit-cap" in err
 
 
 # -- entropy ----------------------------------------------------------------------

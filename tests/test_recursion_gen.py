@@ -8,7 +8,7 @@ from math import comb
 import pytest
 
 from hanoi_dimer import recursion_gen
-from hanoi_dimer.errors import CacheCorruption, CapExceeded
+from hanoi_dimer.errors import CacheCorruption, CapExceeded, IntegrityError
 from hanoi_dimer.multipoly import Polynomial, serialize, substitute
 from hanoi_dimer.recursion_gen import (
     SCAN_WORK_CAP,
@@ -29,7 +29,13 @@ from hanoi_dimer.recursion_gen import (
     scan_terms,
 )
 
-from .helpers import census, degree_profile_totals, load_golden_d3, parse_classic
+from .helpers import (
+    census,
+    degree_profile_totals,
+    load_golden_d3,
+    parse_classic,
+    system_by_class_scans,
+)
 
 
 def brute_census(d: int) -> dict[tuple[int, ...], int]:
@@ -271,6 +277,45 @@ def test_class_polys_equal_substituted_mixed_recursions(systems, d):
     assert via_sub == sys_d.m_poly
 
 
+@pytest.mark.parametrize("d", range(2, 7))
+def test_packed_scan_matches_per_class_scans(systems, d):
+    """The one t-packed scan agrees with a term-dict scan per class and M."""
+    assert systems(d) == system_by_class_scans(d)
+
+
+@pytest.mark.parametrize("d", range(2, 6))
+def test_narrowed_t_slots_raise_integrity_error(systems, d):
+    """A slot narrower than the widest coefficient carries, and the carry is
+    caught: no narrowed width returns a system."""
+    system = systems(d)
+    widest = max(coeff * comb(d + 1, k)
+                 for k, poly in enumerate(system.class_polys)
+                 for _, coeff in poly.terms()).bit_length()
+    assert widest <= recursion_gen._closed_form_totals(d)[1].bit_length()
+    assert recursion_gen._scan_system(d, widest) == system
+    for width in (widest - 1, widest - 8, widest - 20, 1, 0):
+        with pytest.raises(IntegrityError):
+            recursion_gen._scan_system(d, width)
+
+
+def test_asymmetric_packed_coefficient_fails_divisibility(monkeypatch):
+    """Moving one unit of a t coefficient to t^0 keeps M's total but leaves
+    the t slot indivisible by its C(3, 1) corner choices: IntegrityError."""
+    scan = recursion_gen.transfer_scan
+    width = recursion_gen._closed_form_totals(2)[1].bit_length()
+
+    def skewed(*args):
+        terms = scan(*args)
+        key = next(key for key, packed in terms.items()
+                   if packed >> width & ((1 << width) - 1))
+        terms[key] += 1 - (1 << width)
+        return terms
+
+    monkeypatch.setattr(recursion_gen, "transfer_scan", skewed)
+    with pytest.raises(IntegrityError, match="not divisible by the C"):
+        generate(2)
+
+
 # -- generation price ----------------------------------------------------------------
 
 
@@ -296,8 +341,8 @@ def test_generation_price_bounds_the_bucket_terms(monkeypatch, d):
 
 
 def test_generation_scan_work_cap_admits_d6_and_refuses_d7():
-    assert sum(scan_terms(6)) == 1_385_546 <= SCAN_WORK_CAP
-    assert sum(scan_terms(7)) == 11_284_603
+    assert sum(scan_terms(6)) == 604_845 <= SCAN_WORK_CAP
+    assert sum(scan_terms(7)) == 4_567_478
     with pytest.raises(CapExceeded, match="scan-work cap"):
         generate(7)
     with pytest.raises(CapExceeded, match="scan-work cap"):
