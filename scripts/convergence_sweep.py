@@ -10,7 +10,7 @@ admit no bound and are listed as such.
 
 Counts are evolved by the transfer scan from d alone, exactly up to the
 first stage wider than the working precision and as fixed-width intervals
-beyond it (entropy.bounds), so d up to the scan-work cap (d <= 10) runs.
+beyond it (entropy.bounds), so d up to the scan-work cap (d <= 12) runs.
 
 Usage: python scripts/convergence_sweep.py [--d 3] [--k-max 6] [--precision 200]
 """

@@ -5,8 +5,8 @@ The consecutive class ratios r_0 > ... > r_d squeeze onto one limit; the
 common truncated prefix of r_d(n) and r_0(n) at the last computed stage is
 certified (r_0 descends and r_d ascends onto the limit from opposite sides).
 
-Stages advance by the transfer scan, which needs only d, so any d up to the
-scan-work cap (d <= 10) runs.  Stage 3 at d=10 takes about 10 s and every
+Stages advance by the transfer scans, which need only d, so any d up to the
+scan-work cap (d <= 12) runs.  Stage 3 at d=10 takes about 4 s and every
 later stage makes the counts 11 times as long, so pass a small --n-max with
 a large --d-max.
 

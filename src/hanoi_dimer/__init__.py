@@ -47,7 +47,6 @@ from .recursion_gen import (
     cached_system,
     generate,
     mixed_count_expansion,
-    mixed_recursion,
     ratio_form,
     reduced_ratio_form,
 )
@@ -83,7 +82,6 @@ __all__ = [
     "hp_ln",
     "initial_vector",
     "mixed_count_expansion",
-    "mixed_recursion",
     "omega_ascending_certificate",
     "parse_polynomial",
     "quadratic_contraction_certificate",

@@ -422,6 +422,13 @@ def _check_flags(args: argparse.Namespace) -> None:
         raise ValueError("--d must be at least 2")
     if getattr(args, "k", 1) < 1:
         raise ValueError("bound stage k must be >= 1")
+    if getattr(args, "n", 0) < 0:
+        raise ValueError("stage n must be >= 0")
+    if getattr(args, "n_max", 0) < 0:
+        raise ValueError("n_max must be >= 0")
+    if getattr(args, "max_n", 1) < 1:
+        raise ValueError("need at least one vector at stage >= 1 (stage-0 "
+                         "ratios are undefined: c1(0) = 0)")
     if getattr(args, "digits", 0) < 0:
         raise ValueError("--digits must be >= 0")
     for name in ("vertex_cap", "oracle_vertex_cap", "memo_cap",

@@ -2,9 +2,12 @@
 
 Counts are exact big integers at every stage; ratios are exact rationals and
 are only rendered to decimals on output.  Stages advance by the integer
-transfer scan of recursion_gen (step), which needs nothing but d;
-apply_system evaluates a given recursion system term by term instead,
-which is how verify checks a loaded system against the oracle.  Stage-0
+transfer scans of recursion_gen (step), which need nothing but d: one scan
+whose values are polynomials in t, with exact int coefficients, gives every
+class count (slot t^k sums the C(d+1, k) choices of k dimer-forced
+corners), and one plain integer scan gives the total M.  apply_system
+evaluates a given recursion system term by term instead, which is how
+verify checks a loaded system against the oracle.  Stage-0
 vectors are the matching counts of K_{d+1} with the corner constraints
 applied: c_k(0) is the number of perfect matchings on the k dimer-forced
 corners, (k-1)!! for even k and 0 for odd k.
@@ -31,7 +34,7 @@ from .intutil import digit_count
 from .multipoly import evaluate_int
 from .recursion_gen import (
     INT_RING,
-    SCAN_WORK_CAP,  # noqa: F401  (kept importable here: evolve_to applies it)
+    SLOTS_RING,
     RecursionSystem,
     check_scan_work,
     corner_splits,
@@ -113,22 +116,38 @@ def _mixed_counts(d: int, counts: tuple[int, ...]) -> dict[tuple[int, int], int]
     }
 
 
-def _class_scans(d: int, factors: dict[tuple[int, int], int],
-                 choices: dict) -> tuple[int, ...]:
-    return tuple(transfer_scan(d, k, factors, INT_RING, choices)
-                 for k in range(d + 2))
+def _class_counts(d: int, mixed: dict[tuple[int, int], int],
+                  choices: dict) -> tuple[int, ...]:
+    """c_0..c_{d+1} of the next stage from one t-scan of the mixed counts.
+
+    Slot k of the scan holds C(d+1, k) c_k, one term per k-subset of
+    dimer-forced corners; a remainder means the corner symmetry failed.
+    """
+    factors = [(mixed[deg + 1, 0], mixed[deg, 1]) for deg in range(d + 1)]
+    counts = []
+    for k, slot in enumerate(transfer_scan(d, factors, SLOTS_RING, choices)):
+        count, rem = divmod(slot, comb(d + 1, k))
+        if rem:
+            raise IntegrityError(
+                f"t^{k} slot {slot} is not divisible by the "
+                f"C({d + 1},{k}) = {comb(d + 1, k)} corner choices")
+        counts.append(count)
+    return tuple(counts)
 
 
 def step(v: BoundaryClassVector) -> BoundaryClassVector:
-    """Advance one stage by the integer transfer scan for v.d.
+    """Advance one stage by the transfer scans for v.d.
 
-    The total M comes from its own scan, so the binomial-sum invariant
-    re-checked on the result stays an independent check of the counts.
+    The class counts come from one t-scan, and the total M from its own
+    integer scan (each copy's factor N(deg, 0)), so the binomial-sum
+    invariant re-checked on the result stays an independent check of the
+    counts.
     """
     choices: dict = {}
-    factors = _mixed_counts(v.d, v.counts)
-    counts = _class_scans(v.d, factors, choices)
-    m = transfer_scan(v.d, None, factors, INT_RING, choices)
+    mixed = _mixed_counts(v.d, v.counts)
+    counts = _class_counts(v.d, mixed, choices)
+    m = transfer_scan(v.d, [mixed[deg, 0] for deg in range(v.d + 1)],
+                      INT_RING, choices)
     return BoundaryClassVector(d=v.d, n=v.n + 1, counts=counts, m=m)
 
 
@@ -174,8 +193,8 @@ def interval_step(iv: CountInterval, bits: int) -> CountInterval:
     and hi enclose the next stage.
     """
     choices: dict = {}
-    lo = _class_scans(iv.d, _mixed_counts(iv.d, iv.lo), choices)
-    hi = _class_scans(iv.d, _mixed_counts(iv.d, iv.hi), choices)
+    lo = _class_counts(iv.d, _mixed_counts(iv.d, iv.lo), choices)
+    hi = _class_counts(iv.d, _mixed_counts(iv.d, iv.hi), choices)
     return _truncate(iv.d, iv.n + 1, lo, hi, iv.shift * (iv.d + 1), bits)
 
 

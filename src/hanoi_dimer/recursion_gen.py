@@ -14,31 +14,30 @@ on the class being built, and the remaining corners are free.
 
 A transfer scan over the copies performs that sum without materializing
 the 2^C(d+1,2) subsets one by one.  Its state is the multiset of connector
-degrees still pending for the copies not yet absorbed.  Fixing which k
-global corners are dimer-forced splits the copies into two groups, the
-dimer-forced and the free ones; copies within a group stay interchangeable,
-so the state keeps the pending degrees sorted within each group and states
-equal up to that symmetry are merged.
+degrees still pending for the copies not yet absorbed.  Every copy's global
+corner is left free, so the copies stay interchangeable: the state keeps
+the pending degrees sorted and states equal up to order are merged.
 
-The scan runs over two rings, integers and term dicts, for three uses.
-With the integer N(a, b) of a stage's class vector as each copy's factor
-it yields the next stage's counts directly (evolve.step).  With the
-n{a}_{b} variable it yields the mixed-basis form (mixed_recursion).
-generate runs a single scan, k=None, over term dicts whose coefficients
-are t-polynomials packed into one integer each (Kronecker substitution):
-a copy's factor is
-F = t N(deg, 1) + N(deg+1, 0), its global corner dimer-forced (t) or
-monomer-forced, with each mixed count expanded linearly in the class basis,
-N(a, b) = sum_j C(d+1-a-b, j) c_{b+j}.  By corner symmetry that scan yields
+The corner classes ride along in a variable t.  A copy's factor is
+F = N(deg+1, 0) + t N(deg, 1), its global corner monomer-forced or
+dimer-forced (t).  By corner symmetry the scan then yields
 sum_k C(d+1, k) t^k P_k over the class polynomials P_k, and since
 N(a, 0) = N(a, 1) + N(a+1, 0) its value at t = 1 is the total M.
+
+The scan runs over three rings.  evolve.step scans the integer mixed
+counts of a stage's class vector with each t^k coefficient an exact int
+(SLOTS_RING), and gets M from one more integer scan with the plain factor
+N(deg, 0) (INT_RING).  generate scans term dicts whose coefficients are
+t-polynomials packed into one integer each (Kronecker substitution), with
+each mixed count expanded linearly in the class basis,
+N(a, b) = sum_j C(d+1-a-b, j) c_{b+j}.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from itertools import chain, groupby
+from itertools import groupby
 from math import comb
 from pathlib import Path
 from typing import Callable
@@ -46,10 +45,10 @@ from typing import Callable
 from .errors import CacheCorruption, CapExceeded, IntegrityError
 from .multipoly import Polynomial, parse_polynomial, serialize
 
-# caps the scans' price from d alone: a stage step's (state, choice) pairs
-# (scan_pairs) admit d <= 10 (1,364,855) and refuse d = 11 (4,823,427);
-# generation's packed coefficients (scan_terms) admit d <= 6 (604,845) and
-# refuse d = 7 (4,567,478)
+# caps the scans' price from d alone: a stage step's slot-weighted
+# (state, choice) pairs (scan_pairs) admit d <= 12 (1,484,006) and refuse
+# d = 13 (4,115,170); generation's packed coefficients (scan_terms) admit
+# d <= 6 (604,845) and refuse d = 7 (4,567,478)
 SCAN_WORK_CAP = 2_000_000
 
 
@@ -61,21 +60,12 @@ def ratio_varset(d: int) -> tuple[str, ...]:
     return tuple(f"r{j}" for j in range(d + 1))
 
 
-def mixed_count_name(a: int, b: int) -> str:
-    return f"n{a}_{b}"
-
-
 def corner_splits(d: int) -> tuple[tuple[int, int], ...]:
     """Every (a, b) a copy can take: a monomer-forced, b dimer-forced corners.
 
-    b is 0 or 1 (a copy owns one global corner), so these are exactly the
-    n{a}_{b} variables of mixed_varset, in the same order.
+    b is 0 or 1, as a copy owns one global corner.
     """
     return tuple((a, b) for b in (0, 1) for a in range(d + 2 - b))
-
-
-def mixed_varset(d: int) -> tuple[str, ...]:
-    return tuple(mixed_count_name(a, b) for a, b in corner_splits(d))
 
 
 @dataclass(frozen=True)
@@ -131,6 +121,16 @@ def _int_muladd(acc, value, factor):
     return value if acc is None else acc + value
 
 
+def _slots_muladd(acc, slots, factor):
+    # slots, factor: t-polynomials as coefficient sequences, lowest power first
+    if acc is None:
+        acc = [0] * (len(slots) + len(factor) - 1)
+    for shift, weight in enumerate(factor):
+        for j, coeff in enumerate(slots, shift):
+            acc[j] += coeff * weight
+    return acc
+
+
 def _terms_muladd(acc, terms, factor):
     # terms: packed monomial -> coefficient; factor: (packed bump, weight) pairs
     if acc is None:
@@ -145,118 +145,97 @@ def _terms_muladd(acc, terms, factor):
 
 # integer values: a copy's factor is its integer mixed count N(a, b)
 INT_RING = Ring(unit=1, scalar=int, muladd=_int_muladd)
+# integer t-polynomials, one exact int per t-slot: a copy's factor is
+# (N(deg+1, 0), N(deg, 1)), its t^0 and t coefficients
+SLOTS_RING = Ring(unit=(1,), scalar=lambda w: (w,), muladd=_slots_muladd)
 # term dicts over packed monomials: a copy's factor is a linear form
 TERM_RING = Ring(unit={0: 1}, scalar=lambda w: ((0, w),), muladd=_terms_muladd)
 
 
-def _connector_choices(rest: tuple[int, ...], forced: int):
+def _connector_choices(rest: tuple[int, ...]):
     """Ways for the next copy to take connector edges to the later copies.
 
-    rest holds the later copies' pending degrees, the first `forced` of them
-    dimer-forced, each group sorted.  Copies of one group with equal pending
-    degree are interchangeable: taking edges to t of a run of m gives one
-    canonical successor with weight C(m, t), and bumping the run's last t
-    entries keeps the group sorted.  Returns (successor, edges, weight).
+    rest holds the later copies' pending degrees, sorted.  Copies with equal
+    pending degree are interchangeable: taking edges to t of a run of m
+    gives one canonical successor with weight C(m, t), and bumping the run's
+    last t entries keeps rest sorted.  Returns (successor, edges, weight).
     """
     options = [((), 0, 1)]
-    for group in (rest[:forced], rest[forced:]):
-        for deg, run in groupby(group):
-            m = len(tuple(run))
-            options = [(head + (deg,) * (m - t) + (deg + 1,) * t, edges + t,
-                        weight * comb(m, t))
-                       for head, edges, weight in options for t in range(m + 1)]
+    for deg, run in groupby(rest):
+        m = len(tuple(run))
+        options = [(head + (deg,) * (m - t) + (deg + 1,) * t, edges + t,
+                    weight * comb(m, t))
+                   for head, edges, weight in options for t in range(m + 1)]
     return options
 
 
-def transfer_scan(d: int, k: int | None, factors: dict, ring: Ring,
-                  choices: dict | None = None):
+def transfer_scan(d: int, factors, ring: Ring, choices: dict | None = None):
     """Sum over connector-edge subsets of the product of per-copy factors.
 
-    One composition step: copies 0..k-1 have their global corner dimer-forced
-    (k=None leaves every global corner free), and factors[(a, b)] is the
-    factor of a copy with a monomer-forced and b dimer-forced corners.
-    Copies are absorbed in order; the state is the pending connector degrees
-    of the later copies, kept sorted within the dimer-forced and the free
-    group.  The edges still open form a complete graph on the later copies
-    and a copy's factor depends only on its degree and group, so states equal
-    up to that symmetry have the same completions and are merged.
+    One composition step: factors[deg] is the factor of a copy whose global
+    corner is free and which takes deg connector edges.  Copies are absorbed
+    in order; the state is the sorted pending connector degrees of the
+    later copies.  The edges still open form a complete graph on the later
+    copies and a copy's factor depends only on its degree, so states equal
+    up to permutation have the same completions and are merged.
 
-    choices memoizes _connector_choices by (rest, forced); scans of one step
-    may share it, as they meet the same rests.
+    choices memoizes _connector_choices by rest; scans of one step may
+    share it, as they meet the same rests.
     """
-    copies = d + 1
-    if k is not None and not 0 <= k <= copies:
-        raise ValueError(f"k={k} out of range for d={d}")
     if choices is None:
         choices = {}
-    states = {(0,) * copies: ring.unit}
-    for i in range(copies):
-        forced_later = 0 if k is None else max(0, k - i - 1)
+    states = {(0,) * (d + 1): ring.unit}
+    for _ in range(d + 1):
         buckets: dict = {}
         for state, value in states.items():
             own, rest = state[0], state[1:]
-            options = choices.get((rest, forced_later))
+            options = choices.get(rest)
             if options is None:
-                options = choices[rest, forced_later] = _connector_choices(
-                    rest, forced_later)
+                options = choices[rest] = _connector_choices(rest)
             for successor, edges, weight in options:
-                deg = own + edges
-                if k is None:
-                    split = (deg, 0)
-                elif i < k:
-                    split = (deg, 1)
-                else:
-                    split = (deg + 1, 0)
-                key = (successor, split)
+                key = (successor, own + edges)
                 buckets[key] = ring.muladd(buckets.get(key), value, ring.scalar(weight))
         states = {}
-        for (successor, split), value in buckets.items():
-            states[successor] = ring.muladd(states.get(successor), value, factors[split])
+        for (successor, deg), value in buckets.items():
+            states[successor] = ring.muladd(states.get(successor), value, factors[deg])
     (result,) = states.values()
     return result
 
 
-def _group_pairs(b: int, i: int) -> int:
-    # choices summed over the sorted groups of b later degrees in 0..i
-    return comb(b + 2 * i + 1, b)
+def _copy_pairs(b: int, i: int) -> int:
+    """The (state, choice) pairs of copy i: the state is a sorted vector of
+    b = d+1-i degrees in 0..i, own copy first, and offers prod (m+1)
+    choices over the runs of m equal later degrees.
 
-
-def _own_group_pairs(b: int, i: int) -> int:
-    # the same with the own copy first in its group of b
+    Summed over the sorted vectors that is [x^b] (1-x)^(-2(i+1)) =
+    C(b+2i+1, b); with the own copy first, the run holding the minimum v
+    counts one short, which gives sum_{u=0..i} C(b+2u, b-1) (u = i - v).
+    Every degree vector in {0..i}^b is reachable before copy i, so this
+    is exact.
+    """
     return sum(comb(b + 2 * u, b - 1) for u in range(i + 1))
 
 
 def scan_pairs(d: int):
-    """Yield the (state, choice) pairs of each copy of each scan of one step.
+    """Yield the multiplies of each copy of one stage step, in scan order.
 
-    The scans are k = 0..d+1 and k=None, in that order, copies in scan
-    order.  Every degree vector in {0..i}^(d+1-i) is reachable before
-    copy i, so the states are all pairs of sorted groups: a dimer-forced
-    group of k-i copies (while i < k) and a free group of the rest, own
-    copy first in its group.  A state offers prod (m+1) choices over the
-    runs of m equal later degrees.  Summed over a group of b degrees in
-    0..i that is [x^b] (1-x)^(-2(i+1)) = C(b+2i+1, b); with the own copy
-    first, the run holding the minimum v counts one short, which gives
-    sum_{u=0..i} C(b+2u, b-1) (u = i - v).
+    A step runs two scans: the t-scan, whose values at copy i hold i+1
+    t-slots, and the integer scan for M, one int per value.  So each
+    (state, choice) pair of copy i costs i+2 big-integer multiplies.
     """
-    for k in chain(range(d + 2), (None,)):
-        for i in range(d + 1):
-            if k is not None and i < k:
-                yield _own_group_pairs(k - i, i) * _group_pairs(d + 1 - k, i)
-            else:
-                yield _own_group_pairs(d + 1 - i, i)
+    for i in range(d + 1):
+        yield _copy_pairs(d + 1 - i, i) * (i + 2)
 
 
 def scan_terms(d: int):
     """Yield the packed coefficients generate's scan can touch, per copy.
 
-    generate runs only the k=None scan, the last d+1 yields of scan_pairs.
-    The pairs of copy i are weighted by C(i+d+1, d+1), the most monomials
-    a degree-i value over the d+2 class variables holds, and by i+1, the
-    t-slots its coefficients fill.
+    The (state, choice) pairs of copy i are weighted by C(i+d+1, d+1), the
+    most monomials a degree-i value over the d+2 class variables holds,
+    and by i+1, the t-slots its coefficients fill.
     """
     for i in range(d + 1):
-        yield _own_group_pairs(d + 1 - i, i) * comb(i + d + 1, i) * (i + 1)
+        yield _copy_pairs(d + 1 - i, i) * comb(i + d + 1, i) * (i + 1)
 
 
 def _check_price(prices, what: str) -> None:
@@ -270,46 +249,9 @@ def _check_price(prices, what: str) -> None:
 
 
 def check_scan_work(d: int) -> None:
-    """CapExceeded if one step for d enumerates more than SCAN_WORK_CAP pairs."""
-    _check_price(scan_pairs(d), f"one d={d} stage step scans more than "
-                                f"{SCAN_WORK_CAP} (state, choice) pairs")
-
-
-def _polynomial_scan(d: int, k: int | None, varset: tuple[str, ...],
-                     forms: dict[tuple[int, int], Polynomial]) -> Polynomial:
-    """transfer_scan over term dicts; forms[(a, b)] is a linear Polynomial.
-
-    Monomials are packed into integers, one field per variable wide enough
-    for the largest exponent d+1, so a factor bumps a monomial by addition.
-    """
-    bits = (d + 1).bit_length()
-    nv = len(varset)
-
-    def pack(exps):
-        return sum(e << (bits * i) for i, e in enumerate(exps))
-
-    factors = {split: tuple((pack(exps), coeff) for exps, coeff in form.terms())
-               for split, form in forms.items()}
-    terms = transfer_scan(d, k, factors, TERM_RING)
-    mask = (1 << bits) - 1
-    return Polynomial(varset, {
-        tuple(key >> (bits * i) & mask for i in range(nv)): coeff
-        for key, coeff in terms.items()
-    })
-
-
-def mixed_recursion(d: int, k: int | None) -> Polynomial:
-    """One composition step in the mixed-count basis.
-
-    k = number of dimer-forced global corners (the canonical choice forces
-    corners 0..k-1); k=None builds the unconstrained total, where every
-    global corner stays free.  Returns a degree-(d+1) polynomial in the
-    n{a}_{b} variables.
-    """
-    varset = mixed_varset(d)
-    forms = {(a, b): Polynomial.variable(varset, mixed_count_name(a, b))
-             for a, b in corner_splits(d)}
-    return _polynomial_scan(d, k, varset, forms)
+    """CapExceeded if one step for d prices above SCAN_WORK_CAP multiplies."""
+    _check_price(scan_pairs(d), f"one d={d} stage step runs more than "
+                                f"{SCAN_WORK_CAP} (state, choice, t-slot) multiplies")
 
 
 def generate(d: int) -> RecursionSystem:
@@ -335,7 +277,7 @@ def _closed_form_totals(d: int) -> tuple[int, int]:
 
 
 def _scan_system(d: int, width: int) -> RecursionSystem:
-    """The k=None scan with t-polynomial coefficients packed width bits a slot.
+    """The term-dict scan with t-polynomial coefficients packed width bits a slot.
 
     Slot k of a packed coefficient, at bit width*k, holds the t^k
     coefficient, so one integer multiply-add acts on a whole t-polynomial.
@@ -363,14 +305,13 @@ def _scan_system(d: int, width: int) -> RecursionSystem:
     bits = (d + 1).bit_length()  # one exponent field per class variable
     # F_deg's weight for c_j is C(f, j-1) t + C(f, j), where f = d - deg
     # corners stay free: N(deg, 1) gives the t slot, N(deg+1, 0) the t^0 slot
-    factors = {
-        (deg, 0): tuple(
-            (1 << (bits * j),
-             ((comb(d - deg, j - 1) if j else 0) << width) + comb(d - deg, j))
-            for j in range(d - deg + 2))
+    factors = [
+        tuple((1 << (bits * j),
+               ((comb(d - deg, j - 1) if j else 0) << width) + comb(d - deg, j))
+              for j in range(d - deg + 2))
         for deg in range(d + 1)
-    }
-    packed_terms = transfer_scan(d, None, factors, TERM_RING)
+    ]
+    packed_terms = transfer_scan(d, factors, TERM_RING)
 
     exp_mask, slot_mask = (1 << bits) - 1, (1 << width) - 1
     slotted = [{} for _ in range(slots)]

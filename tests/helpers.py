@@ -1,5 +1,5 @@
 """Shared test utilities: classic-symbol polynomial parsing, fixtures, the
-connector-subset census, the per-class generation scans, the substitution-based
+connector-subset census, the degree-profile stage step, the substitution-based
 gap expansion, the exact-count entropy bounds and the per-corner-subset class
 vector."""
 
@@ -10,7 +10,9 @@ import re
 import subprocess
 import sys
 from dataclasses import dataclass
+from functools import cache
 from itertools import combinations
+from math import comb
 from pathlib import Path
 
 import hanoi_dimer
@@ -27,13 +29,6 @@ from hanoi_dimer.matching_oracle import (
     count_matchings,
 )
 from hanoi_dimer.multipoly import Polynomial, substitute
-from hanoi_dimer.recursion_gen import (
-    RecursionSystem,
-    _polynomial_scan,
-    class_varset,
-    corner_splits,
-    mixed_count_expansion,
-)
 
 DATA_DIR = Path(__file__).parent / "data"
 REPO_DIR = Path(__file__).resolve().parents[1]
@@ -133,6 +128,7 @@ def census(d: int, subset_cap: int = CENSUS_SUBSET_CAP) -> DegreeCensus:
     return DegreeCensus(d=d, counts=counts)
 
 
+@cache
 def degree_profile_totals(d: int) -> dict[tuple[int, ...], int]:
     """Ordered connector-degree sequences of K_{d+1} with their subset counts.
 
@@ -154,17 +150,38 @@ def degree_profile_totals(d: int) -> dict[tuple[int, ...], int]:
     return profile
 
 
-def system_by_class_scans(d: int) -> RecursionSystem:
-    """Reference for recursion_gen.generate: one term-dict scan per class k,
-    copies 0..k-1 dimer-forced, and one more with every corner free for M.
-    Each copy's factor is the class-basis form of its mixed count, and no
-    coefficient is packed."""
-    varset = class_varset(d)
-    forms = {(a, b): mixed_count_expansion(d, a, b) for a, b in corner_splits(d)}
-    return RecursionSystem(
-        d=d, varset=varset,
-        class_polys=tuple(_polynomial_scan(d, k, varset, forms) for k in range(d + 2)),
-        m_poly=_polynomial_scan(d, None, varset, forms))
+def degree_profile_step(d: int, counts) -> tuple[tuple[int, ...], int]:
+    """Reference for evolve.step and recursion_gen.generate: the next
+    stage's class counts and M from the ordered connector-degree profile.
+
+    Copies 0..k-1 have their global corner dimer-forced and the rest
+    monomer-forced, so c_k(n+1) = sum cnt * prod_{i<k} N(deg_i, 1) *
+    prod_{i>=k} N(deg_i+1, 0) and M = sum cnt * prod_i N(deg_i, 0), with
+    N(a, b) = sum_j C(d+1-a-b, j) c_{b+j} over any integer counts.
+    """
+    def mixed(a, b):
+        free = d + 1 - a - b
+        return sum(comb(free, j) * counts[b + j] for j in range(free + 1))
+
+    dimer = [mixed(deg, 1) for deg in range(d + 1)]
+    monomer = [mixed(deg + 1, 0) for deg in range(d + 1)]
+    free = [mixed(deg, 0) for deg in range(d + 1)]
+    classes = [0] * (d + 2)
+    m = 0
+    for degs, cnt in degree_profile_totals(d).items():
+        tails = [cnt]  # tails[j]: cnt * prod_{i >= d+1-j} N(deg_i+1, 0)
+        for deg in reversed(degs):
+            tails.append(tails[-1] * monomer[deg])
+        head = 1
+        for k in range(d + 2):
+            classes[k] += head * tails[d + 1 - k]
+            if k <= d:
+                head *= dimer[degs[k]]
+        total = cnt
+        for deg in degs:
+            total *= free[deg]
+        m += total
+    return tuple(classes), m
 
 
 def gap_expansion_by_substitution(poly: Polynomial, d: int) -> Polynomial:

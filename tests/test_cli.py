@@ -13,9 +13,15 @@ import pytest
 
 from hanoi_dimer import cli, evolve
 from hanoi_dimer.cli import build_parser, main
-from hanoi_dimer.evolve import SCAN_WORK_CAP, BoundaryClassVector
+from hanoi_dimer.evolve import BoundaryClassVector
 from hanoi_dimer.matching_oracle import recursion_ceiling
-from hanoi_dimer.recursion_gen import cache_path, generate, save_system, scan_pairs
+from hanoi_dimer.recursion_gen import (
+    SCAN_WORK_CAP,
+    cache_path,
+    generate,
+    save_system,
+    scan_pairs,
+)
 
 from .helpers import run_python
 
@@ -312,8 +318,13 @@ def test_scan_only_commands_refuse_the_first_d_over_the_scan_cap(capsys, argv):
     ("count", "--d", "1000000", "--n", "1"),
     ("entropy", "--d", "3", "--k", "1000000000000"),
     ("gen-recursions", "--d", "100000000000000000000"),
-], ids=["count-d1e6", "entropy-k1e12", "gen-recursions-d1e20"])
-def test_huge_d_or_k_is_refused_without_building_it(capsys, argv):
+    ("count", "--d", "3", "--n", "1000000"),
+    ("verify", "--d", "2", "--n-max", "1000000", "--cache-dir", "CACHE"),
+    ("ratios", "--d", "3", "--max-n", "1000000"),
+], ids=["count-d1e6", "entropy-k1e12", "gen-recursions-d1e20", "count-n1e6",
+        "verify-n-max1e6", "ratios-max-n1e6"])
+def test_huge_d_or_k_is_refused_without_building_it(capsys, tmp_path, argv):
+    argv = [str(tmp_path) if a == "CACHE" else a for a in argv]
     start = time.perf_counter()
     code, out, err = run_cli(capsys, *argv)
     assert time.perf_counter() - start < 1.0
@@ -454,16 +465,22 @@ FLAG_ERRORS = {
     "--memo-cap": ("memo_cap must be positive", ("0", "-1")),
     "--vertex-cap": ("vertex_cap must be positive", ("0", "-1")),
     "--oracle-vertex-cap": ("oracle_vertex_cap must be positive", ("0", "-1")),
+    "--n": ("stage n must be >= 0", ("-1",)),
+    "--n-max": ("n_max must be >= 0", ("-1",)),
+    "--max-n": ("need at least one vector at stage >= 1 (stage-0 ratios are "
+                "undefined: c1(0) = 0)", ("0", "-1")),
 }
 # a valid invocation of each command and the integer flags it takes
 COMMAND_FLAGS = {
     "gen-recursions": (("--d", "2", "--cache-dir", "CACHE"), ("--d",)),
-    "count": (("--d", "2", "--n", "1"), ("--d", "--digit-cap")),
+    "count": (("--d", "2", "--n", "1"), ("--d", "--n", "--digit-cap")),
     "oracle": (("--d", "2", "--n", "1"),
-               ("--d", "--vertex-cap", "--oracle-vertex-cap", "--memo-cap")),
+               ("--d", "--n", "--vertex-cap", "--oracle-vertex-cap", "--memo-cap")),
     "verify": (("--d", "2", "--n-max", "1", "--cache-dir", "CACHE"),
-               ("--d", "--oracle-vertex-cap", "--memo-cap", "--digit-cap")),
-    "ratios": (("--d", "2", "--max-n", "2"), ("--d", "--digits", "--digit-cap")),
+               ("--d", "--n-max", "--oracle-vertex-cap", "--memo-cap",
+                "--digit-cap")),
+    "ratios": (("--d", "2", "--max-n", "2"),
+               ("--d", "--max-n", "--digits", "--digit-cap")),
     "entropy": (("--d", "2", "--k", "3", "--precision", "40"),
                 ("--d", "--k", "--precision", "--digit-cap")),
     "appendix-check": (("--d", "2", "--which", "omega"), ("--d", "--term-budget")),

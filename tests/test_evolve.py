@@ -11,8 +11,11 @@ from hypothesis import given, settings, strategies as st
 from hanoi_dimer import reference_values as ref
 from hanoi_dimer.errors import CapExceeded, IntegrityError
 from hanoi_dimer.multipoly import Polynomial
+from hanoi_dimer import evolve
 from hanoi_dimer.recursion_gen import (
     INT_RING,
+    SCAN_WORK_CAP,
+    SLOTS_RING,
     RecursionSystem,
     Ring,
     corner_splits,
@@ -20,8 +23,8 @@ from hanoi_dimer.recursion_gen import (
     transfer_scan,
 )
 from hanoi_dimer.evolve import (
-    SCAN_WORK_CAP,
     BoundaryClassVector,
+    _class_counts,
     _mixed_counts,
     apply_system,
     check_contraction,
@@ -35,6 +38,8 @@ from hanoi_dimer.evolve import (
     render_decimal,
     step,
 )
+
+from .helpers import degree_profile_step
 
 
 def test_initial_vectors_match_reference():
@@ -92,25 +97,28 @@ def test_polynomial_evaluation_exposes_a_tampered_system(systems):
     assert apply_system(tampered, v1) != step(v1)
 
 
-# (state, choice) pairs the d+3 scans of one step enumerate, d = 2..10
-ENUMERATED_PAIRS = {2: 63, 3: 226, 4: 785, 5: 2700, 6: 9283, 7: 32039,
-                    8: 111205, 9: 388396, 10: 1364855}
+# multiplies one step's two scans run, d = 2..8: each (state, choice) pair
+# of the t-scan once per t-slot of its value, and each of the M scan once
+ENUMERATED_PAIRS = {2: 36, 3: 115, 4: 348, 5: 1024, 6: 2964, 7: 8486,
+                    8: 24100}
 
 
 def enumerate_scan_pairs(d: int) -> int:
-    """Run the d+3 scans of one step over a ring that counts the choices taken."""
+    """Run step's two scans over a ring whose values are their t-slot counts
+    and which counts the slots each choice weight multiplies."""
     taken = 0
 
-    def muladd(acc, value, factor):
+    def muladd(acc, slots, factor):
         nonlocal taken
-        taken += factor == "choice"
-        return 0
+        if factor is None:  # a choice weight
+            taken += slots
+            return slots
+        return slots + factor  # a copy's factor adds factor t-slots
 
-    ring = Ring(unit=0, scalar=lambda weight: "choice", muladd=muladd)
-    factors = dict.fromkeys(corner_splits(d), "absorb")
+    ring = Ring(unit=1, scalar=lambda weight: None, muladd=muladd)
     choices: dict = {}
-    for k in (*range(d + 2), None):
-        transfer_scan(d, k, factors, ring, choices)
+    assert transfer_scan(d, [1] * (d + 1), ring, choices) == d + 2
+    assert transfer_scan(d, [0] * (d + 1), ring, choices) == 1
     return taken
 
 
@@ -120,14 +128,15 @@ def test_scan_price_bounds_the_enumerated_pairs(d):
     assert sum(scan_pairs(d)) >= ENUMERATED_PAIRS[d]
 
 
-def test_scan_work_cap_admits_d10_and_refuses_d11():
-    assert sum(scan_pairs(10)) <= SCAN_WORK_CAP < sum(scan_pairs(11))
-    check_scan_work(10)
+def test_scan_work_cap_admits_d12_and_refuses_d13():
+    assert sum(scan_pairs(12)) == 1_484_006 <= SCAN_WORK_CAP
+    assert sum(scan_pairs(13)) == 4_115_170
+    check_scan_work(12)
     with pytest.raises(CapExceeded, match="scan-work cap"):
-        check_scan_work(11)
+        check_scan_work(13)
     # the cap is checked for any target stage, before the stage-0 vector
     with pytest.raises(CapExceeded, match="scan-work cap"):
-        evolve_to(11, 0)
+        evolve_to(13, 0)
 
 
 def test_scan_work_cap_refuses_a_huge_d_after_a_few_terms():
@@ -140,13 +149,50 @@ def test_scan_at_all_ones_gives_closed_form_totals(d):
     # c = 1 makes every mixed count N(a, b) = 2^(d+1-a-b): each class count is
     # 5^C(d+1,2) and M is 2^(d+1) times that, past the oracle's reach for d >= 7
     ones = (1,) * (d + 2)
-    factors = _mixed_counts(d, ones)
-    assert factors == {(a, b): 2 ** (d + 1 - a - b) for a, b in corner_splits(d)}
+    mixed = _mixed_counts(d, ones)
+    assert mixed == {(a, b): 2 ** (d + 1 - a - b) for a, b in corner_splits(d)}
     class_total = 5 ** comb(d + 1, 2)
     choices: dict = {}
-    for k in range(d + 2):
-        assert transfer_scan(d, k, factors, INT_RING, choices) == class_total
-    assert transfer_scan(d, None, factors, INT_RING, choices) == class_total << (d + 1)
+    assert _class_counts(d, mixed, choices) == (class_total,) * (d + 2)
+    free = [mixed[deg, 0] for deg in range(d + 1)]
+    assert transfer_scan(d, free, INT_RING, choices) == class_total << (d + 1)
+
+
+@pytest.mark.parametrize("d,stages", [(2, 3), (3, 3), (4, 3), (5, 3), (6, 2)])
+def test_step_and_interval_step_match_degree_profile_step(d, stages):
+    v = initial_vector(d)
+    for _ in range(stages):
+        counts, m = degree_profile_step(d, v.counts)
+        exact = enclose(v, max(v.counts).bit_length())
+        narrow = enclose(v, 24)
+        v = step(v)
+        assert (v.counts, v.m) == (counts, m)
+        assert interval_step(exact, 10**6).lo == counts
+        # a narrowed step is the reference image of each end, cut by one shift
+        got = interval_step(narrow, 24)
+        drop = got.shift - narrow.shift * (d + 1)
+        assert got.lo == tuple(c >> drop
+                               for c in degree_profile_step(d, narrow.lo)[0])
+        assert got.hi == tuple(-(-c >> drop)
+                               for c in degree_profile_step(d, narrow.hi)[0])
+
+
+def test_moving_a_unit_between_t_slots_raises(monkeypatch):
+    # the slots' sum is unchanged, so only the divisibility of each slot by
+    # its corner choices catches a count moved from one class to another
+    def skewed(d, factors, ring, choices=None):
+        result = transfer_scan(d, factors, ring, choices)
+        if ring is SLOTS_RING:
+            result[1] -= 1
+            result[0] += 1
+        return result
+
+    v = step(initial_vector(3))
+    monkeypatch.setattr(evolve, "transfer_scan", skewed)
+    with pytest.raises(IntegrityError, match="not divisible by the C"):
+        step(v)
+    with pytest.raises(IntegrityError, match="not divisible by the C"):
+        interval_step(enclose(v, 64), 64)
 
 
 def test_evolve_d4_stage_two():

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import random
 from itertools import combinations
 from math import comb
 
@@ -9,7 +10,7 @@ import pytest
 
 from hanoi_dimer import recursion_gen
 from hanoi_dimer.errors import CacheCorruption, CapExceeded, IntegrityError
-from hanoi_dimer.multipoly import Polynomial, serialize, substitute
+from hanoi_dimer.multipoly import Polynomial, evaluate_int, serialize, substitute
 from hanoi_dimer.recursion_gen import (
     SCAN_WORK_CAP,
     Ring,
@@ -18,10 +19,8 @@ from hanoi_dimer.recursion_gen import (
     class_varset,
     generate,
     load_system,
+    corner_splits,
     mixed_count_expansion,
-    mixed_count_name,
-    mixed_recursion,
-    mixed_varset,
     ratio_form,
     ratio_varset,
     reduced_ratio_form,
@@ -31,10 +30,10 @@ from hanoi_dimer.recursion_gen import (
 
 from .helpers import (
     census,
+    degree_profile_step,
     degree_profile_totals,
     load_golden_d3,
     parse_classic,
-    system_by_class_scans,
 )
 
 
@@ -111,6 +110,20 @@ def test_mixed_count_expansion_is_binomial():
 # -- pre-substitution forms -------------------------------------------------------
 
 
+def mixed_count_name(a: int, b: int) -> str:
+    return f"n{a}_{b}"
+
+
+def mixed_varset(d: int) -> tuple[str, ...]:
+    """The n{a}_{b} variables, one per corner split a copy can take."""
+    return tuple(mixed_count_name(a, b) for a, b in corner_splits(d))
+
+
+def mixed_count_bindings(d: int) -> dict[str, Polynomial]:
+    return {mixed_count_name(a, b): mixed_count_expansion(d, a, b)
+            for a, b in corner_splits(d)}
+
+
 def fn_reference(d3_mixed_vars) -> Polynomial:
     # all-monomer one-step sum in P,Q,R,f notation (P=n1_0, Q=n2_0, R=n3_0, f=n4_0)
     text = ("P^4+6P^2Q^2+12PQ^2R+3Q^4+4PR^3+4fQ^3+12Q^2R^2"
@@ -119,7 +132,7 @@ def fn_reference(d3_mixed_vars) -> Polynomial:
 
 
 def test_mixed_recursion_k0_matches_reference_d3():
-    got = mixed_recursion(3, 0)
+    got = _mixed_recursion_for_subset(3, set())
     expected = fn_reference(None).with_varset(mixed_varset(3))
     assert got == expected
 
@@ -128,7 +141,7 @@ def test_mixed_recursion_total_matches_reference_d3():
     text = ("M^4+6M^2P^2+12MP^2Q+3P^4+4MQ^3+4P^3R+12P^2Q^2"
             "+12PQ^2R+3Q^4+6Q^2R^2+R^4")
     expected = parse_classic(text, "MPQR", ("n0_0", "n1_0", "n2_0", "n3_0"))
-    got = mixed_recursion(3, None)
+    got = _mixed_recursion_for_subset(3, None)
     assert got == expected.with_varset(mixed_varset(3))
 
 
@@ -136,7 +149,7 @@ def test_mixed_recursion_all_dimer_matches_reference_d3():
     text = ("X^4+6X^2Y^2+3Y^4+12XY^2W+4XW^3+4gY^3+12Y^2W^2"
             "+3W^4+12gYW^2+6g^2W^2+g^4")
     expected = parse_classic(text, "XYWg", ("n0_1", "n1_1", "n2_1", "n3_1"))
-    got = mixed_recursion(3, 4)
+    got = _mixed_recursion_for_subset(3, set(range(4)))
     assert got == expected.with_varset(mixed_varset(3))
 
 
@@ -213,11 +226,7 @@ def _prod(values):
 @pytest.mark.parametrize("d,k", [(2, 1), (3, 1), (3, 2), (4, 2)])
 def test_corner_choice_symmetry(d, k, systems):
     """Any k-subset of dimer-forced corners yields the same class polynomial."""
-    bindings = {}
-    for a in range(d + 2):
-        bindings[mixed_count_name(a, 0)] = mixed_count_expansion(d, a, 0)
-    for a in range(d + 1):
-        bindings[mixed_count_name(a, 1)] = mixed_count_expansion(d, a, 1)
+    bindings = mixed_count_bindings(d)
     reference = systems(d).class_polys[k]
 
     corners = d + 1
@@ -227,8 +236,11 @@ def test_corner_choice_symmetry(d, k, systems):
         assert expanded == reference
 
 
-def _mixed_recursion_for_subset(d: int, dimer_corners: set[int]) -> Polynomial:
-    """Same transfer scan as mixed_recursion but with an arbitrary corner set."""
+def _mixed_recursion_for_subset(d: int, dimer_corners: set[int] | None) -> Polynomial:
+    """One composition step in the mixed-count basis, walking every choice of
+    connector edges without merging states: the copies in dimer_corners have
+    their global corner dimer-forced and the rest monomer-forced, or, for
+    None, every global corner stays free (the unconstrained total)."""
     copies = d + 1
     varset = mixed_varset(d)
     index = {name: i for i, name in enumerate(varset)}
@@ -241,8 +253,11 @@ def _mixed_recursion_for_subset(d: int, dimer_corners: set[int]) -> Polynomial:
             own, rest = partial[0], partial[1:]
             for choice in range(1 << later):
                 deg = own + bin(choice).count("1")
-                b = 1 if i in dimer_corners else 0
-                a = deg + 1 - b
+                if dimer_corners is None:
+                    a, b = deg, 0
+                else:
+                    b = 1 if i in dimer_corners else 0
+                    a = deg + 1 - b
                 new_rest = list(rest)
                 for t in range(later):
                     if choice >> t & 1:
@@ -264,23 +279,31 @@ def _mixed_recursion_for_subset(d: int, dimer_corners: set[int]) -> Polynomial:
 @pytest.mark.parametrize("d", [2, 3, 4])
 def test_class_polys_equal_substituted_mixed_recursions(systems, d):
     """The folded scan agrees with the substitution route it stands for."""
-    bindings = {}
-    for a in range(d + 2):
-        bindings[mixed_count_name(a, 0)] = mixed_count_expansion(d, a, 0)
-    for a in range(d + 1):
-        bindings[mixed_count_name(a, 1)] = mixed_count_expansion(d, a, 1)
+    bindings = mixed_count_bindings(d)
     sys_d = systems(d)
     for k in range(d + 2):
-        via_sub = substitute(mixed_recursion(d, k), bindings).with_varset(class_varset(d))
-        assert via_sub == sys_d.class_polys[k]
-    via_sub = substitute(mixed_recursion(d, None), bindings).with_varset(class_varset(d))
-    assert via_sub == sys_d.m_poly
+        poly = _mixed_recursion_for_subset(d, set(range(k)))
+        assert substitute(poly, bindings).with_varset(class_varset(d)) == sys_d.class_polys[k]
+    poly = _mixed_recursion_for_subset(d, None)
+    assert substitute(poly, bindings).with_varset(class_varset(d)) == sys_d.m_poly
 
 
 @pytest.mark.parametrize("d", range(2, 7))
 def test_packed_scan_matches_per_class_scans(systems, d):
-    """The one t-packed scan agrees with a term-dict scan per class and M."""
-    assert systems(d) == system_by_class_scans(d)
+    """The one t-packed scan agrees, at random 64-bit points, with the
+    degree-profile reference, which sums a product per class over the
+    edge-by-edge degree profile.  A wrong polynomial of degree d+1 <= 7
+    vanishes at a random point with probability at most 7 / 2^64
+    (Schwartz-Zippel), so four points miss it with probability below
+    2^-240."""
+    rng = random.Random(f"degree-profile-{d}")
+    system = systems(d)
+    for _ in range(4):
+        counts = tuple(rng.getrandbits(64) for _ in range(d + 2))
+        point = dict(zip(class_varset(d), counts))
+        got = (tuple(evaluate_int(p, point) for p in system.class_polys),
+               evaluate_int(system.m_poly, point))
+        assert got == degree_profile_step(d, counts)
 
 
 @pytest.mark.parametrize("d", range(2, 6))
