@@ -25,6 +25,7 @@ from .evolve import (
     initial_vector,
     ratios,
     render_decimal,
+    render_quotient,
     step,
 )
 from .hanoi_graph import HanoiGraph, build, connector_edges
@@ -89,6 +90,7 @@ __all__ = [
     "ratios",
     "reduced_ratio_form",
     "render_decimal",
+    "render_quotient",
     "run_certificates",
     "serialize",
     "step",

@@ -26,7 +26,7 @@ from .evolve import (
     eps_ratio_table_value,
     evolve_to,
     ratios,
-    render_decimal,
+    render_quotient,
 )
 from .hanoi_graph import DEFAULT_VERTEX_CAP, build, edge_csv
 from .matching_oracle import (
@@ -109,12 +109,15 @@ def cmd_oracle(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
+    # the scan applies the scan-work and digit caps before the system is
+    # loaded, or generated and written to the cache
+    scan = evolve_to(args.d, args.n_max, digit_cap=args.digit_cap)
     system = cached_system(args.d, resolve_cache_dir(args.cache_dir))
     # the loaded system, evaluated term by term, and the transfer scan
     sources = (
         ("recursion", evolve_to(args.d, args.n_max, digit_cap=args.digit_cap,
                                 advance=partial(apply_system, system))),
-        ("scan", evolve_to(args.d, args.n_max, digit_cap=args.digit_cap)),
+        ("scan", scan),
     )
     for n in range(args.n_max + 1):
         reference = boundary_class_vector(
@@ -137,7 +140,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 def cmd_ratios(args: argparse.Namespace) -> int:
     digits = args.digits
-    # render_decimal is quadratic in its places: price the rendering before
+    # render_quotient is quadratic in its places: price the rendering before
     # evolving, d+2 values per stage 1..max_n and one quotient per stage pair
     rendered = digits * (args.max_n * (args.d + 2) + max(args.max_n - 1, 0))
     if rendered > args.digit_cap:
@@ -150,16 +153,16 @@ def cmd_ratios(args: argparse.Namespace) -> int:
     stages = [
         {
             "n": n,
-            "r": [render_decimal(trace.ratio(n, j), digits)
+            "r": [render_quotient(*trace.ratio_pair(n, j), digits)
                   for j in range(args.d + 1)],
-            "eps": render_decimal(trace.eps(n), digits),
+            "eps": render_quotient(*trace.eps_pair(n), digits),
         }
         for n in trace.stages
     ]
     quotients = [
         {
             "n": n,
-            "value": render_decimal(trace.eps_ratio(n), digits),
+            "value": render_quotient(*trace.eps_ratio_pair(n), digits),
             "table_value": eps_ratio_table_value(trace, n),
         }
         for n in trace.stages[:-1]
@@ -265,14 +268,14 @@ def _reproduce_dimension(report: _Report, d: int) -> None:
     trace = ratios(vectors)
     if d == 3:
         for n, row in ref.RATIOS_D3.items():
-            got = tuple(render_decimal(trace.ratio(n, j), 15) for j in range(4))
+            got = tuple(render_quotient(*trace.ratio_pair(n, j), 15) for j in range(4))
             report.compare(f"ratio row n={n} (15 digits)", got, row)
         for n, want in ref.EPS_RATIO_TABLE_D3.items():
             report.compare(f"contraction quotient n={n}",
                            eps_ratio_table_value(trace, n), want)
     elif d == 4:
         for n, row in ref.RATIOS_D4.items():
-            got = tuple(render_decimal(trace.ratio(n, j), 14) for j in range(5))
+            got = tuple(render_quotient(*trace.ratio_pair(n, j), 14) for j in range(5))
             report.compare(f"ratio row n={n} (14 digits)", got, row)
 
     contraction = check_contraction(trace)

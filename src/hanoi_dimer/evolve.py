@@ -1,7 +1,7 @@
 """Exact evolution of boundary-class vectors and their ratio sequences.
 
-Counts are exact big integers at every stage; ratios are exact rationals and
-are only rendered to decimals on output.  Stages advance by the integer
+Counts are exact big integers at every stage; ratios are decided and
+rendered from them (see the end).  Stages advance by the integer
 transfer scans of recursion_gen (step), which need nothing but d: one scan
 whose values are polynomials in t, with exact int coefficients, gives every
 class count (slot t^k sums the C(d+1, k) choices of k dimer-forced
@@ -20,13 +20,18 @@ Class counts are strictly monotone in k from stage 1 on: increasing for
 d >= 3, decreasing for d = 2 (the three-corner system is top-heavy, which
 the brute-force oracle confirms).  The consecutive ratios r_j = c_j/c_{j+1}
 share a common limit; r_0 decreases and r_d increases toward it, and their
-gap contracts quadratically.
+gap contracts quadratically.  These ratios are never normalized: a RatioTrace
+keeps the counts, check_contraction decides every fact on integer
+cross-products of them, and each value is rendered from its unreduced
+(num, den) pair (render_quotient), so no gcd of the long counts is taken.  An
+exact Fraction is built only on request.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import comb
 
 from .errors import CapExceeded, IntegrityError
@@ -80,15 +85,6 @@ class BoundaryClassVector:
                 raise IntegrityError(
                     f"class counts at stage {self.n} are not strictly monotone"
                 )
-
-    def ratio(self, j: int) -> Fraction:
-        """Consecutive-class ratio r_j = c_j / c_{j+1}."""
-        if self.counts[j + 1] == 0:
-            raise ZeroDivisionError(
-                f"ratio r{j} undefined at stage {self.n} (zero denominator; "
-                "class ratios start at stage 1)"
-            )
-        return Fraction(self.counts[j], self.counts[j + 1])
 
 
 def _double_factorial_matchings(k: int) -> int:
@@ -250,23 +246,69 @@ def evolve_to(d: int, n_max: int,
 
 @dataclass(frozen=True)
 class RatioTrace:
-    """Exact consecutive-class ratios per stage, from stage 1 on."""
+    """Exact class counts per stage, from stage 1 on, read as their ratios.
+
+    counts[i] is c_0..c_{d+1} of stage stages[i], and r_j = c_j / c_{j+1}.
+    The denominators c_1..c_{d+1} must be positive (a zero one raises
+    ZeroDivisionError), so every comparison of ratios is one of integer
+    cross-products, and every value is rendered from an unreduced (num, den)
+    pair.  ratio, eps, eps_ratio and ratios build exact Fractions, only when
+    called.
+    """
 
     d: int
     stages: tuple[int, ...]
-    ratios: tuple[tuple[Fraction, ...], ...]
+    counts: tuple[tuple[int, ...], ...]
+
+    def __post_init__(self):
+        for n, row in zip(self.stages, self.counts):
+            for j, den in enumerate(row[1:]):
+                if den == 0:
+                    raise ZeroDivisionError(
+                        f"ratio r{j} undefined at stage {n} (zero denominator; "
+                        "class ratios start at stage 1)"
+                    )
+                if den < 0:
+                    raise IntegrityError(f"negative class count c{j + 1} at stage {n}")
+
+    def ratio_pair(self, n: int, j: int) -> tuple[int, int]:
+        """r_j(n) as the pair (c_j, c_{j+1})."""
+        row = self.counts[self.stages.index(n)]
+        return row[j], row[j + 1]
+
+    @cached_property
+    def _eps_pairs(self) -> tuple[tuple[int, int], ...]:
+        d = self.d
+        return tuple((c[0] * c[d + 1] - c[d] * c[1], c[1] * c[d + 1])
+                     for c in self.counts)
+
+    def eps_pair(self, n: int) -> tuple[int, int]:
+        """eps(n) = r_0(n) - r_d(n) as the pair (E, D), E = c_0 c_{d+1} -
+        c_d c_1 and D = c_1 c_{d+1} > 0."""
+        return self._eps_pairs[self.stages.index(n)]
+
+    def eps_ratio_pair(self, n: int) -> tuple[int, int]:
+        """eps(n+1) / eps(n)^2 as the pair (E_1 D_0^2, D_1 E_0^2)."""
+        e0, d0 = self.eps_pair(n)
+        e1, d1 = self.eps_pair(n + 1)
+        return e1 * d0 * d0, d1 * e0 * e0
 
     def ratio(self, n: int, j: int) -> Fraction:
-        return self.ratios[self.stages.index(n)][j]
+        return Fraction(*self.ratio_pair(n, j))
 
     def eps(self, n: int) -> Fraction:
         """Outer ratio gap r_0(n) - r_d(n); contracts quadratically."""
-        row = self.ratios[self.stages.index(n)]
-        return row[0] - row[self.d]
+        return Fraction(*self.eps_pair(n))
 
     def eps_ratio(self, n: int) -> Fraction:
         """eps(n+1) / eps(n)^2, exact."""
-        return self.eps(n + 1) / self.eps(n) ** 2
+        return Fraction(*self.eps_ratio_pair(n))
+
+    @property
+    def ratios(self) -> tuple[tuple[Fraction, ...], ...]:
+        """Rows r_0..r_d per stage, as exact Fractions."""
+        return tuple(tuple(Fraction(c[j], c[j + 1]) for j in range(self.d + 1))
+                     for c in self.counts)
 
 
 def ratios(vectors: list[BoundaryClassVector]) -> RatioTrace:
@@ -275,26 +317,27 @@ def ratios(vectors: list[BoundaryClassVector]) -> RatioTrace:
     if not staged:
         raise ValueError("need at least one vector at stage >= 1 (stage-0 "
                          "ratios are undefined: c1(0) = 0)")
-    d = staged[0].d
-    stages = tuple(v.n for v in staged)
-    rows = tuple(tuple(v.ratio(j) for j in range(d + 1)) for v in staged)
-    return RatioTrace(d=d, stages=stages, ratios=rows)
+    return RatioTrace(d=staged[0].d, stages=tuple(v.n for v in staged),
+                      counts=tuple(v.counts for v in staged))
 
 
 # -- decimal rendering ---------------------------------------------------------
 
 
-def render_decimal(value: Fraction, places: int, mode: str = "half_even") -> str:
-    """Fixed-point decimal string of a nonnegative rational.
+def render_quotient(num: int, den: int, places: int,
+                    mode: str = "half_even") -> str:
+    """Fixed-point decimal string of the nonnegative rational num / den.
 
+    The pair need not be in lowest terms: the digits are floor(num 10^places
+    / den), and the remainder decides the rounding, so no gcd is taken.
     half_even matches the reference ratio tables; floor (truncation) is used
     when a digit prefix must be certified rather than approximated.
     """
-    if value < 0:
+    if den < 0:
+        num, den = -num, -den
+    if num < 0:
         raise ValueError("only nonnegative values are rendered")
-    scaled = value * 10**places
-    num, den = scaled.numerator, scaled.denominator
-    q, rem = divmod(num, den)
+    q, rem = divmod(num * 10**places, den)
     if mode == "half_even":
         double = 2 * rem
         if double > den or (double == den and q % 2):
@@ -305,6 +348,11 @@ def render_decimal(value: Fraction, places: int, mode: str = "half_even") -> str
     return digits[:-places] + "." + digits[-places:] if places else digits
 
 
+def render_decimal(value: Fraction, places: int, mode: str = "half_even") -> str:
+    """Fixed-point decimal string of a nonnegative Fraction (render_quotient)."""
+    return render_quotient(value.numerator, value.denominator, places, mode)
+
+
 def eps_ratio_table_value(trace: RatioTrace, n: int, places: int = 14) -> str:
     """The reference-table rendering of the contraction quotient.
 
@@ -312,7 +360,8 @@ def eps_ratio_table_value(trace: RatioTrace, n: int, places: int = 14) -> str:
     cut (not rounded); both quirks are reproduced here so the rendered
     string can be compared digit-for-digit.
     """
-    return render_decimal(10 * trace.eps_ratio(n), places, mode="floor")
+    num, den = trace.eps_ratio_pair(n)
+    return render_quotient(10 * num, den, places, mode="floor")
 
 
 # -- ordering / contraction report ---------------------------------------------
@@ -339,15 +388,17 @@ def check_contraction(trace: RatioTrace, limit_places: int = 60) -> ContractionR
     across stages r_0 strictly decreases and r_d strictly increases; and
     eps(n+1) < 3 eps(n)^2.  The report also carries the certified common
     digit prefix of the shared limit, bracketed by [r_d, r_0] at the last
-    stage.
+    stage.  Each fact is decided on integer cross-products of the counts,
+    whose denominators are positive.
     """
     d = trace.d
     violations: list[str] = []
 
     chain_violations: list[tuple[int, int]] = []
-    for n, row in zip(trace.stages, trace.ratios):
+    for n, c in zip(trace.stages, trace.counts):
         for j in range(d):
-            if row[j] < row[j + 1]:
+            # r_j < r_{j+1}  iff  c_j c_{j+2} < c_{j+1}^2
+            if c[j] * c[j + 2] < c[j + 1] * c[j + 1]:
                 chain_violations.append((n, j))
     chain_ok_from = None
     for n in trace.stages:
@@ -361,19 +412,19 @@ def check_contraction(trace: RatioTrace, limit_places: int = 60) -> ContractionR
             f"ratio chain only ordered from stage {chain_ok_from} on"
         )
 
-    for n, row in zip(trace.stages, trace.ratios):
-        if any(r <= 0 for r in row):
+    for n, c in zip(trace.stages, trace.counts):
+        if any(x <= 0 for x in c[:d + 1]):
             violations.append(f"nonpositive ratio at stage {n}")
-        if d >= 3 and row[0] >= 1:
+        if d >= 3 and c[0] >= c[1]:
             violations.append(f"r0 not below 1 at stage {n}")
-        if d == 2 and row[d] <= 1:
+        if d == 2 and c[d] <= c[d + 1]:
             # the three-corner system runs top-heavy; its ratios exceed 1
             violations.append(f"r{d} not above 1 at stage {n}")
 
-    alpha = [row[0] for row in trace.ratios]
-    omega = [row[d] for row in trace.ratios]
-    alpha_dec = all(a > b for a, b in zip(alpha, alpha[1:]))
-    omega_inc = all(a < b for a, b in zip(omega, omega[1:]))
+    # r_j(n) > r_j(n')  iff  c_j(n) c_{j+1}(n') > c_j(n') c_{j+1}(n)
+    pairs = list(zip(trace.counts, trace.counts[1:]))
+    alpha_dec = all(a[0] * b[1] > b[0] * a[1] for a, b in pairs)
+    omega_inc = all(a[d] * b[d + 1] < b[d] * a[d + 1] for a, b in pairs)
     if not alpha_dec:
         violations.append("r0 is not strictly decreasing across stages")
     if not omega_inc:
@@ -382,13 +433,17 @@ def check_contraction(trace: RatioTrace, limit_places: int = 60) -> ContractionR
     eps_ok = True
     for n in trace.stages[:-1]:
         if n + 1 in trace.stages:
-            if not trace.eps(n + 1) < 3 * trace.eps(n) ** 2:
+            # eps = E/D with D > 0, so eps(n+1) < 3 eps(n)^2
+            # iff E_1 D_0^2 < 3 E_0^2 D_1
+            e0, d0 = trace.eps_pair(n)
+            e1, d1 = trace.eps_pair(n + 1)
+            if not e1 * d0 * d0 < 3 * e0 * e0 * d1:
                 eps_ok = False
                 violations.append(f"eps({n + 1}) >= 3*eps({n})^2")
 
     last = trace.stages[-1]
-    lo = render_decimal(trace.ratio(last, d), limit_places, mode="floor")
-    hi = render_decimal(trace.ratio(last, 0), limit_places, mode="floor")
+    lo = render_quotient(*trace.ratio_pair(last, d), limit_places, mode="floor")
+    hi = render_quotient(*trace.ratio_pair(last, 0), limit_places, mode="floor")
     limit_digits = ""
     for a, b in zip(lo, hi):
         if a != b:

@@ -1,7 +1,7 @@
 """Shared test utilities: classic-symbol polynomial parsing, fixtures, the
 connector-subset census, the degree-profile stage step, the substitution-based
-gap expansion, the exact-count entropy bounds and the per-corner-subset class
-vector."""
+gap expansion, the exact-count entropy bounds, the per-corner-subset class
+vector, and the Fraction-based decimal rendering and contraction report."""
 
 from __future__ import annotations
 
@@ -10,6 +10,7 @@ import re
 import subprocess
 import sys
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import cache
 from itertools import combinations
 from math import comb
@@ -19,7 +20,7 @@ import hanoi_dimer
 from hanoi_dimer import entropy
 from hanoi_dimer.appendix_check import gap_varset
 from hanoi_dimer.errors import CapExceeded, IntegrityError
-from hanoi_dimer.evolve import BoundaryClassVector
+from hanoi_dimer.evolve import BoundaryClassVector, ContractionReport, RatioTrace
 from hanoi_dimer.hanoi_graph import HanoiGraph, connector_edges
 from hanoi_dimer.intutil import digit_count
 from hanoi_dimer.matching_oracle import (
@@ -241,3 +242,95 @@ def boundary_class_vector_by_subsets(graph: HanoiGraph) -> BoundaryClassVector:
         counts.append(seen.pop())
     return BoundaryClassVector(d=d, n=graph.n, counts=tuple(counts),
                                m=count_matchings(graph))
+
+
+def render_decimal_by_fraction(value: Fraction, places: int,
+                               mode: str = "half_even") -> str:
+    """Reference for evolve.render_quotient: the digits of the reduced
+    Fraction value * 10^places, as render_decimal read them before it took
+    unreduced integer pairs."""
+    if value < 0:
+        raise ValueError("only nonnegative values are rendered")
+    scaled = value * 10**places
+    num, den = scaled.numerator, scaled.denominator
+    q, rem = divmod(num, den)
+    if mode == "half_even":
+        double = 2 * rem
+        if double > den or (double == den and q % 2):
+            q += 1
+    elif mode != "floor":
+        raise ValueError(f"unknown rendering mode {mode!r}")
+    digits = str(q).rjust(places + 1, "0")
+    return digits[:-places] + "." + digits[-places:] if places else digits
+
+
+def check_contraction_by_fractions(trace: RatioTrace,
+                                   limit_places: int = 60) -> ContractionReport:
+    """Reference for evolve.check_contraction: every fact decided on the
+    trace's Fraction rows, as the report was made before it compared
+    integer cross-products."""
+    d = trace.d
+    rows = trace.ratios
+    violations: list[str] = []
+
+    chain_violations: list[tuple[int, int]] = []
+    for n, row in zip(trace.stages, rows):
+        for j in range(d):
+            if row[j] < row[j + 1]:
+                chain_violations.append((n, j))
+    chain_ok_from = None
+    for n in trace.stages:
+        if all(stage < n for stage, _ in chain_violations):
+            chain_ok_from = n
+            break
+    if chain_ok_from is None:
+        violations.append("ratio chain never becomes ordered")
+    elif chain_ok_from > max(2, trace.stages[0]):
+        violations.append(
+            f"ratio chain only ordered from stage {chain_ok_from} on"
+        )
+
+    for n, row in zip(trace.stages, rows):
+        if any(r <= 0 for r in row):
+            violations.append(f"nonpositive ratio at stage {n}")
+        if d >= 3 and row[0] >= 1:
+            violations.append(f"r0 not below 1 at stage {n}")
+        if d == 2 and row[d] <= 1:
+            violations.append(f"r{d} not above 1 at stage {n}")
+
+    alpha = [row[0] for row in rows]
+    omega = [row[d] for row in rows]
+    alpha_dec = all(a > b for a, b in zip(alpha, alpha[1:]))
+    omega_inc = all(a < b for a, b in zip(omega, omega[1:]))
+    if not alpha_dec:
+        violations.append("r0 is not strictly decreasing across stages")
+    if not omega_inc:
+        violations.append(f"r{d} is not strictly increasing across stages")
+
+    eps = {n: row[0] - row[d] for n, row in zip(trace.stages, rows)}
+    eps_ok = True
+    for n in trace.stages[:-1]:
+        if n + 1 in eps and not eps[n + 1] < 3 * eps[n] ** 2:
+            eps_ok = False
+            violations.append(f"eps({n + 1}) >= 3*eps({n})^2")
+
+    lo = render_decimal_by_fraction(rows[-1][d], limit_places, mode="floor")
+    hi = render_decimal_by_fraction(rows[-1][0], limit_places, mode="floor")
+    limit_digits = ""
+    for a, b in zip(lo, hi):
+        if a != b:
+            break
+        limit_digits += a
+    limit_digits = limit_digits.rstrip(".")
+
+    return ContractionReport(
+        d=d,
+        ok=not violations,
+        chain_ok_from=chain_ok_from,
+        chain_violations=tuple(chain_violations),
+        alpha_strictly_decreasing=alpha_dec,
+        omega_strictly_increasing=omega_inc,
+        eps_contraction_ok=eps_ok,
+        limit_digits=limit_digits,
+        violations=tuple(violations),
+    )

@@ -211,6 +211,19 @@ def test_ratios_digits_are_priced_before_evolving(capsys, monkeypatch):
     assert "raise it with --digit-cap" in err
 
 
+def test_ratios_and_reproduce_build_no_fraction(capsys, monkeypatch):
+    # the ratio facts are integer cross-products and every digit comes from
+    # an unreduced pair, so neither command builds a Fraction from the counts
+    def no_fraction(*args):
+        raise AssertionError("a Fraction was built")
+
+    monkeypatch.setattr(evolve, "Fraction", no_fraction)
+    code, out, _ = run_cli(capsys, "ratios", "--d", "4", "--max-n", "4")
+    assert code == 0 and json.loads(out)["eps_ratios"]
+    code, out, _ = run_cli(capsys, "reproduce")
+    assert code == 0 and "0 failures" in out
+
+
 # -- entropy ----------------------------------------------------------------------
 
 
@@ -320,9 +333,10 @@ def test_scan_only_commands_refuse_the_first_d_over_the_scan_cap(capsys, argv):
     ("gen-recursions", "--d", "100000000000000000000"),
     ("count", "--d", "3", "--n", "1000000"),
     ("verify", "--d", "2", "--n-max", "1000000", "--cache-dir", "CACHE"),
+    ("verify", "--d", "6", "--n-max", "1000000", "--cache-dir", "CACHE"),
     ("ratios", "--d", "3", "--max-n", "1000000"),
 ], ids=["count-d1e6", "entropy-k1e12", "gen-recursions-d1e20", "count-n1e6",
-        "verify-n-max1e6", "ratios-max-n1e6"])
+        "verify-n-max1e6", "verify-d6-n-max1e6", "ratios-max-n1e6"])
 def test_huge_d_or_k_is_refused_without_building_it(capsys, tmp_path, argv):
     argv = [str(tmp_path) if a == "CACHE" else a for a in argv]
     start = time.perf_counter()
@@ -330,6 +344,8 @@ def test_huge_d_or_k_is_refused_without_building_it(capsys, tmp_path, argv):
     assert time.perf_counter() - start < 1.0
     assert (code, out) == (3, "")
     assert "resource cap" in err
+    # nothing is generated, so no cache file is written
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_cache_env_variable_respected(capsys, tmp_path, monkeypatch):
@@ -408,6 +424,9 @@ def test_following_cap_advice_gets_past_the_cap(capsys, tmp_path, argv):
     argv = [str(tmp_path) if a == "CACHE" else a for a in argv]
     parser = build_parser()
     code, out, err = run_cli(capsys, *argv)
+    if argv[0] == "verify" and "--digit-cap" in argv:
+        # the digit cap refuses before the system is generated and cached
+        assert list(tmp_path.iterdir()) == []
     for _ in range(5):
         assert code == 3
         message = err or out  # appendix-check reports NOT ATTEMPTED on stdout

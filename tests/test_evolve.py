@@ -2,8 +2,9 @@
 
 from __future__ import annotations
 
+from dataclasses import fields
 from fractions import Fraction
-from math import comb
+from math import comb, lcm
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -24,6 +25,7 @@ from hanoi_dimer.recursion_gen import (
 )
 from hanoi_dimer.evolve import (
     BoundaryClassVector,
+    RatioTrace,
     _class_counts,
     _mixed_counts,
     apply_system,
@@ -36,10 +38,15 @@ from hanoi_dimer.evolve import (
     interval_step,
     ratios,
     render_decimal,
+    render_quotient,
     step,
 )
 
-from .helpers import degree_profile_step
+from .helpers import (
+    check_contraction_by_fractions,
+    degree_profile_step,
+    render_decimal_by_fraction,
+)
 
 
 def test_initial_vectors_match_reference():
@@ -144,18 +151,28 @@ def test_scan_work_cap_refuses_a_huge_d_after_a_few_terms():
         check_scan_work(10**9)
 
 
-@pytest.mark.parametrize("d", range(2, 9))
+# a fixed 64-bit point (the largest 64-bit prime)
+Y64 = 2**64 - 59
+
+
+@pytest.mark.parametrize("d", range(2, 11))
 def test_scan_at_all_ones_gives_closed_form_totals(d):
-    # c = 1 makes every mixed count N(a, b) = 2^(d+1-a-b): each class count is
-    # 5^C(d+1,2) and M is 2^(d+1) times that, past the oracle's reach for d >= 7
-    ones = (1,) * (d + 2)
-    mixed = _mixed_counts(d, ones)
-    assert mixed == {(a, b): 2 ** (d + 1 - a - b) for a, b in corner_splits(d)}
-    class_total = 5 ** comb(d + 1, 2)
+    # c_j = y^j makes every mixed count N(a, b) = y^b (1+y)^(d+1-a-b); each of
+    # the C(d+1,2) connector edges then adds y^2 + 2y + 2, so c_k' =
+    # y^k (y^2+2y+2)^C(d+1,2) and M' = (1+y)^(d+1) (y^2+2y+2)^C(d+1,2).  At
+    # y = 1 these are 5^C(d+1,2) and 2^(d+1) times that.  For d >= 7, past the
+    # reach of the oracle and of generate, this is the only check of the scan
+    # that shares none of its code.
     choices: dict = {}
-    assert _class_counts(d, mixed, choices) == (class_total,) * (d + 2)
-    free = [mixed[deg, 0] for deg in range(d + 1)]
-    assert transfer_scan(d, free, INT_RING, choices) == class_total << (d + 1)
+    for y in (1, 2, Y64):
+        mixed = _mixed_counts(d, tuple(y**j for j in range(d + 2)))
+        assert mixed == {(a, b): y**b * (1 + y) ** (d + 1 - a - b)
+                         for a, b in corner_splits(d)}
+        edges = (y * y + 2 * y + 2) ** comb(d + 1, 2)
+        assert _class_counts(d, mixed, choices) == tuple(
+            y**k * edges for k in range(d + 2))
+        free = [mixed[deg, 0] for deg in range(d + 1)]
+        assert transfer_scan(d, free, INT_RING, choices) == (1 + y) ** (d + 1) * edges
 
 
 @pytest.mark.parametrize("d,stages", [(2, 3), (3, 3), (4, 3), (5, 3), (6, 2)])
@@ -277,8 +294,8 @@ def test_ratio_trace_matches_reference_table_d4(trajectories):
 def test_ratio_requires_stage_one():
     with pytest.raises(ValueError):
         ratios([initial_vector(3)])
-    with pytest.raises(ZeroDivisionError):
-        initial_vector(3).ratio(0)
+    with pytest.raises(ZeroDivisionError, match="ratio r0 undefined at stage 0"):
+        RatioTrace(d=3, stages=(0,), counts=(initial_vector(3).counts,))
 
 
 def test_eps_ratio_table_rendering(trajectories):
@@ -301,6 +318,57 @@ def test_render_decimal_half_even_ties():
     assert render_decimal(Fraction(1, 8), 3) == "0.125"
     assert render_decimal(Fraction(7, 5), 1, mode="floor") == "1.4"
     assert render_decimal(Fraction(999, 1000), 2, mode="floor") == "0.99"
+    # unreduced pairs give the digits of their reduced value
+    assert render_quotient(2, 16, 2) == "0.12"
+    assert render_quotient(-3, -8, 2) == "0.38"
+    assert render_quotient(14, 10, 1, mode="floor") == "1.4"
+
+
+MODES = st.sampled_from(["half_even", "floor"])
+
+
+def assert_renders_as_fraction(num, den, places, mode):
+    """render_quotient(num, den) and render_decimal agree with the reference
+    on Fraction(num, den), a negative value raising the same ValueError."""
+    try:
+        want = render_decimal_by_fraction(Fraction(num, den), places, mode)
+    except ValueError as err:
+        for render in (lambda: render_quotient(num, den, places, mode),
+                       lambda: render_decimal(Fraction(num, den), places, mode)):
+            with pytest.raises(ValueError) as got:
+                render()
+            assert str(got.value) == str(err)
+        return
+    assert render_quotient(num, den, places, mode) == want
+    assert render_decimal(Fraction(num, den), places, mode) == want
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(-10**40, 10**40),
+       st.integers(-10**40, 10**40).filter(bool),
+       st.integers(0, 60), MODES)
+def test_render_quotient_matches_the_fraction_rendering(num, den, places, mode):
+    assert_renders_as_fraction(num, den, places, mode)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 10**20), st.integers(0, 60), st.integers(1, 10**6),
+       st.sampled_from([1, -1]), MODES)
+def test_render_quotient_half_even_ties(q, places, scale, sign, mode):
+    # (2q+1) / (2 10^places) sits halfway between two last digits, as an
+    # unreduced pair scaled by scale (and both signs flipped when sign < 0)
+    num, den = sign * (2 * q + 1) * scale, sign * 2 * 10**places * scale
+    assert_renders_as_fraction(num, den, places, mode)
+    last = q + (q % 2 if mode == "half_even" else 0)
+    assert render_quotient(num, den, places, mode).replace(".", "") == str(
+        last).rjust(places + 1, "0")
+
+
+def test_render_quotient_rejects_a_zero_denominator_and_unknown_mode():
+    with pytest.raises(ZeroDivisionError):
+        render_quotient(1, 0, 3)
+    with pytest.raises(ValueError, match="unknown rendering mode"):
+        render_quotient(1, 3, 3, mode="ceiling")
 
 
 # -- contraction report -----------------------------------------------------------
@@ -349,6 +417,131 @@ def test_eps_quadratic_contraction(trajectories, d):
     trace = ratios(trajectories(d, 4))
     for n in (1, 2, 3):
         assert trace.eps(n + 1) < 3 * trace.eps(n) ** 2
+
+
+# the stages the trajectories fixture evolves, per dimension
+FIXTURE_STAGES = {2: 6, 3: 6, 4: 6, 5: 4, 6: 3}
+
+
+@pytest.mark.parametrize("d", sorted(FIXTURE_STAGES))
+def test_contraction_report_matches_fraction_reference(trajectories, d):
+    vectors = trajectories(d, FIXTURE_STAGES[d])
+    # every run of consecutive stages, so each stage is both first and last
+    for first in range(1, len(vectors)):
+        for last in range(first, len(vectors)):
+            trace = ratios(vectors[first:last + 1])
+            got = check_contraction(trace)
+            want = check_contraction_by_fractions(trace)
+            for field in fields(got):
+                assert getattr(got, field.name) == getattr(want, field.name), (
+                    first, last, field.name)
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_fraction_accessors_match_the_ratio_rows(trajectories, d):
+    trace = ratios(trajectories(d, 5))
+    for n, row, c in zip(trace.stages, trace.ratios, trace.counts):
+        assert row == tuple(Fraction(c[j], c[j + 1]) for j in range(d + 1))
+        assert [trace.ratio(n, j) for j in range(d + 1)] == list(row)
+        assert trace.eps(n) == row[0] - row[d]
+        if n + 1 in trace.stages:
+            assert trace.eps_ratio(n) == trace.eps(n + 1) / trace.eps(n) ** 2
+
+
+def trace_of_ratio_rows(d: int, rows) -> RatioTrace:
+    """A trace at stages 1, 2, ... whose stage i has the ratios rows[i-1]
+    (decimal strings), with c_{d+1} scaled to make every count an integer."""
+    counts = []
+    for row in rows:
+        row_counts = [Fraction(1)]
+        for r in reversed(row):
+            row_counts.append(row_counts[-1] * Fraction(r))
+        scale = lcm(*(c.denominator for c in row_counts))
+        counts.append(tuple(int(c * scale) for c in reversed(row_counts)))
+    return RatioTrace(d=d, stages=tuple(range(1, len(rows) + 1)),
+                      counts=tuple(counts))
+
+
+# a d=3 trace that passes every check: r_0 falls 0.9, 0.8, 0.76, r_3 rises
+# 0.6, 0.7, 0.74, and eps = 0.3, 0.1, 0.02 stays below 3 eps^2 of the stage
+# before (0.27, then 0.03)
+PASSING_D3 = (("0.9", "0.8", "0.7", "0.6"),
+              ("0.8", "0.78", "0.72", "0.7"),
+              ("0.76", "0.755", "0.745", "0.74"))
+
+
+def with_stage(rows, n, row):
+    return rows[:n - 1] + (row,) + rows[n:]
+
+
+# each trace fails exactly one check; ties sit on the failing side of the
+# strict comparisons
+ONE_FAILURE = {
+    "chain-inverted-at-stage-2": (
+        3, with_stage(PASSING_D3, 2, ("0.8", "0.72", "0.78", "0.7")),
+        "ratio chain only ordered from stage 3 on", "chain_ok_from", 3),
+    "chain-inverted-at-last-stage": (
+        3, with_stage(PASSING_D3, 3, ("0.76", "0.745", "0.755", "0.74")),
+        "ratio chain never becomes ordered", "chain_ok_from", None),
+    "r0-not-decreasing": (
+        3, with_stage(PASSING_D3, 3, ("0.8", "0.79", "0.785", "0.78")),
+        "r0 is not strictly decreasing across stages",
+        "alpha_strictly_decreasing", False),
+    "r3-not-increasing": (
+        3, with_stage(PASSING_D3, 3, ("0.72", "0.71", "0.705", "0.7")),
+        "r3 is not strictly increasing across stages",
+        "omega_strictly_increasing", False),
+    "eps-at-three-eps-squared": (
+        3, with_stage(PASSING_D3, 3, ("0.76", "0.75", "0.74", "0.73")),
+        "eps(3) >= 3*eps(2)^2", "eps_contraction_ok", False),
+    "r0-at-one": (
+        3, with_stage(PASSING_D3, 1, ("1", "0.8", "0.7", "0.6")),
+        "r0 not below 1 at stage 1", "ok", False),
+    "d2-r2-at-one": (
+        2, (("1.3", "1.1", "1"), ("1.2", "1.1", "1.05"), ("1.15", "1.12", "1.1")),
+        "r2 not above 1 at stage 1", "ok", False),
+}
+
+
+def test_hand_built_passing_trace_passes():
+    # equal neighbours within a stage do not break the chain
+    for rows in (PASSING_D3,
+                 with_stage(PASSING_D3, 2, ("0.8", "0.75", "0.75", "0.7"))):
+        trace = trace_of_ratio_rows(3, rows)
+        report = check_contraction(trace)
+        assert report.ok and report.violations == ()
+        assert report.chain_ok_from == 1
+        assert report == check_contraction_by_fractions(trace)
+
+
+@pytest.mark.parametrize("case", sorted(ONE_FAILURE))
+def test_hand_built_trace_fails_exactly_one_check(case):
+    d, rows, violation, flag, value = ONE_FAILURE[case]
+    trace = trace_of_ratio_rows(d, rows)
+    report = check_contraction(trace)
+    assert not report.ok
+    assert report.violations == (violation,)
+    assert getattr(report, flag) == value
+    # the flags that did not fail stay set
+    passing = {"alpha_strictly_decreasing", "omega_strictly_increasing",
+               "eps_contraction_ok"} - {flag}
+    assert all(getattr(report, name) for name in passing)
+    assert report == check_contraction_by_fractions(trace)
+
+
+def test_hand_built_zero_numerator_is_a_nonpositive_ratio():
+    # c_0 = 0 makes r_0 = 0, which also breaks the chain at that stage
+    trace = trace_of_ratio_rows(3, with_stage(PASSING_D3, 1, ("0", "0.8", "0.7", "0.6")))
+    report = check_contraction(trace)
+    assert "nonpositive ratio at stage 1" in report.violations
+    assert report.chain_violations == ((1, 0),)
+    assert report == check_contraction_by_fractions(trace)
+
+
+def test_ratio_trace_rejects_a_negative_denominator():
+    # the cross-products decide the ratio facts only over positive denominators
+    with pytest.raises(IntegrityError, match="negative class count c3"):
+        RatioTrace(d=2, stages=(1,), counts=((3, 2, 1, -1),))
 
 
 # -- interval evolution ------------------------------------------------------------
