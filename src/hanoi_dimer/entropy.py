@@ -24,7 +24,9 @@ loop ends with the exact answer.
 
 Logarithms are computed in fixed point over plain integers: a value at
 precision w is an integer numerator of value/10^w, carried as a certified
-enclosing interval [lo, hi].  ln of an integer takes its leading w+10
+enclosing interval [lo, hi], or as the one end of it that a bound reads
+(_ln_int_end: a long integer's two ends take two series, one from its
+leading digits and one from them plus 1).  ln of an integer takes its leading w+10
 decimal digits as m * 10^e, shifts m/10^e into [0.8, 1.6) by powers of two
 and sums the odd atanh series 2*atanh((x-1)/(x+1)) with an explicit tail
 bound; ln 2 and ln 10 come from the same series at 1/3 and 1/9
@@ -174,27 +176,25 @@ def _ln_reduced_int(m: int, w: int) -> Interval:
     return (xlo + k * l2lo + e * l10lo, xhi + k * l2hi + e * l10hi)
 
 
-def _ln_int_interval(m: int, w: int) -> Interval:
-    """Enclose 10^w * ln(m) for any positive integer."""
+def _ln_int_end(m: int, w: int, upper: bool) -> int:
+    """The lower (or, given upper, the upper) end of an enclosure of
+    10^w * ln(m) for any positive integer."""
     if m <= 0:
         raise ValueError("log of a nonpositive integer")
     digits = digit_count(m)
     keep = w + 10
     if digits <= keep:
-        return _ln_reduced_int(m, w)
+        return _ln_reduced_int(m, w)[upper]
     shift = digits - keep
-    head = m // 10**shift
-    l10lo, l10hi = _ln10_interval(w)
-    lo = _ln_reduced_int(head, w)[0] + shift * l10lo
-    hi = _ln_reduced_int(head + 1, w)[1] + shift * l10hi
-    return (lo, hi)
+    # m lies in [head, head + 1) * 10^shift
+    head = m // 10**shift + upper
+    return _ln_reduced_int(head, w)[upper] + shift * _ln10_interval(w)[upper]
 
 
-def _ln_ratio_interval(num: int, den: int, w: int) -> Interval:
-    """Enclose 10^w * ln(num/den) for positive integers, reduced or not."""
-    nlo, nhi = _ln_int_interval(num, w)
-    dlo, dhi = _ln_int_interval(den, w)
-    return (nlo - dhi, nhi - dlo)
+def _ln_ratio_end(num: int, den: int, w: int, upper: bool) -> int:
+    """One end of an enclosure of 10^w * ln(num/den), as _ln_int_end, for
+    positive integers, reduced or not."""
+    return _ln_int_end(num, w, upper) - _ln_int_end(den, w, not upper)
 
 
 def hp_ln(x: int | Fraction, precision: int = DEFAULT_PRECISION,
@@ -207,12 +207,10 @@ def hp_ln(x: int | Fraction, precision: int = DEFAULT_PRECISION,
     if value <= 0:
         raise ValueError(f"ln domain error: {x} <= 0")
     w = precision + GUARD_DIGITS
-    lo, hi = _ln_ratio_interval(value.numerator, value.denominator, w)
+    upper = rounding == "ceiling"
+    end = _ln_ratio_end(value.numerator, value.denominator, w, upper)
     grain = 10**GUARD_DIGITS
-    if rounding == "floor":
-        scaled = lo // grain
-    else:
-        scaled = ceil_div(hi, grain)
+    scaled = ceil_div(end, grain) if upper else end // grain
     return HighPrecisionReal(scaled=scaled, precision=precision, rounding=rounding)
 
 
@@ -310,11 +308,11 @@ def _interval_bounds(iv: CountInterval, precision: int
 
     w = precision + GUARD_DIGITS
     l2lo, l2hi = _ln2_interval(w)
-    lam_lo = _ln_int_interval(lo[d + 1], w)[0] + iv.shift * l2lo
-    lam_hi = _ln_int_interval(hi[d + 1], w)[1] + iv.shift * l2hi
+    lam_lo = _ln_int_end(lo[d + 1], w, False) + iv.shift * l2lo
+    lam_hi = _ln_int_end(hi[d + 1], w, True) + iv.shift * l2hi
     # the shifts cancel in omega and alpha
-    qw_lo = _ln_ratio_interval(*_edge_factor(lo[d], hi[d + 1]), w)[0]
-    qa_hi = _ln_ratio_interval(*_edge_factor(hi[0], lo[1]), w)[1]
+    qw_lo = _ln_ratio_end(*_edge_factor(lo[d], hi[d + 1]), w, False)
+    qa_hi = _ln_ratio_end(*_edge_factor(hi[0], lo[1]), w, True)
 
     # lambda >= 1, so its log10 lies in [max(lam_lo, 0) / ln 10, lam_hi / ln 10]
     l10lo, l10hi = _ln10_interval(w)

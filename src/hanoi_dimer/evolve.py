@@ -3,9 +3,10 @@
 Counts are exact big integers at every stage; ratios are decided and
 rendered from them (see the end).  Stages advance by the integer
 transfer scans of recursion_gen (step), which need nothing but d: one scan
-whose values are polynomials in t, with exact int coefficients, gives every
-class count (slot t^k sums the C(d+1, k) choices of k dimer-forced
-corners), and one plain integer scan gives the total M.  apply_system
+whose values are polynomials in t, held as their exact values at d+2
+integer points, gives every class count (coefficient t^k sums the
+C(d+1, k) choices of k dimer-forced corners), and one plain integer scan
+gives the total M.  apply_system
 evaluates a given recursion system term by term instead, which is how
 verify checks a loaded system against the oracle.  Stage-0
 vectors are the matching counts of K_{d+1} with the corner constraints
@@ -39,10 +40,12 @@ from .intutil import digit_count
 from .multipoly import evaluate_int
 from .recursion_gen import (
     INT_RING,
-    SLOTS_RING,
+    POINT_RING,
     RecursionSystem,
     check_scan_work,
     corner_splits,
+    interpolate_points,
+    t_point,
     transfer_scan,
 )
 
@@ -116,16 +119,20 @@ def _class_counts(d: int, mixed: dict[tuple[int, int], int],
                   choices: dict) -> tuple[int, ...]:
     """c_0..c_{d+1} of the next stage from one t-scan of the mixed counts.
 
-    Slot k of the scan holds C(d+1, k) c_k, one term per k-subset of
-    dimer-forced corners; a remainder means the corner symmetry failed.
+    The scan gives the t-polynomial's values at d+2 points, each copy's
+    factor N(deg+1, 0) + t N(deg, 1) taken at every point; its coefficient
+    of t^k holds C(d+1, k) c_k, one term per k-subset of dimer-forced
+    corners, and a remainder means the corner symmetry failed.
     """
-    factors = [(mixed[deg + 1, 0], mixed[deg, 1]) for deg in range(d + 1)]
+    factors = [tuple(mixed[deg + 1, 0] + t_point(j) * mixed[deg, 1]
+                     for j in range(d + 2)) for deg in range(d + 1)]
+    points = transfer_scan(d, factors, POINT_RING, choices)
     counts = []
-    for k, slot in enumerate(transfer_scan(d, factors, SLOTS_RING, choices)):
-        count, rem = divmod(slot, comb(d + 1, k))
+    for k, coeff in enumerate(interpolate_points(points)):
+        count, rem = divmod(coeff, comb(d + 1, k))
         if rem:
             raise IntegrityError(
-                f"t^{k} slot {slot} is not divisible by the "
+                f"t^{k} coefficient {coeff} is not divisible by the "
                 f"C({d + 1},{k}) = {comb(d + 1, k)} corner choices")
         counts.append(count)
     return tuple(counts)
@@ -184,9 +191,10 @@ def interval_step(iv: CountInterval, bits: int) -> CountInterval:
     """Advance an enclosure one stage and re-truncate it to bits bits.
 
     The class polynomials are homogeneous of degree d+1, so the shift
-    scales by d+1; every mixed count, scan weight and factor is a
-    nonnegative combination, so the scan is monotone and the images of lo
-    and hi enclose the next stage.
+    scales by d+1.  Each class count the scan returns is the exact value of
+    a class polynomial, whose coefficients are nonnegative, whatever the
+    signs of the point values on the way; so it is monotone in the counts,
+    and the images of lo and hi enclose the next stage.
     """
     choices: dict = {}
     lo = _class_counts(iv.d, _mixed_counts(iv.d, iv.lo), choices)

@@ -25,27 +25,38 @@ sum_k C(d+1, k) t^k P_k over the class polynomials P_k, and since
 N(a, 0) = N(a, 1) + N(a+1, 0) its value at t = 1 is the total M.
 
 The scan runs over three rings.  evolve.step scans the integer mixed
-counts of a stage's class vector with each t^k coefficient an exact int
-(SLOTS_RING), and gets M from one more integer scan with the plain factor
-N(deg, 0) (INT_RING).  generate scans term dicts whose coefficients are
-t-polynomials packed into one integer each (Kronecker substitution), with
-each mixed count expanded linearly in the class basis,
-N(a, b) = sum_j C(d+1-a-b, j) c_{b+j}.
+counts of a stage's class vector in POINT_RING, where a value at copy i, a
+degree-i t-polynomial, is held as its i+1 values at the first of the fixed
+integer points 0, -1, 2, -2, 3, -3, ... (t_point; t = 1 is left out).
+Before a copy's factor multiplies a value, the value gains one more point
+by exact Lagrange extrapolation (extend_points), so the product is
+pointwise: i+2 big multiplies where the coefficient product takes 2(i+1)
+(Toom-Cook evaluation and interpolation; Brent & Zimmermann, Modern
+Computer Arithmetic, 2010, section 1.3.3).  interpolate_points turns the
+final d+2 values back into coefficients.  M comes from one more integer
+scan with the plain factor N(deg, 0) (INT_RING); as t = 1 is no point, it
+checks every point through the binomial sum of the class counts.
+generate scans term dicts whose coefficients are t-polynomials packed into
+one integer each (Kronecker substitution), with each mixed count expanded
+linearly in the class basis, N(a, b) = sum_j C(d+1-a-b, j) c_{b+j}.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from itertools import groupby
-from math import comb
+from fractions import Fraction
+from functools import cache
+from itertools import groupby, repeat
+from math import comb, lcm
+from operator import add, mul
 from pathlib import Path
 from typing import Callable
 
 from .errors import CacheCorruption, CapExceeded, IntegrityError
 from .multipoly import Polynomial, parse_polynomial, serialize
 
-# caps the scans' price from d alone: a stage step's slot-weighted
+# caps the scans' price from d alone: a stage step's point-weighted
 # (state, choice) pairs (scan_pairs) admit d <= 12 (1,484,006) and refuse
 # d = 13 (4,115,170); generation's packed coefficients (scan_terms) admit
 # d <= 6 (604,845) and refuse d = 7 (4,567,478)
@@ -121,14 +132,76 @@ def _int_muladd(acc, value, factor):
     return value if acc is None else acc + value
 
 
-def _slots_muladd(acc, slots, factor):
-    # slots, factor: t-polynomials as coefficient sequences, lowest power first
-    if acc is None:
-        acc = [0] * (len(slots) + len(factor) - 1)
-    for shift, weight in enumerate(factor):
-        for j, coeff in enumerate(slots, shift):
-            acc[j] += coeff * weight
-    return acc
+def t_point(j: int) -> int:
+    """The j-th evaluation point of POINT_RING: 0, -1, 2, -2, 3, -3, ..."""
+    return j // 2 + 1 if j and j % 2 == 0 else -((j + 1) // 2)
+
+
+@cache
+def _extension_weights(n: int) -> tuple[tuple[int, ...], int]:
+    """Integer Lagrange weights W and their denominator D such that
+    f(x_n) = sum_j W_j f(x_j) / D for every f of degree < n, x_j = t_point(j)."""
+    xs = [t_point(j) for j in range(n + 1)]
+    weights = []
+    for j in range(n):
+        weight = Fraction(1)
+        for m in range(n):
+            if m != j:
+                weight *= Fraction(xs[n] - xs[m], xs[j] - xs[m])
+        weights.append(weight)
+    den = lcm(*(weight.denominator for weight in weights))
+    return tuple(int(weight * den) for weight in weights), den
+
+
+def extend_points(values) -> list[int]:
+    """The values of an integer t-polynomial of degree < len(values) at the
+    first len(values) points, with its value at the next point appended."""
+    weights, den = _extension_weights(len(values))
+    value, rem = divmod(sum(map(mul, weights, values)), den)
+    if rem:
+        raise IntegrityError(f"point values of length {len(values)} are not "
+                             "those of an integer polynomial")
+    return [*values, value]
+
+
+def interpolate_points(values) -> list[int]:
+    """Coefficients, lowest power first, of the integer t-polynomial of degree
+    < len(values) whose values at the first len(values) points these are.
+
+    Newton divided differences: those of an integer polynomial at integer
+    points are integers, so a division that leaves a remainder means the
+    values are not those of one, and raises IntegrityError.
+    """
+    n = len(values)
+    xs = [t_point(j) for j in range(n)]
+    newton = list(values)
+    for k in range(1, n):
+        for j in range(n - 1, k - 1, -1):
+            newton[j], rem = divmod(newton[j] - newton[j - 1], xs[j] - xs[j - k])
+            if rem:
+                raise IntegrityError(
+                    f"divided difference {k} at point {xs[j]} is not an integer")
+    # Horner from the top Newton coefficient: coeffs <- coeffs (t - x_k) + newton[k]
+    coeffs = [newton[-1]]
+    for k in range(n - 2, -1, -1):
+        shifted = [0, *coeffs]
+        for m, coeff in enumerate(coeffs):
+            shifted[m] -= xs[k] * coeff
+        shifted[0] += newton[k]
+        coeffs = shifted
+    return coeffs
+
+
+def _points_muladd(acc, points, factor):
+    # points: a t-polynomial's values at the first points; factor: a choice
+    # weight (w,), or a copy's degree-1 factor at every point of the scan.
+    # No list is updated in place, so a weight of 1 passes points on as
+    # they are.
+    if len(factor) > 1:
+        points = list(map(mul, extend_points(points), factor))
+    elif factor[0] != 1:
+        points = list(map(mul, points, repeat(factor[0])))
+    return points if acc is None else list(map(add, acc, points))
 
 
 def _terms_muladd(acc, terms, factor):
@@ -145,9 +218,9 @@ def _terms_muladd(acc, terms, factor):
 
 # integer values: a copy's factor is its integer mixed count N(a, b)
 INT_RING = Ring(unit=1, scalar=int, muladd=_int_muladd)
-# integer t-polynomials, one exact int per t-slot: a copy's factor is
-# (N(deg+1, 0), N(deg, 1)), its t^0 and t coefficients
-SLOTS_RING = Ring(unit=(1,), scalar=lambda w: (w,), muladd=_slots_muladd)
+# integer t-polynomials held at the points t_point(0), t_point(1), ...: a
+# copy's factor N(deg+1, 0) + t N(deg, 1) is given at all d+2 points
+POINT_RING = Ring(unit=(1,), scalar=lambda w: (w,), muladd=_points_muladd)
 # term dicts over packed monomials: a copy's factor is a linear form
 TERM_RING = Ring(unit={0: 1}, scalar=lambda w: ((0, w),), muladd=_terms_muladd)
 
@@ -220,7 +293,7 @@ def scan_pairs(d: int):
     """Yield the multiplies of each copy of one stage step, in scan order.
 
     A step runs two scans: the t-scan, whose values at copy i hold i+1
-    t-slots, and the integer scan for M, one int per value.  So each
+    point values, and the integer scan for M, one int per value.  So each
     (state, choice) pair of copy i costs i+2 big-integer multiplies.
     """
     for i in range(d + 1):

@@ -207,9 +207,9 @@ def exact_bounds(d: int, k: int, v: BoundaryClassVector, precision: int):
         raise IntegrityError(f"stage-{k} ratios of d={d} are not bracketed")
     c = v.counts
     w = precision + entropy.GUARD_DIGITS
-    lam_lo, lam_hi = entropy._ln_int_interval(c[d + 1], w)
-    qw_lo = entropy._ln_ratio_interval(*entropy._edge_factor(c[d], c[d + 1]), w)[0]
-    qa_hi = entropy._ln_ratio_interval(*entropy._edge_factor(c[0], c[1]), w)[1]
+    lam_lo, lam_hi = (entropy._ln_int_end(c[d + 1], w, upper) for upper in (False, True))
+    qw_lo = entropy._ln_ratio_end(*entropy._edge_factor(c[d], c[d + 1]), w, False)
+    qa_hi = entropy._ln_ratio_end(*entropy._edge_factor(c[0], c[1]), w, True)
     div_lam, div_q = (d + 1) ** (k + 1), 2 * (d + 1) ** k
     grain = 10**entropy.GUARD_DIGITS
     lower = entropy.HighPrecisionReal(

@@ -15,11 +15,12 @@ from hanoi_dimer.multipoly import Polynomial
 from hanoi_dimer import evolve
 from hanoi_dimer.recursion_gen import (
     INT_RING,
+    POINT_RING,
     SCAN_WORK_CAP,
-    SLOTS_RING,
     RecursionSystem,
     Ring,
     corner_splits,
+    interpolate_points,
     scan_pairs,
     transfer_scan,
 )
@@ -105,22 +106,22 @@ def test_polynomial_evaluation_exposes_a_tampered_system(systems):
 
 
 # multiplies one step's two scans run, d = 2..8: each (state, choice) pair
-# of the t-scan once per t-slot of its value, and each of the M scan once
+# of the t-scan once per point of its value, and each of the M scan once
 ENUMERATED_PAIRS = {2: 36, 3: 115, 4: 348, 5: 1024, 6: 2964, 7: 8486,
                     8: 24100}
 
 
 def enumerate_scan_pairs(d: int) -> int:
-    """Run step's two scans over a ring whose values are their t-slot counts
-    and which counts the slots each choice weight multiplies."""
+    """Run step's two scans over a ring whose values are their point counts
+    and which counts the points each choice weight multiplies."""
     taken = 0
 
-    def muladd(acc, slots, factor):
+    def muladd(acc, points, factor):
         nonlocal taken
         if factor is None:  # a choice weight
-            taken += slots
-            return slots
-        return slots + factor  # a copy's factor adds factor t-slots
+            taken += points
+            return points
+        return points + factor  # a copy's factor adds factor points
 
     ring = Ring(unit=1, scalar=lambda weight: None, muladd=muladd)
     choices: dict = {}
@@ -155,16 +156,17 @@ def test_scan_work_cap_refuses_a_huge_d_after_a_few_terms():
 Y64 = 2**64 - 59
 
 
-@pytest.mark.parametrize("d", range(2, 11))
+@pytest.mark.parametrize("d", range(2, 13))
 def test_scan_at_all_ones_gives_closed_form_totals(d):
     # c_j = y^j makes every mixed count N(a, b) = y^b (1+y)^(d+1-a-b); each of
     # the C(d+1,2) connector edges then adds y^2 + 2y + 2, so c_k' =
     # y^k (y^2+2y+2)^C(d+1,2) and M' = (1+y)^(d+1) (y^2+2y+2)^C(d+1,2).  At
     # y = 1 these are 5^C(d+1,2) and 2^(d+1) times that.  For d >= 7, past the
     # reach of the oracle and of generate, this is the only check of the scan
-    # that shares none of its code.
+    # that shares none of its code, and at d = 11 and 12 (y = 2 alone, for
+    # time) the only one of its 13- and 14-point interpolation.
     choices: dict = {}
-    for y in (1, 2, Y64):
+    for y in (1, 2, Y64) if d <= 10 else (2,):
         mixed = _mixed_counts(d, tuple(y**j for j in range(d + 2)))
         assert mixed == {(a, b): y**b * (1 + y) ** (d + 1 - a - b)
                          for a, b in corner_splits(d)}
@@ -194,22 +196,40 @@ def test_step_and_interval_step_match_degree_profile_step(d, stages):
                                for c in degree_profile_step(d, narrow.hi)[0])
 
 
-def test_moving_a_unit_between_t_slots_raises(monkeypatch):
-    # the slots' sum is unchanged, so only the divisibility of each slot by
-    # its corner choices catches a count moved from one class to another
-    def skewed(d, factors, ring, choices=None):
-        result = transfer_scan(d, factors, ring, choices)
-        if ring is SLOTS_RING:
-            result[1] -= 1
-            result[0] += 1
-        return result
+def test_moving_a_unit_between_t_coefficients_raises(monkeypatch):
+    # the coefficients' sum is unchanged, so only the divisibility of each
+    # coefficient by its corner choices catches a count moved from one class
+    # to another
+    def skewed(values):
+        coeffs = interpolate_points(values)
+        coeffs[1] -= 1
+        coeffs[0] += 1
+        return coeffs
 
     v = step(initial_vector(3))
-    monkeypatch.setattr(evolve, "transfer_scan", skewed)
+    monkeypatch.setattr(evolve, "interpolate_points", skewed)
     with pytest.raises(IntegrityError, match="not divisible by the C"):
         step(v)
     with pytest.raises(IntegrityError, match="not divisible by the C"):
         interval_step(enclose(v, 64), 64)
+
+
+@pytest.mark.parametrize("d", range(2, 7))
+def test_a_unit_off_at_any_point_of_the_t_scan_raises(monkeypatch, d):
+    # t = 1 is no point, so a unit moved at one point changes the classes'
+    # binomial sum, which the M scan checks, if no division catches it first
+    v = step(initial_vector(d))
+    for point in range(d + 2):
+        for delta in (1, -1):
+            def skewed(d, factors, ring, choices=None):
+                result = transfer_scan(d, factors, ring, choices)
+                if ring is POINT_RING:
+                    result[point] += delta
+                return result
+
+            monkeypatch.setattr(evolve, "transfer_scan", skewed)
+            with pytest.raises(IntegrityError):
+                step(v)
 
 
 def test_evolve_d4_stage_two():

@@ -7,6 +7,7 @@ from itertools import combinations
 from math import comb
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hanoi_dimer import recursion_gen
 from hanoi_dimer.errors import CacheCorruption, CapExceeded, IntegrityError
@@ -20,12 +21,15 @@ from hanoi_dimer.recursion_gen import (
     generate,
     load_system,
     corner_splits,
+    extend_points,
+    interpolate_points,
     mixed_count_expansion,
     ratio_form,
     ratio_varset,
     reduced_ratio_form,
     save_system,
     scan_terms,
+    t_point,
 )
 
 from .helpers import (
@@ -337,6 +341,35 @@ def test_asymmetric_packed_coefficient_fails_divisibility(monkeypatch):
     monkeypatch.setattr(recursion_gen, "transfer_scan", skewed)
     with pytest.raises(IntegrityError, match="not divisible by the C"):
         generate(2)
+
+
+# -- the point ring ------------------------------------------------------------------
+
+
+def test_points_run_from_zero_and_leave_out_one():
+    assert [t_point(j) for j in range(8)] == [0, -1, 2, -2, 3, -3, 4, -4]
+    assert 1 not in {t_point(j) for j in range(64)}
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(-(2**256) + 1, 2**256 - 1), min_size=1, max_size=14))
+def test_point_values_extend_and_interpolate_exactly(coeffs):
+    # a random integer polynomial of degree 0..13, lowest power first
+    def at(x):
+        return sum(c * x**e for e, c in enumerate(coeffs))
+
+    values = [at(t_point(j)) for j in range(len(coeffs))]
+    assert extend_points(values) == values + [at(t_point(len(coeffs)))]
+    assert interpolate_points(values) == coeffs
+    assert interpolate_points(extend_points(values)) == coeffs + [0]
+
+
+def test_values_of_no_integer_polynomial_raise():
+    # 0, 1, 0 at t = 0, -1, 2 are the values of (t^2 - 2t)/3, 8/3 at t = -2
+    with pytest.raises(IntegrityError, match="not an integer"):
+        interpolate_points([0, 1, 0])
+    with pytest.raises(IntegrityError, match="not those of an integer polynomial"):
+        extend_points([0, 1, 0])
 
 
 # -- generation price ----------------------------------------------------------------
