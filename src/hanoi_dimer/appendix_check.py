@@ -8,10 +8,15 @@ polynomial identities in (w, gaps):
 
   * w ascends:      R_d - R_{d+1}         has only nonnegative coefficients,
   * r_0 descends:   r_0 R_1 - w R_0       has only nonnegative coefficients,
-  * quadratic gap contraction: R_j R_{j+2} - R_{j+1}^2 has every monomial of
-    total gap-degree >= 2 (this is what squares the outer gap each stage).
+  * quadratic gap contraction: each R_j R_{j+2} - R_{j+1}^2 has only
+    nonnegative coefficients, on monomials of total gap-degree >= 2 (the
+    signs carry the chain r_0 >= ... >= r_d to the next stage, the degree
+    squares the outer gap each stage).
 
-All three vanish at zero gaps (equal ratios are a fixed point).  The gap
+All three vanish at zero gaps (equal ratios are a fixed point), so each
+is one check on the expanded numerators: no negative coefficient and no
+monomial of gap-degree below 1 (2 for the contraction).  A FAIL names the
+grlex-first offending term of the first failing numerator.  The gap
 expansion is a binomial Taylor shift on exponent tuples, one ratio at a
 time: r_j = r_{j+1} + gap_{j+1} turns r_j^e into sum_t C(e, t)
 gap_{j+1}^t r_{j+1}^(e-t), accumulated in one dict with cancelled terms
@@ -111,42 +116,45 @@ class CertificateReport:
         return self.attempted and bool(self.passed)
 
 
-def _monomial_str(poly: Polynomial, exps: tuple[int, ...]) -> str:
-    single = Polynomial(poly.varset, {exps: poly.coefficient(
-        dict(zip(poly.varset, exps)))})
-    return serialize(single)
+def _expansion_certificate(name: str, d: int, numerators, min_gap_degree: int,
+                           term_budget: int) -> CertificateReport:
+    """Expand each (label, numerator) in turn and FAIL on the grlex-first
+    term with a negative coefficient or gap-degree < min_gap_degree.
 
-
-def _not_attempted(name: str, d: int, reason: str) -> CertificateReport:
-    return CertificateReport(
-        name=name, d=d, attempted=False, passed=None, term_count=0,
-        offending_monomial=None, notes=(f"not attempted: {reason}",),
-    )
-
-
-def _nonnegativity_certificate(name: str, d: int, numerator: Polynomial,
-                               term_budget: int) -> CertificateReport:
-    try:
-        expanded = gap_expansion(numerator, d, term_budget)
-    except CapExceeded as err:
-        return _not_attempted(name, d, str(err))
-    notes = []
-    offending = None
-    # the failing term terms() would reach first, from an unsorted scan
-    first = max((exps for exps, coeff in expanded._terms.items()
-                 if coeff < 0 or gap_degree(exps) == 0), key=_grlex_key, default=None)
-    if first is not None:
-        offending = _monomial_str(expanded, first)
-        if expanded._terms[first] < 0:
-            notes.append(f"negative coefficient on {offending}")
-        else:
-            notes.append(
-                f"gap-free monomial {offending}: no fixed point at equal ratios"
+    term_count sums the expansions through the failing numerator.  The
+    numerators may come from a generator, so only one is held at a time.
+    """
+    total_terms = 0
+    for label, numerator in numerators:
+        try:
+            expanded = gap_expansion(numerator, d, term_budget)
+        except CapExceeded as err:
+            return CertificateReport(
+                name=name, d=d, attempted=False, passed=None, term_count=0,
+                offending_monomial=None, notes=(f"not attempted: {err}",),
             )
+        total_terms += expanded.term_count()
+        # the failing term terms() would reach first, from an unsorted scan
+        first = max(((exps, coeff) for exps, coeff in expanded._terms.items()
+                     if coeff < 0 or gap_degree(exps) < min_gap_degree),
+                    key=lambda term: _grlex_key(term[0]), default=None)
+        if first is None:
+            continue
+        exps, coeff = first
+        offending = serialize(Polynomial(expanded.varset, {exps: coeff}))
+        if coeff < 0:
+            problem = f"negative coefficient on {offending}"
+        elif min_gap_degree == 1:
+            problem = f"gap-free monomial {offending}: no fixed point at equal ratios"
+        else:
+            problem = f"monomial {offending} has gap-degree < {min_gap_degree}"
+        return CertificateReport(
+            name=name, d=d, attempted=True, passed=False, term_count=total_terms,
+            offending_monomial=offending, notes=(label + problem,),
+        )
     return CertificateReport(
-        name=name, d=d, attempted=True, passed=first is None,
-        term_count=expanded.term_count(), offending_monomial=offending,
-        notes=tuple(notes),
+        name=name, d=d, attempted=True, passed=True, term_count=total_terms,
+        offending_monomial=None,
     )
 
 
@@ -156,8 +164,8 @@ def omega_ascending_certificate(
 ) -> CertificateReport:
     """r_d grows every stage: R_d - R_{d+1} >= 0 coefficientwise in (w, gaps)."""
     reduced = reduced_ratio_form(system or generate(d))
-    return _nonnegativity_certificate(
-        "omega-ascending", d, reduced[d] - reduced[d + 1], term_budget
+    return _expansion_certificate(
+        "omega-ascending", d, [("", reduced[d] - reduced[d + 1])], 1, term_budget
     )
 
 
@@ -175,44 +183,28 @@ def alpha_descending_certificate(
     r0 = Polynomial.variable(rvars, "r0")
     rd = Polynomial.variable(rvars, f"r{d}")
     numerator = r0 * reduced[1] - rd * reduced[0]
-    return _nonnegativity_certificate("alpha-descending", d, numerator, term_budget)
+    return _expansion_certificate(
+        "alpha-descending", d, [("", numerator)], 1, term_budget
+    )
 
 
 def quadratic_contraction_certificate(
     d: int, system: RecursionSystem | None = None,
     term_budget: int = DEFAULT_TERM_BUDGET,
 ) -> CertificateReport:
-    """Adjacent ratio gaps contract quadratically.
+    """Adjacent ratio gaps contract quadratically, and stay ordered.
 
     For each pair j, the numerator of r_j(n+1) - r_{j+1}(n+1) is
-    R_j R_{j+2} - R_{j+1}^2; every monomial carrying gap-degree >= 2 is
-    exactly what bounds the new gap by (old outer gap)^2 times positive
+    R_j R_{j+2} - R_{j+1}^2.  Nonnegative coefficients carry the chain
+    r_j >= r_{j+1} to the next stage; every monomial carrying gap-degree >= 2
+    is exactly what bounds the new gap by (old outer gap)^2 times positive
     factors.
     """
     reduced = reduced_ratio_form(system or generate(d))
-    name = "quadratic-contraction"
-    notes = []
-    total_terms = 0
-    for j in range(d):
-        numerator = reduced[j] * reduced[j + 2] - reduced[j + 1] ** 2
-        try:
-            expanded = gap_expansion(numerator, d, term_budget)
-        except CapExceeded as err:
-            return _not_attempted(name, d, str(err))
-        total_terms += expanded.term_count()
-        first = max((exps for exps in expanded._terms if gap_degree(exps) < 2),
-                    key=_grlex_key, default=None)
-        if first is not None:
-            offending = _monomial_str(expanded, first)
-            return CertificateReport(
-                name=name, d=d, attempted=True, passed=False,
-                term_count=total_terms, offending_monomial=offending,
-                notes=(f"pair {j}: monomial {offending} has gap-degree < 2",),
-            )
-        notes.append(f"pair {j}: {expanded.term_count()} terms, all gap-degree >= 2")
-    return CertificateReport(
-        name=name, d=d, attempted=True, passed=True, term_count=total_terms,
-        offending_monomial=None, notes=tuple(notes),
+    numerators = ((f"pair {j}: ", reduced[j] * reduced[j + 2] - reduced[j + 1] ** 2)
+                  for j in range(d))
+    return _expansion_certificate(
+        "quadratic-contraction", d, numerators, 2, term_budget
     )
 
 

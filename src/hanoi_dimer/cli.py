@@ -112,7 +112,9 @@ def cmd_verify(args: argparse.Namespace) -> int:
     # the scan applies the scan-work and digit caps before the system is
     # loaded, or generated and written to the cache
     scan = evolve_to(args.d, args.n_max, digit_cap=args.digit_cap)
-    system = cached_system(args.d, resolve_cache_dir(args.cache_dir))
+    cache_dir = resolve_cache_dir(args.cache_dir)
+    loaded = cache_path(cache_dir, args.d).exists()
+    system = cached_system(args.d, cache_dir)
     # the loaded system, evaluated term by term, and the transfer scan
     sources = (
         ("recursion", evolve_to(args.d, args.n_max, digit_cap=args.digit_cap,
@@ -135,6 +137,18 @@ def cmd_verify(args: argparse.Namespace) -> int:
                 _emit(f"stage {n}: MISMATCH M: {label} {got.m}, oracle {reference.m}")
             return 1
         _emit(f"stage {n}: OK ({args.d + 2} class counts + total)")
+    # every odd class count is 0 at stage 0, so the stages above may leave
+    # terms unchecked: a loaded file must also equal the generated system
+    # (a file just written is that system already)
+    if loaded:
+        labels = [f"c{k}" for k in range(args.d + 2)] + ["M"]
+        fresh = generate(args.d)
+        for label, got, want in zip(labels, system.class_polys + (system.m_poly,),
+                                    fresh.class_polys + (fresh.m_poly,)):
+            if got != want:
+                _emit(f"cache: MISMATCH {label}: the loaded polynomial differs "
+                      "from the generated one")
+                return 1
     return 0
 
 

@@ -11,7 +11,7 @@ Graphs are immutable after construction and safe to share between threads.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import combinations
 
 from .errors import CapExceeded
@@ -26,10 +26,6 @@ class HanoiGraph:
     vertex_count: int
     edges: tuple[tuple[int, int], ...]  # sorted pairs u < v, list sorted
     corners: tuple[int, ...]  # d+1 outmost vertices, degree d each
-    adjacency: tuple[tuple[int, ...], ...] = field(repr=False)
-
-    def degree(self, v: int) -> int:
-        return len(self.adjacency[v])
 
 
 def connector_edges(d: int) -> list[tuple[tuple[int, int], tuple[int, int]]]:
@@ -85,17 +81,8 @@ def build(d: int, n: int, vertex_cap: int = DEFAULT_VERTEX_CAP) -> HanoiGraph:
         size *= d + 1
 
     edges.sort()
-    adjacency = _adjacency(size, edges)
     return HanoiGraph(d=d, n=n, vertex_count=size, edges=tuple(edges),
-                      corners=tuple(corners), adjacency=adjacency)
-
-
-def _adjacency(vertex_count: int, edges: list[tuple[int, int]]) -> tuple[tuple[int, ...], ...]:
-    neighbors: list[list[int]] = [[] for _ in range(vertex_count)]
-    for u, v in edges:
-        neighbors[u].append(v)
-        neighbors[v].append(u)
-    return tuple(tuple(sorted(ns)) for ns in neighbors)
+                      corners=tuple(corners))
 
 
 def expected_vertex_count(d: int, n: int) -> int:

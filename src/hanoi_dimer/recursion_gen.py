@@ -541,8 +541,7 @@ def load_system(path: Path, d: int | None = None) -> RecursionSystem:
     return system
 
 
-def cached_system(d: int, cache_dir: Path | None = None,
-                  regenerate: bool = False) -> RecursionSystem:
+def cached_system(d: int, cache_dir: Path | None = None) -> RecursionSystem:
     """Load from cache when possible, else generate and store.
 
     A corrupt cache file, or one written for another dimension, is
@@ -551,7 +550,7 @@ def cached_system(d: int, cache_dir: Path | None = None,
     if cache_dir is None:
         return generate(d)
     path = cache_path(Path(cache_dir), d)
-    if not regenerate and path.exists():
+    if path.exists():
         try:
             return load_system(path, d)
         except CacheCorruption as err:

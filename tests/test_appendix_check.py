@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import random
 import re
 from fractions import Fraction
@@ -24,7 +25,7 @@ from hanoi_dimer.errors import CapExceeded
 from hanoi_dimer.multipoly import Polynomial, serialize
 from hanoi_dimer.recursion_gen import ratio_varset, reduced_ratio_form
 
-from .helpers import gap_expansion_by_substitution, parse_classic
+from .helpers import REPO_DIR, gap_expansion_by_substitution, parse_classic, run_python
 
 GAPS_D3 = ("gap1", "gap2", "gap3")
 
@@ -294,6 +295,29 @@ def test_run_certificates_selects(systems):
         run_certificates(2, "bogus", system=systems(2))
 
 
+def test_perfbench_tracer_wraps_the_certificates(tmp_path):
+    # traced_cli raises at start-up if a name it wraps has moved
+    spans_file = tmp_path / "spans.json"
+    run = run_python(str(REPO_DIR / "perfbench" / "traced_cli.py"), str(spans_file),
+                     "t", "--", "appendix-check", "--d", "2", "--which", "all")
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.splitlines() == [
+        "omega-ascending d=2: PASS (29 terms)",
+        "alpha-descending d=2: PASS (54 terms)",
+        "quadratic-contraction d=2: PASS (220 terms)",
+    ]
+    counts = {}
+    for span in json.loads(spans_file.read_text(encoding="utf-8")):
+        counts.setdefault(span["name"], {}).update(span["counts"])
+    assert counts["appendix_check.omega_ascending_certificate"] == {
+        "appendix_check.omega_terms": 29}
+    assert counts["appendix_check.alpha_descending_certificate"] == {
+        "appendix_check.alpha_terms": 54}
+    assert counts["appendix_check.quadratic_contraction_certificate"] == {
+        "appendix_check.contraction_terms": 220}
+    assert "recursion_gen.generate" in counts
+
+
 def test_certificates_imply_numeric_monotonicity(systems, trajectories):
     """The symbolic facts and the numeric stage data must tell one story."""
     from hanoi_dimer.evolve import check_contraction, ratios
@@ -313,6 +337,8 @@ def sorted_scan_report(expansions: list[Polynomial], contraction: bool):
         for exps, coeff in expanded.terms():
             mono = serialize(Polynomial(expanded.varset, {exps: coeff}))
             if contraction:
+                if coeff < 0:
+                    return False, mono, (f"pair {j}: negative coefficient on {mono}",)
                 if gap_degree(exps) < 2:
                     return False, mono, (f"pair {j}: monomial {mono} has gap-degree < 2",)
             elif coeff < 0:
@@ -358,7 +384,7 @@ def test_nonnegativity_fail_reports_grlex_first_term(monkeypatch, systems, case)
 
 def test_contraction_fail_reports_grlex_first_term_of_first_failing_pair(monkeypatch,
                                                                          systems):
-    expansions = [gaps_poly({(4, 2, 0, 0): 1, (3, 1, 1, 0): -2}),
+    expansions = [gaps_poly({(4, 2, 0, 0): 1, (3, 1, 1, 0): 2}),
                   gaps_poly({(0, 0, 1, 1): 1, (2, 0, 1, 0): -3, (1, 0, 0, 1): 2,
                              (5, 0, 0, 0): 1}),
                   gaps_poly({(1, 1, 0, 0): 1})]
@@ -367,6 +393,35 @@ def test_contraction_fail_reports_grlex_first_term_of_first_failing_pair(monkeyp
         sorted_scan_report(expansions, contraction=True)
     assert report.notes[0].startswith("pair 1:")
     assert report.term_count == 2 + 4
+
+
+@pytest.mark.parametrize("pair", range(3))
+def test_contraction_fails_on_one_negated_coefficient(monkeypatch, systems, pair):
+    # the real d=3 expansions, with the sign of one term of gap-degree >= 2
+    # flipped in the given pair: only the sign rule can catch it
+    real_expansion = appendix_check.gap_expansion
+    expansions = []
+    negated = []
+
+    def expand(*args):
+        expanded = real_expansion(*args)
+        if len(expansions) == pair:
+            terms = dict(expanded.terms())
+            exps = max(terms, key=gap_degree)
+            terms[exps] = -terms[exps]
+            negated.append(Polynomial(expanded.varset, {exps: terms[exps]}))
+            expanded = Polynomial(expanded.varset, terms)
+        expansions.append(expanded)
+        return expanded
+
+    monkeypatch.setattr(appendix_check, "gap_expansion", expand)
+    report = quadratic_contraction_certificate(3, systems(3))
+    mono = serialize(negated[0])
+    assert report.attempted and report.passed is False
+    assert report.offending_monomial == mono
+    assert report.notes == (f"pair {pair}: negative coefficient on {mono}",)
+    assert len(expansions) == pair + 1
+    assert report.term_count == sum(e.term_count() for e in expansions)
 
 
 monomials_d3 = st.tuples(*[st.integers(0, 3)] * 4)

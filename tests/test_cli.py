@@ -11,7 +11,7 @@ from itertools import count
 import jsonschema
 import pytest
 
-from hanoi_dimer import cli, evolve
+from hanoi_dimer import cli, evolve, recursion_gen
 from hanoi_dimer.cli import build_parser, main
 from hanoi_dimer.evolve import BoundaryClassVector
 from hanoi_dimer.matching_oracle import recursion_ceiling
@@ -154,6 +154,48 @@ def test_verify_detects_tampered_cache(capsys, tmp_path):
                            "--cache-dir", str(tmp_path))
     assert code == 1
     assert "stage 1: MISMATCH c0: recursion 19, oracle 18" in out
+
+
+def test_verify_compares_a_loaded_cache_with_the_generated_system(capsys, tmp_path):
+    run_cli(capsys, "gen-recursions", "--d", "2", "--cache-dir", str(tmp_path))
+    path = cache_path(tmp_path, 2)
+    text = path.read_text()
+    # c1 is 0 at stage 0, so these c0^2*c1 terms add 0 to every stage-1 count
+    tampered = text.replace("c0: 8*c0^3 + 24*c0^2*c1", "c0: 8*c0^3 + 25*c0^2*c1")
+    tampered = tampered.replace("M: 8*c0^3 + 48*c0^2*c1", "M: 8*c0^3 + 49*c0^2*c1")
+    assert tampered.count("25*c0^2*c1") == tampered.count("49*c0^2*c1") == 1
+    path.write_text(tampered)
+    code, out, _ = run_cli(capsys, "verify", "--d", "2", "--n-max", "1",
+                           "--cache-dir", str(tmp_path))
+    assert code == 1
+    assert out.splitlines() == [
+        "stage 0: OK (4 class counts + total)",
+        "stage 1: OK (4 class counts + total)",
+        "cache: MISMATCH c0: the loaded polynomial differs from the generated one",
+    ]
+    code, out, _ = run_cli(capsys, "verify", "--d", "2", "--n-max", "2",
+                           "--cache-dir", str(tmp_path))
+    assert code == 1
+    assert out.splitlines()[-1].startswith("stage 2: MISMATCH c0: recursion ")
+
+
+def test_verify_generates_once_when_it_writes_the_cache(capsys, tmp_path,
+                                                        monkeypatch):
+    calls = []
+    real_generate = recursion_gen.generate
+
+    def counted(d):
+        calls.append(d)
+        return real_generate(d)
+
+    monkeypatch.setattr(cli, "generate", counted)
+    monkeypatch.setattr(recursion_gen, "generate", counted)
+    code, _, _ = run_cli(capsys, "verify", "--d", "2", "--n-max", "1",
+                         "--cache-dir", str(tmp_path))
+    assert (code, calls) == (0, [2])
+    code, _, _ = run_cli(capsys, "verify", "--d", "2", "--n-max", "1",
+                         "--cache-dir", str(tmp_path))
+    assert (code, calls) == (0, [2, 2])
 
 
 def test_inconsistent_tamper_caught_by_integrity_layer(capsys, tmp_path):
