@@ -23,8 +23,10 @@ from .evolve import (
     DEFAULT_DIGIT_CAP,
     apply_system,
     check_contraction,
+    enclose,
     eps_ratio_table_value,
     evolve_to,
+    interval_step,
     ratios,
     render_quotient,
 )
@@ -36,7 +38,7 @@ from .matching_oracle import (
     boundary_class_vector,
     count_constrained,
 )
-from .recursion_gen import cache_path, cached_system, generate, save_system
+from .recursion_gen import cache_path, generate, load_or_generate, save_system
 
 CACHE_ENV = "HANOI_DIMER_CACHE"
 
@@ -112,9 +114,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     # the scan applies the scan-work and digit caps before the system is
     # loaded, or generated and written to the cache
     scan = evolve_to(args.d, args.n_max, digit_cap=args.digit_cap)
-    cache_dir = resolve_cache_dir(args.cache_dir)
-    loaded = cache_path(cache_dir, args.d).exists()
-    system = cached_system(args.d, cache_dir)
+    system, loaded = load_or_generate(args.d, resolve_cache_dir(args.cache_dir))
     # the loaded system, evaluated term by term, and the transfer scan
     sources = (
         ("recursion", evolve_to(args.d, args.n_max, digit_cap=args.digit_cap,
@@ -139,7 +139,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
         _emit(f"stage {n}: OK ({args.d + 2} class counts + total)")
     # every odd class count is 0 at stage 0, so the stages above may leave
     # terms unchecked: a loaded file must also equal the generated system
-    # (a file just written is that system already)
+    # (a file just written, or rewritten over a corrupt one, is that system
+    # already)
     if loaded:
         labels = [f"c{k}" for k in range(args.d + 2)] + ["M"]
         fresh = generate(args.d)
@@ -263,12 +264,36 @@ _REFERENCE_COUNTS = {
 }
 
 
+# every reference table reads exact counts of stages up to _EXACT_STAGES; the
+# ratio facts and the entropy bounds of the last stage need only leading bits
+_EXACT_STAGES = 5
+_LAST_STAGE = 6
+_PRECISION = 160
+
+
+def _ratio_trace(vectors):
+    """The trace of the exact stages and an enclosure of the last one, and
+    its contraction report.
+
+    The enclosure starts at the bounds' working width and doubles until its
+    ends decide every fact; at full width it is exact, so the loop ends.
+    """
+    bits = working_bits(_PRECISION, _LAST_STAGE)
+    while True:
+        last = interval_step(enclose(vectors[_EXACT_STAGES], bits), bits)
+        trace = ratios(vectors + [last])
+        contraction = check_contraction(trace)
+        if contraction is not None:
+            return trace, contraction
+        bits *= 2
+
+
 def _reproduce_dimension(report: _Report, d: int) -> None:
     report.info(f"[d={d}]")
     generate(d)  # checks each polynomial's shape and closed-form total
     report.info(f"  generated {d + 2} class polynomials over c0..c{d + 1}")
 
-    vectors = evolve_to(d, 6)
+    vectors = evolve_to(d, _EXACT_STAGES)
     for n in _ORACLE_STAGES[d]:
         reference = boundary_class_vector(build(d, n))
         report.check(f"oracle cross-check stage {n}", reference == vectors[n])
@@ -279,7 +304,7 @@ def _reproduce_dimension(report: _Report, d: int) -> None:
                        vectors[n].counts, counts_ref[n])
         report.compare(f"matching total n={n}", vectors[n].m, totals_ref[n])
 
-    trace = ratios(vectors)
+    trace, contraction = _ratio_trace(vectors)
     if d == 3:
         for n, row in ref.RATIOS_D3.items():
             got = tuple(render_quotient(*trace.ratio_pair(n, j), 15) for j in range(4))
@@ -292,7 +317,6 @@ def _reproduce_dimension(report: _Report, d: int) -> None:
             got = tuple(render_quotient(*trace.ratio_pair(n, j), 14) for j in range(5))
             report.compare(f"ratio row n={n} (14 digits)", got, row)
 
-    contraction = check_contraction(trace)
     report.check("ratio ordering and monotonicity", contraction.ok,
                  f"(limit {contraction.limit_digits[:31]})")
     if d in ref.RATIO_LIMIT_DIGITS:
@@ -302,7 +326,7 @@ def _reproduce_dimension(report: _Report, d: int) -> None:
             f"(want prefix {ref.RATIO_LIMIT_DIGITS[d]})",
         )
 
-    result = bounds(d, 6, vectors, precision=160)
+    result = bounds(d, _LAST_STAGE, vectors, precision=_PRECISION)
     prefix = ref.Z_PREFIX[d]
     report.check(
         "entropy bounds k=6 share reference prefix",

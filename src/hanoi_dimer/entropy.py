@@ -9,7 +9,9 @@ alpha = c_0(k)/c_1(k):
 
 with the lower bound rounded toward -inf and the upper toward +inf, so the
 reported interval is mathematically guaranteed at the working precision.
-It applies where r_0 >= r_j >= r_d at stage k (the bracket).
+It applies where r_0 >= r_j >= r_d at stage k (the bracket), and the
+certificates that carry it to later stages assume the full chain
+r_0 >= r_1 >= ... >= r_d; bounds refuses a stage that has either not.
 
 The stage-k counts are not needed exactly, only their leading bits: the
 latest given stage at or below k is enclosed as an integer interval of a
@@ -17,10 +19,10 @@ fixed bit width, [lo, hi] * 2^shift (evolve.CountInterval), and stepped to
 k by evolve.interval_step, which rounds lo down and hi up.  ln(lambda) then
 lies in [ln lo + shift ln 2, ln hi + shift ln 2], the lower bound takes
 omega at its smallest (lo_d over hi_{d+1}), the upper alpha at its largest
-(hi_0 over lo_1), and the bracket and the digit count of lambda are decided
-on the interval ends.  When the ends cannot decide them, the width doubles
-and the steps are redone; at full width the enclosure is exact, so the
-loop ends with the exact answer.
+(hi_0 over lo_1), and the bracket, the chain and the digit count of lambda
+are decided on the interval ends (evolve.decide_at_least).  When the ends
+cannot decide them, the width doubles and the steps are redone; at full
+width the enclosure is exact, so the loop ends with the exact answer.
 
 Logarithms are computed in fixed point over plain integers: a value at
 precision w is an integer numerator of value/10^w, carried as a certified
@@ -43,7 +45,13 @@ from fractions import Fraction
 from math import ceil, log2
 
 from .errors import IntegrityError
-from .evolve import BoundaryClassVector, CountInterval, enclose, interval_step
+from .evolve import (
+    BoundaryClassVector,
+    CountInterval,
+    decide_at_least,
+    enclose,
+    interval_step,
+)
 from .intutil import ceil_div, digit_count
 
 DEFAULT_PRECISION = 160
@@ -254,26 +262,40 @@ def _check_denominators(n: int, hi: tuple[int, ...]) -> None:
         )
 
 
+def _products_decision(lo: tuple[int, ...], hi: tuple[int, ...],
+                       pairs: list[tuple[int, int, int, int]]) -> bool | None:
+    """Whether c_a c_b >= c_e c_f for every (a, b, e, f) of pairs and every
+    count vector between lo and hi: False as soon as the ends decide one
+    false, else None if the ends leave one open (evolve.decide_at_least)."""
+    decided = True
+    for a, b, e, f in pairs:
+        # the counts are nonnegative, so each product's ends are those of its factors
+        holds = decide_at_least((lo[a] * lo[b], hi[a] * hi[b]),
+                                (lo[e] * lo[f], hi[e] * hi[f]))
+        if holds is False:
+            return False
+        if holds is None:
+            decided = None
+    return decided
+
+
 def _bracket_decision(d: int, lo: tuple[int, ...],
                       hi: tuple[int, ...]) -> bool | None:
     """Whether r_0 >= r_j >= r_d for every count vector between lo and hi.
 
     Compared as integer cross-products, c_0 c_{j+1} >= c_j c_1 and
-    c_j c_{d+1} >= c_d c_{j+1}: True when every left side at its smallest is
-    at least its right side at its largest, False when some left side at its
-    largest is below its right side at its smallest, None otherwise.
+    c_j c_{d+1} >= c_d c_{j+1} (_products_decision).
     """
     # r_0 >= r_j for 0 < j < d, then r_j >= r_d for j < d (r_0 >= r_d once)
-    pairs = ([(0, j + 1, j, 1) for j in range(1, d)]
-             + [(j, d + 1, d, j + 1) for j in range(d)])
-    decided = True
-    for a, b, c, e in pairs:
-        if lo[a] * lo[b] >= hi[c] * hi[e]:
-            continue
-        if hi[a] * hi[b] < lo[c] * lo[e]:
-            return False
-        decided = None
-    return decided
+    return _products_decision(lo, hi, [(0, j + 1, j, 1) for j in range(1, d)]
+                              + [(j, d + 1, d, j + 1) for j in range(d)])
+
+
+def _chain_decision(d: int, lo: tuple[int, ...],
+                    hi: tuple[int, ...]) -> bool | None:
+    """Whether r_0 >= r_1 >= ... >= r_d for every count vector between lo
+    and hi: c_j c_{j+2} >= c_{j+1}^2 for j < d (_products_decision)."""
+    return _products_decision(lo, hi, [(j, j + 2, j + 1, j + 1) for j in range(d)])
 
 
 def ratios_bracketed(v: BoundaryClassVector) -> bool:
@@ -303,7 +325,13 @@ def _interval_bounds(iv: CountInterval, precision: int
             f"stage-{k} ratios of d={d} are not bracketed by r0 and r{d}; "
             "the sandwich argument does not apply at this stage"
         )
-    if bracketed is None or lo[1] == 0 or lo[d + 1] == 0:
+    chained = _chain_decision(d, lo, hi)
+    if chained is False:
+        raise IntegrityError(
+            f"stage-{k} ratios of d={d} do not descend r0 >= r1 >= ... >= r{d}; "
+            "the certificates that carry the bound to later stages assume it"
+        )
+    if bracketed is None or chained is None or lo[1] == 0 or lo[d + 1] == 0:
         return None
 
     w = precision + GUARD_DIGITS

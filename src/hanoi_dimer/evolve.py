@@ -1,31 +1,29 @@
-"""Exact evolution of boundary-class vectors and their ratio sequences.
+"""Evolution of boundary-class vectors and their ratio sequences.
 
-Counts are exact big integers at every stage; ratios are decided and
-rendered from them (see the end).  Stages advance by the integer
-transfer scans of recursion_gen (step), which need nothing but d: one scan
-whose values are polynomials in t, held as their exact values at d+2
-integer points, gives every class count (coefficient t^k sums the
-C(d+1, k) choices of k dimer-forced corners), and one plain integer scan
-gives the total M.  apply_system
-evaluates a given recursion system term by term instead, which is how
-verify checks a loaded system against the oracle.  Stage-0
-vectors are the matching counts of K_{d+1} with the corner constraints
-applied: c_k(0) is the number of perfect matchings on the k dimer-forced
-corners, (k-1)!! for even k and 0 for odd k.
-
-Where only the leading bits of later counts matter (the entropy bounds), a
-CountInterval carries them past a seed stage as outward-rounded integer
-intervals of a fixed bit width, advanced by the same scan (interval_step).
+Stage vectors are exact big integers (BoundaryClassVector); where only the
+leading bits of later counts matter (the entropy bounds, and the ratio facts
+of reproduce's last stage), a CountInterval carries them past a seed stage as
+outward-rounded integer intervals of a fixed bit width.  Stages advance by
+the integer transfer scans of recursion_gen (step, interval_step), which need
+nothing but d: one scan whose values are polynomials in t, held as their
+exact values at d+2 integer points, gives every class count (coefficient
+t^k sums the C(d+1, k) choices of k dimer-forced corners), and one plain
+integer scan gives the total M.  apply_system evaluates a given recursion
+system term by term instead, which is how verify checks a loaded system
+against the oracle.  Stage-0 vectors are the matching counts of K_{d+1}
+with the corner constraints applied: c_k(0) is the number of perfect
+matchings on the k dimer-forced corners, (k-1)!! for even k and 0 for odd k.
 
 Class counts are strictly monotone in k from stage 1 on: increasing for
 d >= 3, decreasing for d = 2 (the three-corner system is top-heavy, which
 the brute-force oracle confirms).  The consecutive ratios r_j = c_j/c_{j+1}
 share a common limit; r_0 decreases and r_d increases toward it, and their
 gap contracts quadratically.  These ratios are never normalized: a RatioTrace
-keeps the counts, check_contraction decides every fact on integer
-cross-products of them, and each value is rendered from its unreduced
-(num, den) pair (render_quotient), so no gcd of the long counts is taken.  An
-exact Fraction is built only on request.
+keeps each stage's counts as the ends of an enclosure (equal ends where the
+stage is exact), check_contraction decides every fact on the ends of integer
+cross-products of them (decide_at_least), and each exact value is rendered
+from its unreduced (num, den) pair (render_quotient), so no gcd of the long
+counts is taken.  An exact Fraction is built only on request.
 """
 
 from __future__ import annotations
@@ -254,45 +252,61 @@ def evolve_to(d: int, n_max: int,
 
 @dataclass(frozen=True)
 class RatioTrace:
-    """Exact class counts per stage, from stage 1 on, read as their ratios.
+    """Class counts per stage, from stage 1 on, read as their ratios.
 
-    counts[i] is c_0..c_{d+1} of stage stages[i], and r_j = c_j / c_{j+1}.
-    The denominators c_1..c_{d+1} must be positive (a zero one raises
-    ZeroDivisionError), so every comparison of ratios is one of integer
-    cross-products, and every value is rendered from an unreduced (num, den)
-    pair.  ratio, eps, eps_ratio and ratios build exact Fractions, only when
-    called.
+    lo[i] and hi[i] are the ends of c_0..c_{d+1} at stage stages[i], both up
+    to one power-of-two scale per stage, which cancels in every ratio; an
+    exact stage is the degenerate enclosure, lo[i] == hi[i].  r_j =
+    c_j / c_{j+1}.  The denominators c_1..c_{d+1} must be positive (a zero
+    one raises ZeroDivisionError), so every comparison of ratios is one of
+    integer cross-products.  The values (ratio_pair, eps_pair, and the
+    Fractions of ratio, eps, eps_ratio and ratios, built only when called)
+    are read off exact stages only; every value is rendered from an
+    unreduced (num, den) pair.
     """
 
     d: int
     stages: tuple[int, ...]
-    counts: tuple[tuple[int, ...], ...]
+    lo: tuple[tuple[int, ...], ...]
+    hi: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
-        for n, row in zip(self.stages, self.counts):
-            for j, den in enumerate(row[1:]):
-                if den == 0:
+        for n, low, high in zip(self.stages, self.lo, self.hi):
+            for j, (den_lo, den_hi) in enumerate(zip(low[1:], high[1:])):
+                # the high end bounds the count from above: 0 means it is 0
+                if den_hi == 0:
                     raise ZeroDivisionError(
                         f"ratio r{j} undefined at stage {n} (zero denominator; "
                         "class ratios start at stage 1)"
                     )
-                if den < 0:
+                if den_lo < 0:
                     raise IntegrityError(f"negative class count c{j + 1} at stage {n}")
+            if any(a > b for a, b in zip(low, high)):
+                raise IntegrityError(f"count enclosure ends out of order at stage {n}")
+
+    def _row(self, n: int) -> tuple[int, ...]:
+        """The counts of stage n, which must be exact."""
+        i = self.stages.index(n)
+        if self.lo[i] != self.hi[i]:
+            raise ValueError(f"stage {n} is an enclosure: its ratios are known "
+                             "only between its ends")
+        return self.lo[i]
 
     def ratio_pair(self, n: int, j: int) -> tuple[int, int]:
         """r_j(n) as the pair (c_j, c_{j+1})."""
-        row = self.counts[self.stages.index(n)]
+        row = self._row(n)
         return row[j], row[j + 1]
 
     @cached_property
     def _eps_pairs(self) -> tuple[tuple[int, int], ...]:
         d = self.d
         return tuple((c[0] * c[d + 1] - c[d] * c[1], c[1] * c[d + 1])
-                     for c in self.counts)
+                     for c in self.lo)
 
     def eps_pair(self, n: int) -> tuple[int, int]:
         """eps(n) = r_0(n) - r_d(n) as the pair (E, D), E = c_0 c_{d+1} -
         c_d c_1 and D = c_1 c_{d+1} > 0."""
+        self._row(n)
         return self._eps_pairs[self.stages.index(n)]
 
     def eps_ratio_pair(self, n: int) -> tuple[int, int]:
@@ -316,17 +330,22 @@ class RatioTrace:
     def ratios(self) -> tuple[tuple[Fraction, ...], ...]:
         """Rows r_0..r_d per stage, as exact Fractions."""
         return tuple(tuple(Fraction(c[j], c[j + 1]) for j in range(self.d + 1))
-                     for c in self.counts)
+                     for c in map(self._row, self.stages))
 
 
-def ratios(vectors: list[BoundaryClassVector]) -> RatioTrace:
-    """Build the ratio trace from evolved vectors (stage 0 is skipped)."""
-    staged = [v for v in vectors if v.n >= 1]
+def ratios(stages: list[BoundaryClassVector | CountInterval]) -> RatioTrace:
+    """Build the ratio trace from evolved stages (stage 0 is skipped).
+
+    An exact vector gives both ends its counts; an enclosure gives its own.
+    """
+    staged = [v for v in stages if v.n >= 1]
     if not staged:
         raise ValueError("need at least one vector at stage >= 1 (stage-0 "
                          "ratios are undefined: c1(0) = 0)")
+    ends = [(v.lo, v.hi) if isinstance(v, CountInterval) else (v.counts, v.counts)
+            for v in staged]
     return RatioTrace(d=staged[0].d, stages=tuple(v.n for v in staged),
-                      counts=tuple(v.counts for v in staged))
+                      lo=tuple(lo for lo, _ in ends), hi=tuple(hi for _, hi in ends))
 
 
 # -- decimal rendering ---------------------------------------------------------
@@ -388,26 +407,74 @@ class ContractionReport:
     violations: tuple[str, ...]
 
 
-def check_contraction(trace: RatioTrace, limit_places: int = 60) -> ContractionReport:
+Ends = tuple[int, int]
+
+
+def decide_at_least(left: Ends, right: Ends) -> bool | None:
+    """Whether x >= y for every x in [left[0], left[1]] and y in [right[0],
+    right[1]].
+
+    True when left's low end reaches right's high end, False when left's
+    high end is below right's low end, None when the ends leave it open.
+    Exact values, each with equal ends, are always decided.
+    """
+    if left[0] >= right[1]:
+        return True
+    if left[1] < right[0]:
+        return False
+    return None
+
+
+def _mul(a: Ends, b: Ends) -> Ends:
+    """Ends of the product of two enclosed integers of any sign."""
+    if a[0] == a[1] and b[0] == b[1]:
+        p = a[0] * b[0]
+        return p, p
+    ends = (a[0] * b[0], a[0] * b[1], a[1] * b[0], a[1] * b[1])
+    return min(ends), max(ends)
+
+
+class _Undecided(Exception):
+    """The ends of an enclosure leave a ratio fact open."""
+
+
+def _holds(left: Ends, right: Ends) -> bool:
+    """decide_at_least, raising _Undecided when the ends leave it open."""
+    decided = decide_at_least(left, right)
+    if decided is None:
+        raise _Undecided
+    return decided
+
+
+def check_contraction(trace: RatioTrace,
+                      limit_places: int = 60) -> ContractionReport | None:
     """Verify the ratio ordering, monotonicity, and quadratic contraction.
 
     Asserted facts: within each stage the ratios descend, r_0 >= ... >= r_d
     (for d = 2 this starts at stage 2; stage 1 has a middle inversion);
     across stages r_0 strictly decreases and r_d strictly increases; and
     eps(n+1) < 3 eps(n)^2.  The report also carries the certified common
-    digit prefix of the shared limit, bracketed by [r_d, r_0] at the last
-    stage.  Each fact is decided on integer cross-products of the counts,
-    whose denominators are positive.
+    digit prefix of the shared limit, bracketed by r_d's low end and r_0's
+    high end at the last stage.  Each fact is decided on the ends of integer
+    cross-products of the counts (decide_at_least); each side of a
+    comparison takes as many factors from each stage as the other, so the
+    stages' scales cancel.  Returns None, neither a pass nor a fail, when
+    an enclosure's ends leave some fact open; an exact trace always decides.
     """
+    try:
+        return _contraction_report(trace, limit_places)
+    except _Undecided:
+        return None
+
+
+def _contraction_report(trace: RatioTrace, limit_places: int) -> ContractionReport:
     d = trace.d
+    rows = [tuple(zip(lo, hi)) for lo, hi in zip(trace.lo, trace.hi)]
     violations: list[str] = []
 
-    chain_violations: list[tuple[int, int]] = []
-    for n, c in zip(trace.stages, trace.counts):
-        for j in range(d):
-            # r_j < r_{j+1}  iff  c_j c_{j+2} < c_{j+1}^2
-            if c[j] * c[j + 2] < c[j + 1] * c[j + 1]:
-                chain_violations.append((n, j))
+    # r_j >= r_{j+1}  iff  c_j c_{j+2} >= c_{j+1}^2
+    chain_violations = [(n, j) for n, c in zip(trace.stages, rows) for j in range(d)
+                        if not _holds(_mul(c[j], c[j + 2]), _mul(c[j + 1], c[j + 1]))]
     chain_ok_from = None
     for n in trace.stages:
         if all(stage < n for stage, _ in chain_violations):
@@ -420,40 +487,48 @@ def check_contraction(trace: RatioTrace, limit_places: int = 60) -> ContractionR
             f"ratio chain only ordered from stage {chain_ok_from} on"
         )
 
-    for n, c in zip(trace.stages, trace.counts):
-        if any(x <= 0 for x in c[:d + 1]):
+    for n, c in zip(trace.stages, rows):
+        if any(_holds((0, 0), x) for x in c[:d + 1]):
             violations.append(f"nonpositive ratio at stage {n}")
-        if d >= 3 and c[0] >= c[1]:
+        if d >= 3 and _holds(c[0], c[1]):
             violations.append(f"r0 not below 1 at stage {n}")
-        if d == 2 and c[d] <= c[d + 1]:
+        if d == 2 and _holds(c[d + 1], c[d]):
             # the three-corner system runs top-heavy; its ratios exceed 1
             violations.append(f"r{d} not above 1 at stage {n}")
 
     # r_j(n) > r_j(n')  iff  c_j(n) c_{j+1}(n') > c_j(n') c_{j+1}(n)
-    pairs = list(zip(trace.counts, trace.counts[1:]))
-    alpha_dec = all(a[0] * b[1] > b[0] * a[1] for a, b in pairs)
-    omega_inc = all(a[d] * b[d + 1] < b[d] * a[d + 1] for a, b in pairs)
+    pairs = list(zip(rows, rows[1:]))
+    alpha_dec = all(not _holds(_mul(b[0], a[1]), _mul(a[0], b[1])) for a, b in pairs)
+    omega_inc = all(not _holds(_mul(a[d], b[d + 1]), _mul(b[d], a[d + 1]))
+                    for a, b in pairs)
     if not alpha_dec:
         violations.append("r0 is not strictly decreasing across stages")
     if not omega_inc:
         violations.append(f"r{d} is not strictly increasing across stages")
 
+    def eps_ends(c):
+        # eps = E/D, E = c_0 c_{d+1} - c_d c_1 of either sign, D = c_1 c_{d+1} > 0
+        e_plus, e_minus = _mul(c[0], c[d + 1]), _mul(c[d], c[1])
+        return (e_plus[0] - e_minus[1], e_plus[1] - e_minus[0]), _mul(c[1], c[d + 1])
+
+    eps = [eps_ends(c) for c in rows]
     eps_ok = True
-    for n in trace.stages[:-1]:
+    for i, n in enumerate(trace.stages[:-1]):
         if n + 1 in trace.stages:
-            # eps = E/D with D > 0, so eps(n+1) < 3 eps(n)^2
-            # iff E_1 D_0^2 < 3 E_0^2 D_1
-            e0, d0 = trace.eps_pair(n)
-            e1, d1 = trace.eps_pair(n + 1)
-            if not e1 * d0 * d0 < 3 * e0 * e0 * d1:
+            # eps(n+1) < 3 eps(n)^2  iff  E_1 D_0^2 < 3 E_0^2 D_1
+            e0, d0 = eps[i]
+            e1, d1 = eps[trace.stages.index(n + 1)]
+            if _holds(_mul(e1, _mul(d0, d0)), _mul((3, 3), _mul(_mul(e0, e0), d1))):
                 eps_ok = False
                 violations.append(f"eps({n + 1}) >= 3*eps({n})^2")
 
-    last = trace.stages[-1]
-    lo = render_quotient(*trace.ratio_pair(last, d), limit_places, mode="floor")
-    hi = render_quotient(*trace.ratio_pair(last, 0), limit_places, mode="floor")
+    lo, hi = trace.lo[-1], trace.hi[-1]
+    if lo[1] == 0:
+        raise _Undecided  # r_0's high end is unbounded
+    low = render_quotient(lo[d], hi[d + 1], limit_places, mode="floor")
+    high = render_quotient(hi[0], lo[1], limit_places, mode="floor")
     limit_digits = ""
-    for a, b in zip(lo, hi):
+    for a, b in zip(low, high):
         if a != b:
             break
         limit_digits += a

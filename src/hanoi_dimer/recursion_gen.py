@@ -504,7 +504,7 @@ def load_system(path: Path, d: int | None = None) -> RecursionSystem:
     """
     try:
         text = Path(path).read_text(encoding="utf-8")
-    except OSError as err:
+    except (OSError, UnicodeDecodeError) as err:
         raise CacheCorruption(f"cannot read cache file {path}: {err}") from err
     lines = text.splitlines()
     if not lines:
@@ -541,22 +541,29 @@ def load_system(path: Path, d: int | None = None) -> RecursionSystem:
     return system
 
 
-def cached_system(d: int, cache_dir: Path | None = None) -> RecursionSystem:
-    """Load from cache when possible, else generate and store.
+def load_or_generate(d: int, cache_dir: Path) -> tuple[RecursionSystem, bool]:
+    """The system from its cache file, and True; or, where there is no
+    usable file, the generated system, stored, and False.
 
     A corrupt cache file, or one written for another dimension, is
     regenerated in place with a warning.
     """
-    if cache_dir is None:
-        return generate(d)
     path = cache_path(Path(cache_dir), d)
     if path.exists():
         try:
-            return load_system(path, d)
+            return load_system(path, d), True
         except CacheCorruption as err:
             import warnings
 
             warnings.warn(f"regenerating corrupt recursion cache: {err}")
     system = generate(d)
     save_system(system, path)
-    return system
+    return system, False
+
+
+def cached_system(d: int, cache_dir: Path | None = None) -> RecursionSystem:
+    """Load from cache when possible, else generate and store
+    (load_or_generate); without a cache directory, generate."""
+    if cache_dir is None:
+        return generate(d)
+    return load_or_generate(d, cache_dir)[0]

@@ -6,13 +6,16 @@ see them) and enforces the stated runtime budget for the work it times.
 
 from __future__ import annotations
 
+import os
 import subprocess
 import sys
 import time
 from contextlib import contextmanager
+from pathlib import Path
 
 import pytest
 
+import hanoi_dimer
 from hanoi_dimer import reference_values as ref
 from hanoi_dimer.appendix_check import run_certificates, gap_expansion, w_power_coefficient
 from hanoi_dimer.entropy import bounds, check_finite_sandwich
@@ -28,7 +31,7 @@ from hanoi_dimer.matching_oracle import boundary_class_vector
 from hanoi_dimer.multipoly import Polynomial, serialize
 from hanoi_dimer.recursion_gen import reduced_ratio_form
 
-from .helpers import load_golden_d3, parse_classic
+from .helpers import REPO_DIR, load_golden_d3, parse_classic
 
 
 @contextmanager
@@ -174,8 +177,6 @@ def test_criterion_11_higher_dimension_probe_d5():
 
 def test_criterion_12_reproduce_determinism(tmp_path):
     env = {"HANOI_DIMER_CACHE": str(tmp_path), "PYTHONHASHSEED": "random"}
-    import os
-
     env = {**os.environ, **env}
     runs = [
         subprocess.run(
@@ -188,3 +189,16 @@ def test_criterion_12_reproduce_determinism(tmp_path):
     assert runs[0].stderr == runs[1].stderr == b""
     assert b"SUMMARY" in runs[0].stdout and b"0 failures" in runs[0].stdout
     report(12, "reproduce run twice is byte-identical with zero failures")
+
+
+def test_reproduce_prints_the_benchmark_fixture():
+    # the fixture the benchmark checks every reproduce run against
+    fixture = (REPO_DIR / "perfbench" / "fixtures" / "reproduce.stdout").read_bytes()
+    src = str(Path(hanoi_dimer.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    run = subprocess.run([sys.executable, "-m", "hanoi_dimer", "reproduce"],
+                         capture_output=True, env={**os.environ, "PYTHONPATH": path},
+                         timeout=300)
+    assert run.returncode == 0
+    assert run.stderr == b""
+    assert run.stdout == fixture

@@ -2,28 +2,37 @@
 
 from __future__ import annotations
 
+import contextlib
+import io
 import json
 import re
+import tempfile
 import time
+import warnings
+from functools import cache
 from importlib import resources
 from itertools import count
+from pathlib import Path
 
 import jsonschema
 import pytest
+from hypothesis import event, given, settings, strategies as st
 
 from hanoi_dimer import cli, evolve, recursion_gen
 from hanoi_dimer.cli import build_parser, main
+from hanoi_dimer.errors import CacheCorruption
 from hanoi_dimer.evolve import BoundaryClassVector
 from hanoi_dimer.matching_oracle import recursion_ceiling
 from hanoi_dimer.recursion_gen import (
     SCAN_WORK_CAP,
     cache_path,
     generate,
+    load_system,
     save_system,
     scan_pairs,
 )
 
-from .helpers import run_python
+from .helpers import REPO_DIR, run_python
 
 
 def run_cli(capsys, *argv: str) -> tuple[int, str, str]:
@@ -198,6 +207,129 @@ def test_verify_generates_once_when_it_writes_the_cache(capsys, tmp_path,
     assert (code, calls) == (0, [2, 2])
 
 
+def test_verify_generates_once_over_a_corrupt_cache_file(capsys, tmp_path,
+                                                         monkeypatch):
+    # the regenerated file is the generated system already: no second
+    # generation for the loaded-file comparison
+    calls = []
+    real_generate = recursion_gen.generate
+
+    def counted(d):
+        calls.append(d)
+        return real_generate(d)
+
+    monkeypatch.setattr(cli, "generate", counted)
+    monkeypatch.setattr(recursion_gen, "generate", counted)
+    path = cache_path(tmp_path, 2)
+    path.write_text("garbage\n")
+    with pytest.warns(UserWarning, match="regenerating corrupt recursion cache"):
+        code, out, _ = run_cli(capsys, "verify", "--d", "2", "--n-max", "1",
+                               "--cache-dir", str(tmp_path))
+    assert (code, calls) == (0, [2])
+    assert out.splitlines()[-1] == "stage 1: OK (4 class counts + total)"
+    assert load_system(path, 2) == real_generate(2)
+
+
+@cache
+def cache_bytes(d: int) -> bytes:
+    with tempfile.TemporaryDirectory() as tmp:
+        path = cache_path(Path(tmp), d)
+        save_system(generate(d), path)
+        return path.read_bytes()
+
+
+def coefficient_digits(data: bytes) -> list[int]:
+    # a coefficient is a run of digits after a space; variables and
+    # exponents follow "c" and "^"
+    return [m.start() + 1 + i for m in re.finditer(rb" [0-9]+", data)
+            for i in range(len(m.group()) - 1)]
+
+
+@st.composite
+def hostile_cache_files(draw):
+    """(d, bytes): the d-system's cache file with one coefficient digit
+    changed, corrupted, truncated, with its lines permuted, or written for
+    the other dimension."""
+    d = draw(st.sampled_from([2, 3]))
+    data = cache_bytes(d)
+    kind = draw(st.sampled_from(["coefficient", "corrupt", "truncate", "permute",
+                                 "other-d"]))
+    if kind == "coefficient":
+        # a file with one coefficient digit changed still loads, to another system
+        at = draw(st.sampled_from(coefficient_digits(data)))
+        digit = draw(st.sampled_from(b"123456789").filter(lambda b: b != data[at]))
+        data = data[:at] + bytes([digit]) + data[at + 1:]
+    elif kind == "corrupt":
+        edited = bytearray(data)
+        for _ in range(draw(st.integers(1, 3))):
+            at = draw(st.integers(0, len(edited) - 1))
+            # digits and syntax keep many edits parseable; 0xff is not UTF-8
+            edited[at] = draw(st.sampled_from(b"0189c^*+-: \n\xff"))
+        data = bytes(edited)
+    elif kind == "truncate":
+        data = data[:draw(st.integers(0, len(data) - 1))]
+    elif kind == "permute":
+        lines = data.splitlines(keepends=True)
+        permuted = draw(st.permutations(lines))
+        data = b"".join(permuted)
+    else:
+        data = cache_bytes(5 - d)
+        if draw(st.booleans()):
+            # a header forged to claim this d over the other system
+            header = f"# d={d} basis=c0..c{d + 1}\n".encode()
+            data = header + data.split(b"\n", 1)[1]
+    return d, data
+
+
+def load_system_bytes(d: int, data: bytes):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "cache.txt"
+        path.write_bytes(data)
+        return load_system(path, d)
+
+
+def run_quietly(*argv: str) -> tuple[int, str, list[str]]:
+    """main's exit code, stdout and warning messages, stderr discarded."""
+    out = io.StringIO()
+    with warnings.catch_warnings(record=True) as caught, \
+            contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        warnings.simplefilter("always")
+        code = main(list(argv))
+    return code, out.getvalue(), [str(w.message) for w in caught]
+
+
+@settings(max_examples=30, deadline=None)
+@given(hostile_cache_files())
+def test_hostile_cache_files_never_pass_with_wrong_data(case):
+    d, data = case
+    clean = load_system_bytes(d, cache_bytes(d))
+    try:
+        tampered = load_system_bytes(d, data)
+    except CacheCorruption:
+        tampered = None
+    event("corrupt" if tampered is None else "same" if tampered == clean else "other")
+    with tempfile.TemporaryDirectory() as tmp:
+        path = cache_path(Path(tmp), d)
+        path.write_bytes(data)
+        code, out, warned = run_quietly("verify", "--d", str(d), "--n-max", "1",
+                                        "--cache-dir", tmp)
+        if tampered is None:
+            # regenerated with a warning, and checked
+            assert code == 0
+            assert any(m.startswith("regenerating corrupt recursion cache")
+                       for m in warned)
+            assert path.read_bytes() == cache_bytes(d)
+        elif tampered == clean:
+            assert code == 0
+        else:
+            # a file that loads to another system is refused
+            assert code == 1, out
+        path.write_bytes(data)
+        code, _, _ = run_quietly("gen-recursions", "--d", str(d), "--cache-dir", tmp)
+        assert code == 0
+        assert path.read_bytes() == cache_bytes(d)
+
+
 def test_inconsistent_tamper_caught_by_integrity_layer(capsys, tmp_path):
     run_cli(capsys, "gen-recursions", "--d", "2", "--cache-dir", str(tmp_path))
     path = cache_path(tmp_path, 2)
@@ -264,6 +396,49 @@ def test_ratios_and_reproduce_build_no_fraction(capsys, monkeypatch):
     assert code == 0 and json.loads(out)["eps_ratios"]
     code, out, _ = run_cli(capsys, "reproduce")
     assert code == 0 and "0 failures" in out
+
+
+# -- reproduce --------------------------------------------------------------------
+
+REPRODUCE_STDOUT = REPO_DIR / "perfbench" / "fixtures" / "reproduce.stdout"
+
+
+def test_reproduce_steps_exact_counts_to_stage_five(capsys, monkeypatch):
+    # stage 6 is an enclosure of stage 5's step; its ratio facts and bounds
+    # read only leading bits
+    stepped = []
+    real_step = evolve.step
+
+    def counted(v):
+        stepped.append((v.d, v.n + 1))
+        return real_step(v)
+
+    monkeypatch.setattr(evolve, "step", counted)
+    code, out, err = run_cli(capsys, "reproduce")
+    assert (code, err) == (0, "")
+    assert out == REPRODUCE_STDOUT.read_text()
+    assert stepped == [(d, n) for d in (2, 3, 4) for n in range(1, 6)]
+
+
+def test_reproduce_widens_an_undecided_enclosure(capsys, monkeypatch):
+    widths = []
+    real_check = cli.check_contraction
+
+    def recorded(trace):
+        report = real_check(trace)
+        widths.append((trace.d, trace.lo[-1] == trace.hi[-1], report is not None))
+        return report
+
+    # 8 bits decide nothing at stage 6; doubling reaches a width that does
+    monkeypatch.setattr(cli, "working_bits", lambda precision, k: 8)
+    monkeypatch.setattr(cli, "check_contraction", recorded)
+    code, out, err = run_cli(capsys, "reproduce")
+    assert (code, err) == (0, "")
+    assert out == REPRODUCE_STDOUT.read_text()
+    for d in (2, 3, 4):
+        runs = [(exact, decided) for dd, exact, decided in widths if dd == d]
+        assert runs[0] == (False, False)
+        assert [decided for _, decided in runs] == [False] * (len(runs) - 1) + [True]
 
 
 # -- entropy ----------------------------------------------------------------------

@@ -10,7 +10,7 @@ import mpmath
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hanoi_dimer import entropy
+from hanoi_dimer import cli, entropy
 from hanoi_dimer import reference_values as ref
 from hanoi_dimer.entropy import (
     bounds,
@@ -20,7 +20,7 @@ from hanoi_dimer.entropy import (
     ratios_bracketed,
 )
 from hanoi_dimer.errors import IntegrityError
-from hanoi_dimer.evolve import BoundaryClassVector, ratios
+from hanoi_dimer.evolve import BoundaryClassVector, enclose, ratios
 
 from .helpers import exact_bounds
 
@@ -220,6 +220,45 @@ def test_bracket_rejects_zero_denominator():
         ratios_bracketed(v)
     with pytest.raises(ZeroDivisionError):
         bounds(2, 1, [v], precision=60)
+
+
+def test_bounds_refuse_a_bracketed_stage_without_the_chain(capsys, monkeypatch):
+    # r = 0.9, 0.7, 0.8, 0.6: r_0 is the largest and r_3 the smallest, but
+    # r_1 < r_2 breaks the chain the certificates assume
+    v = class_vector(3, 1, (3024, 3360, 4800, 6000, 10000))
+    assert ratios_bracketed(v)
+    with pytest.raises(IntegrityError, match="do not descend r0 >= r1 >= ... >= r3"):
+        bounds(3, 1, [v], precision=60)
+    monkeypatch.setattr(cli, "evolve_to", lambda *args, **kwargs: [v])
+    assert cli.main(["entropy", "--d", "3", "--k", "1"]) == 1
+    assert "do not descend" in capsys.readouterr().err
+
+
+def test_bounds_widen_until_the_chain_is_decided(monkeypatch):
+    # r_1 = r_2 = p/q exactly, on counts far wider than the base width: the
+    # enclosure's ends leave c_1 c_3 >= c_2^2 open until it is exact
+    p, q = 3**90, 5**64
+    top = 2 * q**3 // p  # r_3 about half of r_2
+    v = class_vector(3, 1, (p * p * 9 // 10, p * p, p * q, q * q, top))
+    base = entropy.working_bits(10, 1)
+    assert base < top.bit_length() <= 2 * base
+    narrow = enclose(v, base)
+    assert entropy._bracket_decision(3, narrow.lo, narrow.hi) is True
+    assert entropy._chain_decision(3, narrow.lo, narrow.hi) is None
+    decisions = []
+    decide = entropy._interval_bounds
+
+    def recorded(iv, precision):
+        decided = decide(iv, precision)
+        decisions.append((iv.exact, decided is not None))
+        return decided
+
+    monkeypatch.setattr(entropy, "_interval_bounds", recorded)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        result = bounds(3, 1, [v], precision=10)
+    assert decisions == [(False, False), (True, True)]
+    assert summary(result) == exact_bounds(3, 1, v, 10)
 
 
 def test_bounds_require_stage_at_least_one(trajectories):

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import fields
+from dataclasses import fields, replace
 from fractions import Fraction
 from math import comb, lcm
 
@@ -13,6 +13,7 @@ from hanoi_dimer import reference_values as ref
 from hanoi_dimer.errors import CapExceeded, IntegrityError
 from hanoi_dimer.multipoly import Polynomial
 from hanoi_dimer import evolve
+from hanoi_dimer.entropy import working_bits
 from hanoi_dimer.recursion_gen import (
     INT_RING,
     POINT_RING,
@@ -32,6 +33,7 @@ from hanoi_dimer.evolve import (
     apply_system,
     check_contraction,
     check_scan_work,
+    decide_at_least,
     enclose,
     eps_ratio_table_value,
     evolve_to,
@@ -315,7 +317,8 @@ def test_ratio_requires_stage_one():
     with pytest.raises(ValueError):
         ratios([initial_vector(3)])
     with pytest.raises(ZeroDivisionError, match="ratio r0 undefined at stage 0"):
-        RatioTrace(d=3, stages=(0,), counts=(initial_vector(3).counts,))
+        row = initial_vector(3).counts
+        RatioTrace(d=3, stages=(0,), lo=(row,), hi=(row,))
 
 
 def test_eps_ratio_table_rendering(trajectories):
@@ -460,7 +463,7 @@ def test_contraction_report_matches_fraction_reference(trajectories, d):
 @pytest.mark.parametrize("d", [2, 3, 4])
 def test_fraction_accessors_match_the_ratio_rows(trajectories, d):
     trace = ratios(trajectories(d, 5))
-    for n, row, c in zip(trace.stages, trace.ratios, trace.counts):
+    for n, row, c in zip(trace.stages, trace.ratios, trace.lo):
         assert row == tuple(Fraction(c[j], c[j + 1]) for j in range(d + 1))
         assert [trace.ratio(n, j) for j in range(d + 1)] == list(row)
         assert trace.eps(n) == row[0] - row[d]
@@ -479,7 +482,7 @@ def trace_of_ratio_rows(d: int, rows) -> RatioTrace:
         scale = lcm(*(c.denominator for c in row_counts))
         counts.append(tuple(int(c * scale) for c in reversed(row_counts)))
     return RatioTrace(d=d, stages=tuple(range(1, len(rows) + 1)),
-                      counts=tuple(counts))
+                      lo=tuple(counts), hi=tuple(counts))
 
 
 # a d=3 trace that passes every check: r_0 falls 0.9, 0.8, 0.76, r_3 rises
@@ -561,7 +564,75 @@ def test_hand_built_zero_numerator_is_a_nonpositive_ratio():
 def test_ratio_trace_rejects_a_negative_denominator():
     # the cross-products decide the ratio facts only over positive denominators
     with pytest.raises(IntegrityError, match="negative class count c3"):
-        RatioTrace(d=2, stages=(1,), counts=((3, 2, 1, -1),))
+        RatioTrace(d=2, stages=(1,), lo=((3, 2, 1, -1),), hi=((3, 2, 1, -1),))
+
+
+# -- ratio facts on enclosures -------------------------------------------------------
+
+
+def test_decide_at_least_reads_the_far_ends():
+    assert decide_at_least((5, 7), (1, 5)) is True
+    assert decide_at_least((1, 4), (5, 9)) is False
+    # overlapping ends decide nothing, in either direction
+    assert decide_at_least((1, 5), (4, 9)) is None
+    assert decide_at_least((4, 9), (1, 5)) is None
+    # exact values always decide, ties included
+    assert decide_at_least((3, 3), (3, 3)) is True
+    assert decide_at_least((-2, -2), (0, 0)) is False
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5])
+def test_enclosed_last_stage_decides_as_the_exact_trace(trajectories, d):
+    last = FIXTURE_STAGES[d]
+    vectors = trajectories(d, last)
+    bits = working_bits(160, last)
+    want = check_contraction(ratios(vectors))
+    # stepped from the exact stage before, as reproduce does, and enclosed
+    for enclosed in (interval_step(enclose(vectors[last - 1], bits), bits),
+                     enclose(vectors[last], bits)):
+        assert not enclosed.exact
+        trace = ratios(vectors[:last] + [enclosed])
+        assert trace.lo[:-1] == trace.hi[:-1]
+        assert check_contraction(trace) == want
+
+
+@pytest.mark.parametrize("d", [3, 4])
+def test_an_eight_bit_enclosure_leaves_the_facts_undecided(trajectories, d):
+    vectors = trajectories(d, 6)
+    trace = ratios(vectors[:6] + [interval_step(enclose(vectors[5], 8), 8)])
+    assert check_contraction(trace) is None
+    # at full width the enclosure is exact, and decides as the exact counts
+    full = max(vectors[6].counts).bit_length()
+    exact = interval_step(enclose(vectors[5], full), full)
+    assert exact.exact
+    assert check_contraction(ratios(vectors[:6] + [exact])) == check_contraction(
+        ratios(vectors))
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(2, 4), st.integers(8, 1024))
+def test_a_decided_enclosure_agrees_with_the_exact_trace(trajectories, d, bits):
+    vectors = trajectories(d, 6)
+    want = check_contraction(ratios(vectors))
+    got = check_contraction(ratios(vectors[:6] + [interval_step(enclose(vectors[5], bits),
+                                                                bits)]))
+    if got is not None:
+        # the enclosure's limit prefix is certified, so the exact one extends it
+        assert want.limit_digits.startswith(got.limit_digits)
+        assert got == replace(want, limit_digits=got.limit_digits)
+
+
+def test_enclosure_stages_have_no_single_value(trajectories):
+    vectors = trajectories(3, 5)
+    trace = ratios(vectors[:5] + [enclose(vectors[5], 64)])
+    assert trace.ratio_pair(4, 0) == vectors[4].counts[:2]
+    assert trace.eps_ratio_pair(3) == ratios(vectors).eps_ratio_pair(3)
+    for read in (lambda: trace.ratio_pair(5, 0), lambda: trace.eps_pair(5),
+                 lambda: trace.eps_ratio_pair(4), lambda: trace.ratios):
+        with pytest.raises(ValueError, match="stage 5 is an enclosure"):
+            read()
+    with pytest.raises(IntegrityError, match="out of order"):
+        RatioTrace(d=2, stages=(1,), lo=((3, 2, 2, 1),), hi=((3, 2, 1, 1),))
 
 
 # -- interval evolution ------------------------------------------------------------
