@@ -26,8 +26,8 @@ oversized runs ("not attempted") rather than reporting partial results.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import comb
+from typing import NamedTuple
 
 from .errors import CapExceeded
 from .multipoly import Polynomial, _grlex_key, serialize
@@ -101,8 +101,7 @@ def gap_degree(exps: tuple[int, ...]) -> int:
     return sum(exps[1:])
 
 
-@dataclass(frozen=True)
-class CertificateReport:
+class CertificateReport(NamedTuple):
     name: str
     d: int
     attempted: bool

@@ -272,19 +272,20 @@ _PRECISION = 160
 
 
 def _ratio_trace(vectors):
-    """The trace of the exact stages and an enclosure of the last one, and
-    its contraction report.
+    """The trace of the exact stages and an enclosure of the last one, its
+    contraction report, and that enclosure if it is at the bounds' working
+    width (else None).
 
     The enclosure starts at the bounds' working width and doubles until its
     ends decide every fact; at full width it is exact, so the loop ends.
     """
-    bits = working_bits(_PRECISION, _LAST_STAGE)
+    start = bits = working_bits(_PRECISION, _LAST_STAGE)
     while True:
         last = interval_step(enclose(vectors[_EXACT_STAGES], bits), bits)
         trace = ratios(vectors + [last])
         contraction = check_contraction(trace)
         if contraction is not None:
-            return trace, contraction
+            return trace, contraction, last if bits == start else None
         bits *= 2
 
 
@@ -304,7 +305,7 @@ def _reproduce_dimension(report: _Report, d: int) -> None:
                        vectors[n].counts, counts_ref[n])
         report.compare(f"matching total n={n}", vectors[n].m, totals_ref[n])
 
-    trace, contraction = _ratio_trace(vectors)
+    trace, contraction, last = _ratio_trace(vectors)
     if d == 3:
         for n, row in ref.RATIOS_D3.items():
             got = tuple(render_quotient(*trace.ratio_pair(n, j), 15) for j in range(4))
@@ -326,7 +327,7 @@ def _reproduce_dimension(report: _Report, d: int) -> None:
             f"(want prefix {ref.RATIO_LIMIT_DIGITS[d]})",
         )
 
-    result = bounds(d, _LAST_STAGE, vectors, precision=_PRECISION)
+    result = bounds(d, _LAST_STAGE, vectors, precision=_PRECISION, enclosure=last)
     prefix = ref.Z_PREFIX[d]
     report.check(
         "entropy bounds k=6 share reference prefix",

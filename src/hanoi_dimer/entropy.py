@@ -40,9 +40,9 @@ thousand ulps never reaches a reported digit.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
 from fractions import Fraction
 from math import ceil, log2
+from typing import NamedTuple
 
 from .errors import IntegrityError
 from .evolve import (
@@ -58,8 +58,7 @@ DEFAULT_PRECISION = 160
 GUARD_DIGITS = 20
 
 
-@dataclass(frozen=True)
-class HighPrecisionReal:
+class HighPrecisionReal(NamedTuple):
     """A directed decimal bound: value = scaled / 10^precision.
 
     rounding records which way the true quantity lies: "floor" means the
@@ -79,8 +78,7 @@ class HighPrecisionReal:
         return Fraction(self.scaled, 10**self.precision)
 
 
-@dataclass(frozen=True)
-class BoundsResult:
+class BoundsResult(NamedTuple):
     d: int
     k: int
     lower: HighPrecisionReal
@@ -90,8 +88,7 @@ class BoundsResult:
     warning: str | None = None
 
 
-@dataclass(frozen=True)
-class SandwichReport:
+class SandwichReport(NamedTuple):
     """Exact rational verification of the finite-stage matching sandwich."""
 
     d: int
@@ -362,13 +359,17 @@ def _interval_bounds(iv: CountInterval, precision: int
 
 
 def bounds(d: int, k: int, vectors: list[BoundaryClassVector],
-           precision: int = DEFAULT_PRECISION) -> BoundsResult:
+           precision: int = DEFAULT_PRECISION,
+           enclosure: CountInterval | None = None) -> BoundsResult:
     """Certified lower/upper bounds on the entropy per site from stage k.
 
     Requires k >= 1 and the stage-k ratio interleaving (r_d minimal, r_0
     maximal), which underwrites the sandwich; the d=2 system only satisfies
     it from stage 2 on.  Starts from the stage-k vector if given, else from
-    the latest earlier one, and steps its enclosure to k.
+    the latest earlier one, and steps its enclosure to k.  A given
+    enclosure, of the stage-k counts at working_bits(precision, k), is
+    tried first in place of that one; when its ends leave a bound open,
+    the widening starts from the vector as before.
     """
     if k < 1:
         raise ValueError("bound stage k must be >= 1")
@@ -378,16 +379,22 @@ def bounds(d: int, k: int, vectors: list[BoundaryClassVector],
     seed = max(seeds, key=lambda v: v.n)
     if seed.d != d:
         raise ValueError(f"vectors are for d={seed.d}, not d={d}")
+    if enclosure is not None and (enclosure.d, enclosure.n) != (d, k):
+        raise ValueError(f"enclosure is of d={enclosure.d} stage {enclosure.n}, "
+                         f"not d={d} stage {k}")
 
     bits = working_bits(precision, k)
+    iv = enclosure
     while True:
-        iv = enclose(seed, bits)
-        while iv.n < k:
-            iv = interval_step(iv, bits)
+        if iv is None:
+            iv = enclose(seed, bits)
+            while iv.n < k:
+                iv = interval_step(iv, bits)
         decided = _interval_bounds(iv, precision)
         if decided is not None:
             break
         bits *= 2
+        iv = None
     lower, upper, lambda_digits = decided
     if lower.scaled > upper.scaled:
         raise IntegrityError("lower bound exceeded upper bound")

@@ -28,10 +28,10 @@ counts is taken.  An exact Fraction is built only on request.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import comb
+from typing import NamedTuple
 
 from .errors import CapExceeded, IntegrityError
 from .intutil import digit_count
@@ -50,42 +50,51 @@ from .recursion_gen import (
 DEFAULT_DIGIT_CAP = 10**7
 
 
-@dataclass(frozen=True)
-class BoundaryClassVector:
-    """Exact matching counts of TH_d(n), classified by dimer-covered corners.
-
-    counts[k] = matchings with a fixed k-subset of corners dimer-covered and
-    the rest monomer-covered; m = unconstrained total.
-    """
-
+class _BoundaryClassVector(NamedTuple):
     d: int
     n: int
     counts: tuple[int, ...]
     m: int
 
-    def __post_init__(self):
-        if len(self.counts) != self.d + 2:
+
+class BoundaryClassVector(_BoundaryClassVector):
+    """Exact matching counts of TH_d(n), classified by dimer-covered corners.
+
+    counts[k] = matchings with a fixed k-subset of corners dimer-covered and
+    the rest monomer-covered; m = unconstrained total.  Checked on every
+    construction, _make and _replace included.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, d: int, n: int, counts: tuple[int, ...], m: int):
+        if len(counts) != d + 2:
             raise IntegrityError(
-                f"class vector for d={self.d} needs {self.d + 2} counts, "
-                f"got {len(self.counts)}"
+                f"class vector for d={d} needs {d + 2} counts, got {len(counts)}"
             )
-        if any(c < 0 for c in self.counts):
+        if any(c < 0 for c in counts):
             raise IntegrityError("negative class count")
-        total = sum(comb(self.d + 1, k) * c for k, c in enumerate(self.counts))
-        if total != self.m:
+        total = sum(comb(d + 1, k) * c for k, c in enumerate(counts))
+        if total != m:
             raise IntegrityError(
-                f"total {self.m} differs from binomial-weighted class sum {total}"
+                f"total {m} differs from binomial-weighted class sum {total}"
             )
-        if self.n >= 1:
-            pairs = zip(self.counts, self.counts[1:])
-            if self.d == 2:
+        if n >= 1:
+            pairs = zip(counts, counts[1:])
+            if d == 2:
                 ok = all(a > b for a, b in pairs)
             else:
                 ok = all(a < b for a, b in pairs)
             if not ok:
                 raise IntegrityError(
-                    f"class counts at stage {self.n} are not strictly monotone"
+                    f"class counts at stage {n} are not strictly monotone"
                 )
+        return super().__new__(cls, d, n, counts, m)
+
+    @classmethod
+    def _make(cls, iterable) -> BoundaryClassVector:
+        # namedtuple's own _make, which _replace calls, skips __new__
+        return cls(*iterable)
 
 
 def _double_factorial_matchings(k: int) -> int:
@@ -152,8 +161,7 @@ def step(v: BoundaryClassVector) -> BoundaryClassVector:
     return BoundaryClassVector(d=v.d, n=v.n + 1, counts=counts, m=m)
 
 
-@dataclass(frozen=True)
-class CountInterval:
+class CountInterval(NamedTuple):
     """Outward-rounded enclosure of a stage's class counts.
 
     c_j(n) lies in [lo[j] * 2^shift, hi[j] * 2^shift]; all counts share the
@@ -250,8 +258,14 @@ def evolve_to(d: int, n_max: int,
     return out
 
 
-@dataclass(frozen=True)
-class RatioTrace:
+class _RatioTrace(NamedTuple):
+    d: int
+    stages: tuple[int, ...]
+    lo: tuple[tuple[int, ...], ...]
+    hi: tuple[tuple[int, ...], ...]
+
+
+class RatioTrace(_RatioTrace):
     """Class counts per stage, from stage 1 on, read as their ratios.
 
     lo[i] and hi[i] are the ends of c_0..c_{d+1} at stage stages[i], both up
@@ -262,16 +276,15 @@ class RatioTrace:
     integer cross-products.  The values (ratio_pair, eps_pair, and the
     Fractions of ratio, eps, eps_ratio and ratios, built only when called)
     are read off exact stages only; every value is rendered from an
-    unreduced (num, den) pair.
+    unreduced (num, den) pair.  Checked on every construction, _make and
+    _replace included.
     """
 
-    d: int
-    stages: tuple[int, ...]
-    lo: tuple[tuple[int, ...], ...]
-    hi: tuple[tuple[int, ...], ...]
+    # no __slots__: cached_property keeps _eps_pairs in the instance __dict__
 
-    def __post_init__(self):
-        for n, low, high in zip(self.stages, self.lo, self.hi):
+    def __new__(cls, d: int, stages: tuple[int, ...],
+                lo: tuple[tuple[int, ...], ...], hi: tuple[tuple[int, ...], ...]):
+        for n, low, high in zip(stages, lo, hi):
             for j, (den_lo, den_hi) in enumerate(zip(low[1:], high[1:])):
                 # the high end bounds the count from above: 0 means it is 0
                 if den_hi == 0:
@@ -283,6 +296,12 @@ class RatioTrace:
                     raise IntegrityError(f"negative class count c{j + 1} at stage {n}")
             if any(a > b for a, b in zip(low, high)):
                 raise IntegrityError(f"count enclosure ends out of order at stage {n}")
+        return super().__new__(cls, d, stages, lo, hi)
+
+    @classmethod
+    def _make(cls, iterable) -> RatioTrace:
+        # namedtuple's own _make, which _replace calls, skips __new__
+        return cls(*iterable)
 
     def _row(self, n: int) -> tuple[int, ...]:
         """The counts of stage n, which must be exact."""
@@ -394,8 +413,7 @@ def eps_ratio_table_value(trace: RatioTrace, n: int, places: int = 14) -> str:
 # -- ordering / contraction report ---------------------------------------------
 
 
-@dataclass(frozen=True)
-class ContractionReport:
+class ContractionReport(NamedTuple):
     d: int
     ok: bool
     chain_ok_from: int | None

@@ -11,16 +11,15 @@ Graphs are immutable after construction and safe to share between threads.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
+from typing import NamedTuple
 
 from .errors import CapExceeded
 
 DEFAULT_VERTEX_CAP = 10**6
 
 
-@dataclass(frozen=True)
-class HanoiGraph:
+class HanoiGraph(NamedTuple):
     d: int
     n: int
     vertex_count: int

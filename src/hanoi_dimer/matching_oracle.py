@@ -32,9 +32,8 @@ before any count, whatever the vertex cap.
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from .errors import CapExceeded, IntegrityError
 from .evolve import BoundaryClassVector
@@ -52,8 +51,7 @@ class CornerState(Enum):
     FREE = "f"
 
 
-@dataclass(frozen=True)
-class CornerConstraint:
+class CornerConstraint(NamedTuple):
     """One state per corner; length must equal d+1."""
 
     states: tuple[CornerState, ...]

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import re
 from collections.abc import Mapping
+from operator import add
 from typing import Iterator
 
 from .errors import PolynomialParseError, UnboundVariableError
@@ -169,15 +170,14 @@ class Polynomial:
         if len(a) < len(b):
             a, b = b, a
         out: dict[Exponents, int] = {}
+        get = out.get
         for e2, c2 in b.items():
             for e1, c1 in a.items():
-                key = tuple(x + y for x, y in zip(e1, e2))
-                total = out.get(key, 0) + c1 * c2
-                if total:
-                    out[key] = total
-                else:
-                    del out[key]
-        return Polynomial._raw(varset, {v: i for i, v in enumerate(varset)}, out)
+                key = tuple(map(add, e1, e2))
+                out[key] = get(key, 0) + c1 * c2
+        # cancelled terms are dropped once, after every product is summed
+        return Polynomial._raw(varset, {v: i for i, v in enumerate(varset)},
+                               {e: c for e, c in out.items() if c})
 
     __rmul__ = __mul__
 

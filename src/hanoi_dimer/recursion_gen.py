@@ -44,14 +44,13 @@ linearly in the class basis, N(a, b) = sum_j C(d+1-a-b, j) c_{b+j}.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from itertools import groupby, repeat
 from math import comb, lcm
 from operator import add, mul
 from pathlib import Path
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .errors import CacheCorruption, CapExceeded, IntegrityError
 from .multipoly import Polynomial, parse_polynomial, serialize
@@ -79,8 +78,7 @@ def corner_splits(d: int) -> tuple[tuple[int, int], ...]:
     return tuple((a, b) for b in (0, 1) for a in range(d + 2 - b))
 
 
-@dataclass(frozen=True)
-class RecursionSystem:
+class RecursionSystem(NamedTuple):
     """The d+2 class polynomials plus the unconstrained-total polynomial.
 
     class_polys[k] maps a stage-n class vector to c_k(n+1); m_poly maps it
@@ -113,8 +111,7 @@ def mixed_count_expansion(d: int, forced_monomers: int, forced_dimers: int) -> P
 # -- the transfer scan over copies -----------------------------------------------
 
 
-@dataclass(frozen=True)
-class Ring:
+class Ring(NamedTuple):
     """How the scan's values absorb a copy's factor.
 
     muladd(acc, value, factor) returns acc + value * factor, where acc None

@@ -18,7 +18,7 @@ import jsonschema
 import pytest
 from hypothesis import event, given, settings, strategies as st
 
-from hanoi_dimer import cli, evolve, recursion_gen
+from hanoi_dimer import cli, entropy, evolve, recursion_gen
 from hanoi_dimer.cli import build_parser, main
 from hanoi_dimer.errors import CacheCorruption
 from hanoi_dimer.evolve import BoundaryClassVector
@@ -420,6 +420,23 @@ def test_reproduce_steps_exact_counts_to_stage_five(capsys, monkeypatch):
     assert stepped == [(d, n) for d in (2, 3, 4) for n in range(1, 6)]
 
 
+def test_reproduce_steps_each_last_stage_enclosure_once(capsys, monkeypatch):
+    # the ratio facts and the bounds read the one stage-6 enclosure per d
+    stepped = []
+
+    def counted(iv, bits):
+        stepped.append((iv.d, iv.n + 1, bits))
+        return evolve.interval_step(iv, bits)
+
+    monkeypatch.setattr(cli, "interval_step", counted)
+    monkeypatch.setattr(entropy, "interval_step", counted)
+    code, out, err = run_cli(capsys, "reproduce")
+    assert (code, err) == (0, "")
+    assert out == REPRODUCE_STDOUT.read_text()
+    bits = cli.working_bits(160, 6)
+    assert stepped == [(d, 6, bits) for d in (2, 3, 4)]
+
+
 def test_reproduce_widens_an_undecided_enclosure(capsys, monkeypatch):
     widths = []
     real_check = cli.check_contraction
@@ -804,3 +821,17 @@ def test_verify_reports_a_scan_mismatch(capsys, tmp_path, monkeypatch):
     assert code == 1
     assert out.splitlines() == ["stage 0: OK (4 class counts + total)",
                                 "stage 1: MISMATCH c0: scan 19, oracle 18"]
+
+
+# -- start-up ------------------------------------------------------------------------
+
+
+def test_start_up_imports_no_dataclasses_or_inspect():
+    # every command pays this import; dataclasses pulls in inspect, and each
+    # frozen dataclass compiles its generated methods at every import
+    run = run_python("-c", "import sys\n"
+                           "from hanoi_dimer import cli\n"
+                           "cli.build_parser()\n"
+                           "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
+    assert (run.returncode, run.stderr) == (0, "")
+    assert run.stdout == "[]\n"

@@ -20,7 +20,7 @@ from hanoi_dimer.entropy import (
     ratios_bracketed,
 )
 from hanoi_dimer.errors import IntegrityError
-from hanoi_dimer.evolve import BoundaryClassVector, enclose, ratios
+from hanoi_dimer.evolve import BoundaryClassVector, enclose, interval_step, ratios
 
 from .helpers import exact_bounds
 
@@ -259,6 +259,48 @@ def test_bounds_widen_until_the_chain_is_decided(monkeypatch):
         result = bounds(3, 1, [v], precision=10)
     assert decisions == [(False, False), (True, True)]
     assert summary(result) == exact_bounds(3, 1, v, 10)
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_bounds_from_a_working_width_enclosure_step_nothing(trajectories, monkeypatch, d):
+    # reproduce hands bounds the stage-6 enclosure its ratio facts were
+    # decided on; bounds then steps nothing and certifies the same digits
+    vectors = trajectories(d, 5)
+    bits = entropy.working_bits(160, 6)
+    given = interval_step(enclose(vectors[5], bits), bits)
+    want = bounds(d, 6, vectors, precision=160)
+    stepped = []
+    monkeypatch.setattr(entropy, "interval_step",
+                        lambda iv, width: stepped.append(width) or interval_step(iv, width))
+    assert bounds(d, 6, vectors, precision=160, enclosure=given) == want
+    assert stepped == []
+
+
+def test_bounds_widen_from_the_seed_past_an_undecided_enclosure(trajectories,
+                                                                monkeypatch):
+    vectors = trajectories(3, 5)
+    narrow = interval_step(enclose(vectors[5], 8), 8)
+    decisions = []
+    decide = entropy._interval_bounds
+
+    def recorded(iv, precision):
+        decided = decide(iv, precision)
+        decisions.append((iv is narrow, max(iv.hi).bit_length(), decided is not None))
+        return decided
+
+    want = bounds(3, 6, vectors, precision=160)
+    monkeypatch.setattr(entropy, "_interval_bounds", recorded)
+    assert bounds(3, 6, vectors, precision=160, enclosure=narrow) == want
+    # the 8-bit ends decide nothing; the seed's widening starts at twice the
+    # base width, as after an undecided first try of its own
+    base = entropy.working_bits(160, 6)
+    assert decisions == [(True, 8, False), (False, 2 * base, True)]
+
+
+def test_bounds_refuse_an_enclosure_of_another_stage(trajectories):
+    vectors = trajectories(3, 5)
+    with pytest.raises(ValueError, match="enclosure is of d=3 stage 5, not d=3 stage 6"):
+        bounds(3, 6, vectors, precision=160, enclosure=enclose(vectors[5], 600))
 
 
 def test_bounds_require_stage_at_least_one(trajectories):

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-from dataclasses import replace
 from itertools import combinations, product
 from math import comb
 
@@ -161,7 +160,7 @@ def test_one_pass_vector_matches_per_subset_runs(d, n):
 
 def test_relabeled_corners_break_corner_symmetry():
     # vertices 1 and 2 of TH_2(1) carry connector edges, vertex 0 does not
-    g = replace(build(2, 1), corners=(0, 1, 2))
+    g = build(2, 1)._replace(corners=(0, 1, 2))
     with pytest.raises(IntegrityError, match="corner-symmetry violation"):
         boundary_class_vector(g)
 
