@@ -5,8 +5,9 @@ Each stage squares the outer ratio gap, so the certified digit count of the
 entropy interval roughly doubles per k.  Useful for picking the cheapest k
 for a target accuracy.
 
-Stages whose ratios are not bracketed by r_0 and r_d (stage 1 for d=2)
-admit no bound and are listed as such.
+Stages whose ratios do not descend r_0 >= r_1 >= ... >= r_d (stage 1 for
+d=2), which bounds refuses with IntegrityError, admit no bound and are
+listed as such.
 
 Counts are evolved by the transfer scan from d alone, exactly up to the
 first stage wider than the working precision and as fixed-width intervals
@@ -19,7 +20,8 @@ from __future__ import annotations
 
 import argparse
 
-from hanoi_dimer.entropy import bounds, ratios_bracketed, working_bits
+from hanoi_dimer.entropy import bounds, working_bits
+from hanoi_dimer.errors import IntegrityError
 from hanoi_dimer.evolve import evolve_to
 
 
@@ -35,11 +37,11 @@ def main() -> None:
     print(f"d={args.d}, precision={args.precision}")
     print(f"{'k':>3} {'certified':>9} {'lambda digits':>13}  shared prefix")
     for k in range(1, args.k_max + 1):
-        # past the exact stages bounds decides the bracket on the enclosure
-        if k < len(vectors) and not ratios_bracketed(vectors[k]):
-            print(f"{k:>3} {'-':>9} {'-':>13}  ratios not bracketed, no bound")
+        try:
+            result = bounds(args.d, k, vectors, precision=args.precision)
+        except IntegrityError:
+            print(f"{k:>3} {'-':>9} {'-':>13}  ratios not ordered, no bound")
             continue
-        result = bounds(args.d, k, vectors, precision=args.precision)
         prefix = result.lower.as_decimal()[: result.certified_digits + 2]
         shown = prefix if len(prefix) < 44 else prefix[:41] + "..."
         print(f"{k:>3} {result.certified_digits:>9} "

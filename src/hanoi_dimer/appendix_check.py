@@ -20,7 +20,8 @@ grlex-first offending term of the first failing numerator.  The gap
 expansion is a binomial Taylor shift on exponent tuples, one ratio at a
 time: r_j = r_{j+1} + gap_{j+1} turns r_j^e into sum_t C(e, t)
 gap_{j+1}^t r_{j+1}^(e-t), accumulated in one dict with cancelled terms
-dropped after each pass.  A term budget on each pass's raw outgrowth aborts
+dropped after each pass.  A term budget on each pass's raw outgrowth, and
+on the raw terms of the products that build a contraction numerator, aborts
 oversized runs ("not attempted") rather than reporting partial results.
 """
 
@@ -121,39 +122,41 @@ def _expansion_certificate(name: str, d: int, numerators, min_gap_degree: int,
     term with a negative coefficient or gap-degree < min_gap_degree.
 
     term_count sums the expansions through the failing numerator.  The
-    numerators may come from a generator, so only one is held at a time.
+    numerators may come from a generator, so only one is held at a time; a
+    CapExceeded from it or from an expansion reports NOT ATTEMPTED.
     """
     total_terms = 0
-    for label, numerator in numerators:
-        try:
+    try:
+        for label, numerator in numerators:
             expanded = gap_expansion(numerator, d, term_budget)
-        except CapExceeded as err:
-            return CertificateReport(
-                name=name, d=d, attempted=False, passed=None, term_count=0,
-                offending_monomial=None, notes=(f"not attempted: {err}",),
-            )
-        total_terms += expanded.term_count()
-        # the failing term terms() would reach first, from an unsorted scan
-        first = max(((exps, coeff) for exps, coeff in expanded._terms.items()
-                     if coeff < 0 or gap_degree(exps) < min_gap_degree),
-                    key=lambda term: _grlex_key(term[0]), default=None)
-        if first is None:
-            continue
-        exps, coeff = first
-        offending = serialize(Polynomial(expanded.varset, {exps: coeff}))
-        if coeff < 0:
-            problem = f"negative coefficient on {offending}"
-        elif min_gap_degree == 1:
-            problem = f"gap-free monomial {offending}: no fixed point at equal ratios"
+            total_terms += expanded.term_count()
+            # the failing term terms() would reach first, from an unsorted scan
+            first = max(((exps, coeff) for exps, coeff in expanded._terms.items()
+                         if coeff < 0 or gap_degree(exps) < min_gap_degree),
+                        key=lambda term: _grlex_key(term[0]), default=None)
+            if first is not None:
+                break
         else:
-            problem = f"monomial {offending} has gap-degree < {min_gap_degree}"
+            return CertificateReport(
+                name=name, d=d, attempted=True, passed=True, term_count=total_terms,
+                offending_monomial=None,
+            )
+    except CapExceeded as err:
         return CertificateReport(
-            name=name, d=d, attempted=True, passed=False, term_count=total_terms,
-            offending_monomial=offending, notes=(label + problem,),
+            name=name, d=d, attempted=False, passed=None, term_count=0,
+            offending_monomial=None, notes=(f"not attempted: {err}",),
         )
+    exps, coeff = first
+    offending = serialize(Polynomial(expanded.varset, {exps: coeff}))
+    if coeff < 0:
+        problem = f"negative coefficient on {offending}"
+    elif min_gap_degree == 1:
+        problem = f"gap-free monomial {offending}: no fixed point at equal ratios"
+    else:
+        problem = f"monomial {offending} has gap-degree < {min_gap_degree}"
     return CertificateReport(
-        name=name, d=d, attempted=True, passed=True, term_count=total_terms,
-        offending_monomial=None,
+        name=name, d=d, attempted=True, passed=False, term_count=total_terms,
+        offending_monomial=offending, notes=(label + problem,),
     )
 
 
@@ -197,13 +200,25 @@ def quadratic_contraction_certificate(
     R_j R_{j+2} - R_{j+1}^2.  Nonnegative coefficients carry the chain
     r_j >= r_{j+1} to the next stage; every monomial carrying gap-degree >= 2
     is exactly what bounds the new gap by (old outer gap)^2 times positive
-    factors.
+    factors.  Each numerator is priced before it is built: its products
+    pass n_j n_{j+2} + n_{j+1}^2 raw terms, from the factors' term counts
+    n, and over the term budget the certificate is not attempted.
     """
     reduced = reduced_ratio_form(system or generate(d))
-    numerators = ((f"pair {j}: ", reduced[j] * reduced[j + 2] - reduced[j + 1] ** 2)
-                  for j in range(d))
+
+    def numerators():
+        for j in range(d):
+            low, mid, high = reduced[j], reduced[j + 1], reduced[j + 2]
+            raw = low.term_count() * high.term_count() + mid.term_count() ** 2
+            if raw > term_budget:
+                raise CapExceeded(
+                    f"pair {j} products would pass {raw} raw terms, above the "
+                    f"budget of {term_budget}; raise it with --term-budget"
+                )
+            yield f"pair {j}: ", low * high - mid**2
+
     return _expansion_certificate(
-        "quadratic-contraction", d, numerators, 2, term_budget
+        "quadratic-contraction", d, numerators(), 2, term_budget
     )
 
 

@@ -12,7 +12,6 @@ import argparse
 import json
 import os
 import sys
-from functools import partial
 from pathlib import Path
 
 from . import reference_values as ref
@@ -23,12 +22,11 @@ from .evolve import (
     DEFAULT_DIGIT_CAP,
     apply_system,
     check_contraction,
-    enclose,
     eps_ratio_table_value,
     evolve_to,
-    interval_step,
     ratios,
     render_quotient,
+    step,
 )
 from .hanoi_graph import DEFAULT_VERTEX_CAP, build, edge_csv
 from .matching_oracle import (
@@ -115,10 +113,10 @@ def cmd_verify(args: argparse.Namespace) -> int:
     # loaded, or generated and written to the cache
     scan = evolve_to(args.d, args.n_max, digit_cap=args.digit_cap)
     system, loaded = load_or_generate(args.d, resolve_cache_dir(args.cache_dir))
-    # the loaded system, evaluated term by term, and the transfer scan
+    # the loaded system, evaluated term by term on the scan's stages (equal to
+    # its own trajectory up to the first mismatch), and the transfer scan
     sources = (
-        ("recursion", evolve_to(args.d, args.n_max, digit_cap=args.digit_cap,
-                                advance=partial(apply_system, system))),
+        ("recursion", scan[:1] + [apply_system(system, v) for v in scan[:-1]]),
         ("scan", scan),
     )
     for n in range(args.n_max + 1):
@@ -271,24 +269,6 @@ _LAST_STAGE = 6
 _PRECISION = 160
 
 
-def _ratio_trace(vectors):
-    """The trace of the exact stages and an enclosure of the last one, its
-    contraction report, and that enclosure if it is at the bounds' working
-    width (else None).
-
-    The enclosure starts at the bounds' working width and doubles until its
-    ends decide every fact; at full width it is exact, so the loop ends.
-    """
-    start = bits = working_bits(_PRECISION, _LAST_STAGE)
-    while True:
-        last = interval_step(enclose(vectors[_EXACT_STAGES], bits), bits)
-        trace = ratios(vectors + [last])
-        contraction = check_contraction(trace)
-        if contraction is not None:
-            return trace, contraction, last if bits == start else None
-        bits *= 2
-
-
 def _reproduce_dimension(report: _Report, d: int) -> None:
     report.info(f"[d={d}]")
     generate(d)  # checks each polynomial's shape and closed-form total
@@ -305,7 +285,14 @@ def _reproduce_dimension(report: _Report, d: int) -> None:
                        vectors[n].counts, counts_ref[n])
         report.compare(f"matching total n={n}", vectors[n].m, totals_ref[n])
 
-    trace, contraction, last = _ratio_trace(vectors)
+    # the ratio facts of the last stage read the enclosure the bounds were
+    # read off; if its ends leave a fact open, the exact stage decides it
+    result = bounds(d, _LAST_STAGE, vectors, precision=_PRECISION)
+    trace = ratios(vectors + [result.enclosure])
+    contraction = check_contraction(trace)
+    if contraction is None:
+        trace = ratios(vectors + [step(vectors[_EXACT_STAGES])])
+        contraction = check_contraction(trace)
     if d == 3:
         for n, row in ref.RATIOS_D3.items():
             got = tuple(render_quotient(*trace.ratio_pair(n, j), 15) for j in range(4))
@@ -327,7 +314,6 @@ def _reproduce_dimension(report: _Report, d: int) -> None:
             f"(want prefix {ref.RATIO_LIMIT_DIGITS[d]})",
         )
 
-    result = bounds(d, _LAST_STAGE, vectors, precision=_PRECISION, enclosure=last)
     prefix = ref.Z_PREFIX[d]
     report.check(
         "entropy bounds k=6 share reference prefix",

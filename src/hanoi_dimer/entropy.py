@@ -11,7 +11,8 @@ with the lower bound rounded toward -inf and the upper toward +inf, so the
 reported interval is mathematically guaranteed at the working precision.
 It applies where r_0 >= r_j >= r_d at stage k (the bracket), and the
 certificates that carry it to later stages assume the full chain
-r_0 >= r_1 >= ... >= r_d; bounds refuses a stage that has either not.
+r_0 >= r_1 >= ... >= r_d, which implies the bracket; bounds refuses a
+stage without the chain.
 
 The stage-k counts are not needed exactly, only their leading bits: the
 latest given stage at or below k is enclosed as an integer interval of a
@@ -19,10 +20,11 @@ fixed bit width, [lo, hi] * 2^shift (evolve.CountInterval), and stepped to
 k by evolve.interval_step, which rounds lo down and hi up.  ln(lambda) then
 lies in [ln lo + shift ln 2, ln hi + shift ln 2], the lower bound takes
 omega at its smallest (lo_d over hi_{d+1}), the upper alpha at its largest
-(hi_0 over lo_1), and the bracket, the chain and the digit count of lambda
-are decided on the interval ends (evolve.decide_at_least).  When the ends
-cannot decide them, the width doubles and the steps are redone; at full
-width the enclosure is exact, so the loop ends with the exact answer.
+(hi_0 over lo_1), and the chain (evolve.chain_decisions) and the digit
+count of lambda are decided on the interval ends.  When the ends cannot
+decide them, the width doubles and the steps are redone; at full width the
+enclosure is exact, so the loop ends with the exact answer.  The result
+carries the enclosure its digits were read off.
 
 Logarithms are computed in fixed point over plain integers: a value at
 precision w is an integer numerator of value/10^w, carried as a certified
@@ -48,7 +50,7 @@ from .errors import IntegrityError
 from .evolve import (
     BoundaryClassVector,
     CountInterval,
-    decide_at_least,
+    chain_decisions,
     enclose,
     interval_step,
 )
@@ -85,6 +87,7 @@ class BoundsResult(NamedTuple):
     upper: HighPrecisionReal
     certified_digits: int
     lambda_digits: int
+    enclosure: CountInterval
     warning: str | None = None
 
 
@@ -251,59 +254,6 @@ def certified_digit_prefix(lower: str, upper: str) -> tuple[str, int]:
     return (prefix, len(common))
 
 
-def _check_denominators(n: int, hi: tuple[int, ...]) -> None:
-    # hi bounds a count from above, so hi == 0 means the count is 0
-    if 0 in hi[1:]:
-        raise ZeroDivisionError(
-            f"ratios undefined at stage {n} (zero denominator)"
-        )
-
-
-def _products_decision(lo: tuple[int, ...], hi: tuple[int, ...],
-                       pairs: list[tuple[int, int, int, int]]) -> bool | None:
-    """Whether c_a c_b >= c_e c_f for every (a, b, e, f) of pairs and every
-    count vector between lo and hi: False as soon as the ends decide one
-    false, else None if the ends leave one open (evolve.decide_at_least)."""
-    decided = True
-    for a, b, e, f in pairs:
-        # the counts are nonnegative, so each product's ends are those of its factors
-        holds = decide_at_least((lo[a] * lo[b], hi[a] * hi[b]),
-                                (lo[e] * lo[f], hi[e] * hi[f]))
-        if holds is False:
-            return False
-        if holds is None:
-            decided = None
-    return decided
-
-
-def _bracket_decision(d: int, lo: tuple[int, ...],
-                      hi: tuple[int, ...]) -> bool | None:
-    """Whether r_0 >= r_j >= r_d for every count vector between lo and hi.
-
-    Compared as integer cross-products, c_0 c_{j+1} >= c_j c_1 and
-    c_j c_{d+1} >= c_d c_{j+1} (_products_decision).
-    """
-    # r_0 >= r_j for 0 < j < d, then r_j >= r_d for j < d (r_0 >= r_d once)
-    return _products_decision(lo, hi, [(0, j + 1, j, 1) for j in range(1, d)]
-                              + [(j, d + 1, d, j + 1) for j in range(d)])
-
-
-def _chain_decision(d: int, lo: tuple[int, ...],
-                    hi: tuple[int, ...]) -> bool | None:
-    """Whether r_0 >= r_1 >= ... >= r_d for every count vector between lo
-    and hi: c_j c_{j+2} >= c_{j+1}^2 for j < d (_products_decision)."""
-    return _products_decision(lo, hi, [(j, j + 2, j + 1, j + 1) for j in range(d)])
-
-
-def ratios_bracketed(v: BoundaryClassVector) -> bool:
-    """Whether r_0 >= r_j >= r_d for every ratio r_j = c_j/c_{j+1} of v.
-
-    Compared as integer cross-products, so no rational is built.
-    """
-    _check_denominators(v.n, v.counts)
-    return _bracket_decision(v.d, v.counts, v.counts)
-
-
 def working_bits(precision: int, k: int) -> int:
     """Enclosure width for bounds at stage k: the working digits in bits,
     plus 4 guard bits for each of at most k interval steps and 64 more."""
@@ -313,24 +263,21 @@ def working_bits(precision: int, k: int) -> int:
 def _interval_bounds(iv: CountInterval, precision: int
                      ) -> tuple[HighPrecisionReal, HighPrecisionReal, int] | None:
     """(lower, upper, lambda_digits) from a stage-k enclosure, or None when
-    its ends cannot decide the bracket or the digit count of lambda."""
+    its ends cannot decide the chain or the digit count of lambda."""
     d, k, lo, hi = iv.d, iv.n, iv.lo, iv.hi
-    _check_denominators(k, hi)
-    bracketed = _bracket_decision(d, lo, hi)
-    if bracketed is False:
-        raise IntegrityError(
-            f"stage-{k} ratios of d={d} are not bracketed by r0 and r{d}; "
-            "the sandwich argument does not apply at this stage"
-        )
-    chained = _chain_decision(d, lo, hi)
-    if chained is False:
+    # hi bounds a count from above, so hi == 0 means the count is 0
+    if 0 in hi[1:]:
+        raise ZeroDivisionError(f"ratios undefined at stage {k} (zero denominator)")
+    chain = chain_decisions(lo, hi)
+    if False in chain:
         raise IntegrityError(
             f"stage-{k} ratios of d={d} do not descend r0 >= r1 >= ... >= r{d}; "
-            "the certificates that carry the bound to later stages assume it"
+            "the sandwich argument and the certificates that carry the bound "
+            "to later stages assume it"
         )
-    if bracketed is None or chained is None or lo[1] == 0 or lo[d + 1] == 0:
+    if None in chain:
         return None
-
+    # decided true, the chain brackets r_j by r_0 and r_d and makes every lo positive
     w = precision + GUARD_DIGITS
     l2lo, l2hi = _ln2_interval(w)
     lam_lo = _ln_int_end(lo[d + 1], w, False) + iv.shift * l2lo
@@ -359,17 +306,14 @@ def _interval_bounds(iv: CountInterval, precision: int
 
 
 def bounds(d: int, k: int, vectors: list[BoundaryClassVector],
-           precision: int = DEFAULT_PRECISION,
-           enclosure: CountInterval | None = None) -> BoundsResult:
+           precision: int = DEFAULT_PRECISION) -> BoundsResult:
     """Certified lower/upper bounds on the entropy per site from stage k.
 
-    Requires k >= 1 and the stage-k ratio interleaving (r_d minimal, r_0
-    maximal), which underwrites the sandwich; the d=2 system only satisfies
-    it from stage 2 on.  Starts from the stage-k vector if given, else from
-    the latest earlier one, and steps its enclosure to k.  A given
-    enclosure, of the stage-k counts at working_bits(precision, k), is
-    tried first in place of that one; when its ends leave a bound open,
-    the widening starts from the vector as before.
+    Requires k >= 1 and the stage-k ratio chain r_0 >= ... >= r_d, which
+    underwrites the sandwich; the d=2 system only satisfies it from stage 2
+    on.  Starts from the stage-k vector if given, else from the latest
+    earlier one, and steps its enclosure to k at working_bits(precision, k),
+    doubled until the ends decide.
     """
     if k < 1:
         raise ValueError("bound stage k must be >= 1")
@@ -379,22 +323,16 @@ def bounds(d: int, k: int, vectors: list[BoundaryClassVector],
     seed = max(seeds, key=lambda v: v.n)
     if seed.d != d:
         raise ValueError(f"vectors are for d={seed.d}, not d={d}")
-    if enclosure is not None and (enclosure.d, enclosure.n) != (d, k):
-        raise ValueError(f"enclosure is of d={enclosure.d} stage {enclosure.n}, "
-                         f"not d={d} stage {k}")
 
     bits = working_bits(precision, k)
-    iv = enclosure
     while True:
-        if iv is None:
-            iv = enclose(seed, bits)
-            while iv.n < k:
-                iv = interval_step(iv, bits)
+        iv = enclose(seed, bits)
+        while iv.n < k:
+            iv = interval_step(iv, bits)
         decided = _interval_bounds(iv, precision)
         if decided is not None:
             break
         bits *= 2
-        iv = None
     lower, upper, lambda_digits = decided
     if lower.scaled > upper.scaled:
         raise IntegrityError("lower bound exceeded upper bound")
@@ -409,7 +347,7 @@ def bounds(d: int, k: int, vectors: list[BoundaryClassVector],
         warnings.warn(warning)
     return BoundsResult(
         d=d, k=k, lower=lower, upper=upper, certified_digits=digits,
-        lambda_digits=lambda_digits, warning=warning,
+        lambda_digits=lambda_digits, enclosure=iv, warning=warning,
     )
 
 

@@ -21,7 +21,8 @@ share a common limit; r_0 decreases and r_d increases toward it, and their
 gap contracts quadratically.  These ratios are never normalized: a RatioTrace
 keeps each stage's counts as the ends of an enclosure (equal ends where the
 stage is exact), check_contraction decides every fact on the ends of integer
-cross-products of them (decide_at_least), and each exact value is rendered
+cross-products of them (decide_at_least; the chain by chain_decisions, which
+entropy.bounds uses too), and each exact value is rendered
 from its unreduced (num, den) pair (render_quotient), so no gcd of the long
 counts is taken.  An exact Fraction is built only on request.
 """
@@ -122,8 +123,7 @@ def _mixed_counts(d: int, counts: tuple[int, ...]) -> dict[tuple[int, int], int]
     }
 
 
-def _class_counts(d: int, mixed: dict[tuple[int, int], int],
-                  choices: dict) -> tuple[int, ...]:
+def _class_counts(d: int, mixed: dict[tuple[int, int], int]) -> tuple[int, ...]:
     """c_0..c_{d+1} of the next stage from one t-scan of the mixed counts.
 
     The scan gives the t-polynomial's values at d+2 points, each copy's
@@ -133,7 +133,7 @@ def _class_counts(d: int, mixed: dict[tuple[int, int], int],
     """
     factors = [tuple(mixed[deg + 1, 0] + t_point(j) * mixed[deg, 1]
                      for j in range(d + 2)) for deg in range(d + 1)]
-    points = transfer_scan(d, factors, POINT_RING, choices)
+    points = transfer_scan(d, factors, POINT_RING)
     counts = []
     for k, coeff in enumerate(interpolate_points(points)):
         count, rem = divmod(coeff, comb(d + 1, k))
@@ -153,11 +153,9 @@ def step(v: BoundaryClassVector) -> BoundaryClassVector:
     invariant re-checked on the result stays an independent check of the
     counts.
     """
-    choices: dict = {}
     mixed = _mixed_counts(v.d, v.counts)
-    counts = _class_counts(v.d, mixed, choices)
-    m = transfer_scan(v.d, [mixed[deg, 0] for deg in range(v.d + 1)],
-                      INT_RING, choices)
+    counts = _class_counts(v.d, mixed)
+    m = transfer_scan(v.d, [mixed[deg, 0] for deg in range(v.d + 1)], INT_RING)
     return BoundaryClassVector(d=v.d, n=v.n + 1, counts=counts, m=m)
 
 
@@ -202,9 +200,8 @@ def interval_step(iv: CountInterval, bits: int) -> CountInterval:
     signs of the point values on the way; so it is monotone in the counts,
     and the images of lo and hi enclose the next stage.
     """
-    choices: dict = {}
-    lo = _class_counts(iv.d, _mixed_counts(iv.d, iv.lo), choices)
-    hi = _class_counts(iv.d, _mixed_counts(iv.d, iv.hi), choices)
+    lo = _class_counts(iv.d, _mixed_counts(iv.d, iv.lo))
+    hi = _class_counts(iv.d, _mixed_counts(iv.d, iv.hi))
     return _truncate(iv.d, iv.n + 1, lo, hi, iv.shift * (iv.d + 1), bits)
 
 
@@ -220,20 +217,17 @@ def apply_system(sys: RecursionSystem, v: BoundaryClassVector) -> BoundaryClassV
 
 def evolve_to(d: int, n_max: int,
               digit_cap: int = DEFAULT_DIGIT_CAP,
-              advance=None, stop_bits: int | None = None) -> list[BoundaryClassVector]:
-    """Stages 0..n_max inclusive, guarded against runaway work.
+              stop_bits: int | None = None) -> list[BoundaryClassVector]:
+    """Stages 0..n_max inclusive by step, guarded against runaway work.
 
-    Each stage is advanced by step (the transfer scan), or by advance, a
-    function of the vector alone (verify passes the loaded system's
-    evaluator, apply_system bound to it).  The scan-work cap is checked
-    first, for any n_max; the digit cap predicts the digits of stage n_max
-    at every stage that is evolved.  Given stop_bits, evolution ends early
-    at the first stage whose largest count is wider than stop_bits bits.
+    The scan-work cap is checked first, for any n_max; the digit cap
+    predicts the digits of stage n_max at every stage that is evolved.
+    Given stop_bits, evolution ends early at the first stage whose largest
+    count is wider than stop_bits bits.
     """
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
     check_scan_work(d)
-    advance = advance or step
     v = initial_vector(d)
     out = [v]
     while v.n < n_max:
@@ -253,7 +247,7 @@ def evolve_to(d: int, n_max: int,
             )
         if stop_bits is not None and top.bit_length() > stop_bits:
             break
-        v = advance(v)
+        v = step(v)
         out.append(v)
     return out
 
@@ -452,6 +446,19 @@ def _mul(a: Ends, b: Ends) -> Ends:
     return min(ends), max(ends)
 
 
+def chain_decisions(lo: tuple[int, ...], hi: tuple[int, ...]) -> list[bool | None]:
+    """For each j < d, whether r_j >= r_{j+1}, that is c_j c_{j+2} >=
+    c_{j+1}^2, for every count vector between lo and hi (decide_at_least).
+
+    If all are True and every hi of c_1..c_{d+1} is positive, each
+    lo_j lo_{j+2} is positive, so every vector of the box has positive
+    counts and ratios r_0 >= ... >= r_d, and so r_0 >= r_j >= r_d.
+    """
+    c = tuple(zip(lo, hi))
+    return [decide_at_least(_mul(c[j], c[j + 2]), _mul(c[j + 1], c[j + 1]))
+            for j in range(len(c) - 2)]
+
+
 class _Undecided(Exception):
     """The ends of an enclosure leave a ratio fact open."""
 
@@ -490,9 +497,12 @@ def _contraction_report(trace: RatioTrace, limit_places: int) -> ContractionRepo
     rows = [tuple(zip(lo, hi)) for lo, hi in zip(trace.lo, trace.hi)]
     violations: list[str] = []
 
-    # r_j >= r_{j+1}  iff  c_j c_{j+2} >= c_{j+1}^2
-    chain_violations = [(n, j) for n, c in zip(trace.stages, rows) for j in range(d)
-                        if not _holds(_mul(c[j], c[j + 2]), _mul(c[j + 1], c[j + 1]))]
+    chain_violations = []
+    for n, lo, hi in zip(trace.stages, trace.lo, trace.hi):
+        decisions = chain_decisions(lo, hi)
+        if None in decisions:
+            raise _Undecided
+        chain_violations += [(n, j) for j, holds in enumerate(decisions) if not holds]
     chain_ok_from = None
     for n in trace.stages:
         if all(stage < n for stage, _ in chain_violations):

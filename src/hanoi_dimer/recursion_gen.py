@@ -222,13 +222,16 @@ POINT_RING = Ring(unit=(1,), scalar=lambda w: (w,), muladd=_points_muladd)
 TERM_RING = Ring(unit={0: 1}, scalar=lambda w: ((0, w),), muladd=_terms_muladd)
 
 
+@cache
 def _connector_choices(rest: tuple[int, ...]):
     """Ways for the next copy to take connector edges to the later copies.
 
     rest holds the later copies' pending degrees, sorted.  Copies with equal
     pending degree are interchangeable: taking edges to t of a run of m
     gives one canonical successor with weight C(m, t), and bumping the run's
-    last t entries keeps rest sorted.  Returns (successor, edges, weight).
+    last t entries keeps rest sorted.  Returns (successor, edges, weight)
+    triples, memoized for the process: they depend on rest alone, and every
+    scan of a d meets the same rests.
     """
     options = [((), 0, 1)]
     for deg, run in groupby(rest):
@@ -236,10 +239,10 @@ def _connector_choices(rest: tuple[int, ...]):
         options = [(head + (deg,) * (m - t) + (deg + 1,) * t, edges + t,
                     weight * comb(m, t))
                    for head, edges, weight in options for t in range(m + 1)]
-    return options
+    return tuple(options)
 
 
-def transfer_scan(d: int, factors, ring: Ring, choices: dict | None = None):
+def transfer_scan(d: int, factors, ring: Ring):
     """Sum over connector-edge subsets of the product of per-copy factors.
 
     One composition step: factors[deg] is the factor of a copy whose global
@@ -248,21 +251,13 @@ def transfer_scan(d: int, factors, ring: Ring, choices: dict | None = None):
     later copies.  The edges still open form a complete graph on the later
     copies and a copy's factor depends only on its degree, so states equal
     up to permutation have the same completions and are merged.
-
-    choices memoizes _connector_choices by rest; scans of one step may
-    share it, as they meet the same rests.
     """
-    if choices is None:
-        choices = {}
     states = {(0,) * (d + 1): ring.unit}
     for _ in range(d + 1):
         buckets: dict = {}
         for state, value in states.items():
             own, rest = state[0], state[1:]
-            options = choices.get(rest)
-            if options is None:
-                options = choices[rest] = _connector_choices(rest)
-            for successor, edges, weight in options:
+            for successor, edges, weight in _connector_choices(rest):
                 key = (successor, own + edges)
                 buckets[key] = ring.muladd(buckets.get(key), value, ring.scalar(weight))
         states = {}

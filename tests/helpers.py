@@ -1,7 +1,8 @@
 """Shared test utilities: classic-symbol polynomial parsing, fixtures, the
 connector-subset census, the degree-profile stage step, the substitution-based
-gap expansion, the exact-count entropy bounds, the per-corner-subset class
-vector, and the Fraction-based decimal rendering and contraction report."""
+gap expansion, the Fraction ratio bracket, the exact-count entropy bounds, the
+per-corner-subset class vector, and the Fraction-based decimal rendering and
+contraction report."""
 
 from __future__ import annotations
 
@@ -199,11 +200,18 @@ def gap_expansion_by_substitution(poly: Polynomial, d: int) -> Polynomial:
     return current.with_varset(gap_varset(d))
 
 
+def fraction_bracketed(counts: tuple[int, ...]) -> bool:
+    """Whether r_0 >= r_j >= r_d for the ratios r_j = c_j / c_{j+1} of counts,
+    compared as Fractions (ZeroDivisionError on a zero denominator)."""
+    row = [Fraction(a, b) for a, b in zip(counts, counts[1:])]
+    return max(row) == row[0] and min(row) == row[-1]
+
+
 def exact_bounds(d: int, k: int, v: BoundaryClassVector, precision: int):
     """Reference for entropy.bounds: (lower, upper, certified digits, lambda
     digits) read off the exact stage-k counts, as bounds did before it
     enclosed them in intervals."""
-    if not entropy.ratios_bracketed(v):
+    if not fraction_bracketed(v.counts):
         raise IntegrityError(f"stage-{k} ratios of d={d} are not bracketed")
     c = v.counts
     w = precision + entropy.GUARD_DIGITS

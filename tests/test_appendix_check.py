@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import random
 import re
+import time
 from fractions import Fraction
 
 import pytest
@@ -284,6 +285,35 @@ def test_gap_expansion_budget_reports_not_attempted(systems):
     assert report.passed is None
     assert not report.ok
     assert any("not attempted" in note for note in report.notes)
+
+
+def test_contraction_budget_prices_each_numerator_before_its_products(systems,
+                                                                     reduced_d3):
+    # pair 0 of d=3: R_0 R_2 - R_1^2 multiplies out n_0 n_2 + n_1^2 raw terms
+    raw = (reduced_d3[0].term_count() * reduced_d3[2].term_count()
+           + reduced_d3[1].term_count() ** 2)
+    (report,) = run_certificates(3, "contraction", raw - 1, systems(3))
+    assert not report.attempted
+    assert report.notes == (
+        f"not attempted: pair 0 products would pass {raw} raw terms, above the "
+        f"budget of {raw - 1}; raise it with --term-budget",)
+    (report,) = run_certificates(3, "contraction", raw, systems(3))
+    assert "pair 0 products" not in " ".join(report.notes)
+
+
+def test_d6_contraction_is_refused_before_any_product(monkeypatch):
+    # its pair-0 products alone would pass 12,273,625 raw terms
+    def no_products(self, other):
+        raise AssertionError("a product was built")
+
+    monkeypatch.setattr(Polynomial, "__mul__", no_products)
+    start = time.perf_counter()
+    (report,) = run_certificates(6, "contraction")
+    assert time.perf_counter() - start < 2
+    assert not report.attempted
+    assert report.notes == (
+        "not attempted: pair 0 products would pass 12273625 raw terms, above the "
+        "budget of 10000000; raise it with --term-budget",)
 
 
 def test_run_certificates_selects(systems):

@@ -428,7 +428,6 @@ def test_reproduce_steps_each_last_stage_enclosure_once(capsys, monkeypatch):
         stepped.append((iv.d, iv.n + 1, bits))
         return evolve.interval_step(iv, bits)
 
-    monkeypatch.setattr(cli, "interval_step", counted)
     monkeypatch.setattr(entropy, "interval_step", counted)
     code, out, err = run_cli(capsys, "reproduce")
     assert (code, err) == (0, "")
@@ -437,25 +436,44 @@ def test_reproduce_steps_each_last_stage_enclosure_once(capsys, monkeypatch):
     assert stepped == [(d, 6, bits) for d in (2, 3, 4)]
 
 
-def test_reproduce_widens_an_undecided_enclosure(capsys, monkeypatch):
-    widths = []
+def test_reproduce_decides_an_open_fact_on_the_exact_last_stage(capsys, monkeypatch):
+    # as if the bounds' enclosure left a ratio fact open at every d: the
+    # exact stage 6 decides them, with the same report
+    checked = []
     real_check = cli.check_contraction
 
-    def recorded(trace):
-        report = real_check(trace)
-        widths.append((trace.d, trace.lo[-1] == trace.hi[-1], report is not None))
-        return report
+    def open_on_enclosures(trace):
+        exact = trace.lo[-1] == trace.hi[-1]
+        checked.append((trace.d, exact))
+        return real_check(trace) if exact else None
 
-    # 8 bits decide nothing at stage 6; doubling reaches a width that does
-    monkeypatch.setattr(cli, "working_bits", lambda precision, k: 8)
-    monkeypatch.setattr(cli, "check_contraction", recorded)
+    monkeypatch.setattr(cli, "check_contraction", open_on_enclosures)
     code, out, err = run_cli(capsys, "reproduce")
     assert (code, err) == (0, "")
     assert out == REPRODUCE_STDOUT.read_text()
-    for d in (2, 3, 4):
-        runs = [(exact, decided) for dd, exact, decided in widths if dd == d]
-        assert runs[0] == (False, False)
-        assert [decided for _, decided in runs] == [False] * (len(runs) - 1) + [True]
+    assert checked == [(d, exact) for d in (2, 3, 4) for exact in (False, True)]
+
+
+def test_perfbench_tracer_wraps_reproduce(tmp_path):
+    # traced_cli raises at start-up if a name it wraps has moved, and its
+    # layer metrics read the bounds, ratios and contraction spans of each d
+    spans_file = tmp_path / "spans.json"
+    run = run_python(str(REPO_DIR / "perfbench" / "traced_cli.py"), str(spans_file),
+                     "t", "--", "reproduce")
+    assert (run.returncode, run.stderr) == (0, "")
+    assert run.stdout == REPRODUCE_STDOUT.read_text()
+    # each d starts with its generate span, inside the cli.main one
+    per_d = []
+    for span in json.loads(spans_file.read_text(encoding="utf-8")):
+        if span["name"] == "recursion_gen.generate":
+            per_d.append({})
+        elif per_d:
+            per_d[-1].setdefault(span["name"], []).append(span["counts"])
+    assert len(per_d) == 3
+    for spans in per_d:
+        (counts,) = spans["entropy.bounds"]
+        assert counts["entropy.certified_digits"] > 0
+        assert spans["evolve.ratios"] and spans["evolve.check_contraction"]
 
 
 # -- entropy ----------------------------------------------------------------------

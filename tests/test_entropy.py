@@ -4,7 +4,8 @@ from __future__ import annotations
 
 import warnings
 from fractions import Fraction
-from math import comb
+from itertools import product
+from math import comb, prod
 
 import mpmath
 import pytest
@@ -17,12 +18,17 @@ from hanoi_dimer.entropy import (
     certified_digit_prefix,
     check_finite_sandwich,
     hp_ln,
-    ratios_bracketed,
 )
 from hanoi_dimer.errors import IntegrityError
-from hanoi_dimer.evolve import BoundaryClassVector, enclose, interval_step, ratios
+from hanoi_dimer.evolve import (
+    BoundaryClassVector,
+    _truncate,
+    chain_decisions,
+    enclose,
+    interval_step,
+)
 
-from .helpers import exact_bounds
+from .helpers import exact_bounds, fraction_bracketed
 
 
 def mp_ln(x, dps=220):
@@ -180,44 +186,69 @@ def test_bounds_refuse_unbracketed_stage_for_d2(trajectories):
         bounds(2, 1, trajectories(2, 1), precision=60)
 
 
-def fraction_bracketed(v: BoundaryClassVector) -> bool:
-    # the rational check bounds made before it compared integer cross-products
-    row = ratios([v]).ratios[0]
-    return max(row) == row[0] and min(row) == row[v.d]
-
-
 def class_vector(d: int, n: int, counts: tuple[int, ...]) -> BoundaryClassVector:
     m = sum(comb(d + 1, k) * c for k, c in enumerate(counts))
     return BoundaryClassVector(d=d, n=n, counts=counts, m=m)
 
 
+def assert_decided_chain_brackets_every_corner(lo, hi):
+    # bounds decides only the chain; the bracket it reads omega and alpha
+    # under must then hold for every count vector of the box
+    if all(chain_decisions(lo, hi)):
+        for corner in product(*zip(lo, hi)):
+            assert fraction_bracketed(corner), (lo, hi, corner)
+
+
 @pytest.mark.parametrize("d, n_max", [(2, 6), (3, 6), (4, 6), (5, 3)])
 def test_integer_bracket_matches_fraction_bracket(trajectories, d, n_max):
     for v in trajectories(d, n_max)[1:]:
-        assert ratios_bracketed(v) == fraction_bracketed(v), (d, v.n)
-    if d == 2:
-        assert not ratios_bracketed(trajectories(2, 1)[1])
+        # on the exact stages the integer chain decision, all bounds makes,
+        # refuses just what the Fraction bracket refuses
+        decided = chain_decisions(v.counts, v.counts)
+        assert None not in decided
+        assert all(decided) == fraction_bracketed(v.counts), (d, v.n)
+        for bits in (4, 8, 16, 32, 64):
+            iv = enclose(v, bits)
+            assert_decided_chain_brackets_every_corner(iv.lo, iv.hi)
+    if d == 2:  # stage 1 has a middle inversion: neither holds there
+        assert not fraction_bracketed(trajectories(2, 1)[1].counts)
 
 
-@settings(max_examples=60)
-@given(st.lists(st.integers(1, 10**6), min_size=5, max_size=5, unique=True))
-def test_integer_bracket_matches_fraction_bracket_on_random_counts(counts):
-    v = class_vector(3, 1, tuple(sorted(counts)))
-    assert ratios_bracketed(v) == fraction_bracketed(v)
+@st.composite
+def count_rows(draw):
+    """d+2 positive counts for d = 2..6: sorted random ones, whose chain
+    seldom holds, or ones built from descending ratios a_j / b_j, whose chain
+    holds exactly (c_j = b_0 .. b_{j-1} a_j .. a_d)."""
+    d = draw(st.integers(2, 6))
+    if draw(st.booleans()):
+        return tuple(sorted(draw(st.lists(st.integers(1, 10**6), min_size=d + 2,
+                                          max_size=d + 2, unique=True))))
+    pairs = sorted(draw(st.lists(st.tuples(st.integers(1, 999), st.integers(1, 999)),
+                                 min_size=d + 1, max_size=d + 1)),
+                   key=lambda pair: Fraction(*pair), reverse=True)
+    return tuple(prod(b for _, b in pairs[:j]) * prod(a for a, _ in pairs[j:])
+                 for j in range(d + 2))
+
+
+@settings(max_examples=200)
+@given(count_rows(), st.integers(1, 64))
+def test_decided_chain_brackets_every_corner_on_random_enclosures(counts, bits):
+    assert_decided_chain_brackets_every_corner(counts, counts)
+    iv = _truncate(len(counts) - 2, 1, counts, counts, 0, bits)
+    assert_decided_chain_brackets_every_corner(iv.lo, iv.hi)
 
 
 def test_bracket_accepts_equal_ratios():
-    # r_0 = r_j = r_d: ties bracket, as max/min of the ratio row allowed
+    # r_0 = r_j = r_d: ties bracket, as max/min of the ratio row allowed, and
+    # they hold the chain
     v = class_vector(3, 1, (1, 2, 4, 8, 16))
-    assert fraction_bracketed(v) and ratios_bracketed(v)
+    assert fraction_bracketed(v.counts) and all(chain_decisions(v.counts, v.counts))
 
 
 def test_bracket_rejects_zero_denominator():
     v = class_vector(2, 1, (3, 2, 1, 0))
     with pytest.raises(ZeroDivisionError):
-        fraction_bracketed(v)
-    with pytest.raises(ZeroDivisionError):
-        ratios_bracketed(v)
+        fraction_bracketed(v.counts)
     with pytest.raises(ZeroDivisionError):
         bounds(2, 1, [v], precision=60)
 
@@ -226,7 +257,7 @@ def test_bounds_refuse_a_bracketed_stage_without_the_chain(capsys, monkeypatch):
     # r = 0.9, 0.7, 0.8, 0.6: r_0 is the largest and r_3 the smallest, but
     # r_1 < r_2 breaks the chain the certificates assume
     v = class_vector(3, 1, (3024, 3360, 4800, 6000, 10000))
-    assert ratios_bracketed(v)
+    assert fraction_bracketed(v.counts)
     with pytest.raises(IntegrityError, match="do not descend r0 >= r1 >= ... >= r3"):
         bounds(3, 1, [v], precision=60)
     monkeypatch.setattr(cli, "evolve_to", lambda *args, **kwargs: [v])
@@ -243,8 +274,7 @@ def test_bounds_widen_until_the_chain_is_decided(monkeypatch):
     base = entropy.working_bits(10, 1)
     assert base < top.bit_length() <= 2 * base
     narrow = enclose(v, base)
-    assert entropy._bracket_decision(3, narrow.lo, narrow.hi) is True
-    assert entropy._chain_decision(3, narrow.lo, narrow.hi) is None
+    assert chain_decisions(narrow.lo, narrow.hi) == [True, None, True]
     decisions = []
     decide = entropy._interval_bounds
 
@@ -259,48 +289,21 @@ def test_bounds_widen_until_the_chain_is_decided(monkeypatch):
         result = bounds(3, 1, [v], precision=10)
     assert decisions == [(False, False), (True, True)]
     assert summary(result) == exact_bounds(3, 1, v, 10)
+    assert result.enclosure.exact
 
 
 @pytest.mark.parametrize("d", [2, 3, 4])
-def test_bounds_from_a_working_width_enclosure_step_nothing(trajectories, monkeypatch, d):
-    # reproduce hands bounds the stage-6 enclosure its ratio facts were
-    # decided on; bounds then steps nothing and certifies the same digits
+def test_bounds_carry_the_enclosure_they_read(trajectories, monkeypatch, d):
+    # reproduce reads its last stage's ratio facts off this enclosure: the
+    # one working-width step from stage 5 that the bounds were read off
     vectors = trajectories(d, 5)
     bits = entropy.working_bits(160, 6)
-    given = interval_step(enclose(vectors[5], bits), bits)
-    want = bounds(d, 6, vectors, precision=160)
     stepped = []
     monkeypatch.setattr(entropy, "interval_step",
                         lambda iv, width: stepped.append(width) or interval_step(iv, width))
-    assert bounds(d, 6, vectors, precision=160, enclosure=given) == want
-    assert stepped == []
-
-
-def test_bounds_widen_from_the_seed_past_an_undecided_enclosure(trajectories,
-                                                                monkeypatch):
-    vectors = trajectories(3, 5)
-    narrow = interval_step(enclose(vectors[5], 8), 8)
-    decisions = []
-    decide = entropy._interval_bounds
-
-    def recorded(iv, precision):
-        decided = decide(iv, precision)
-        decisions.append((iv is narrow, max(iv.hi).bit_length(), decided is not None))
-        return decided
-
-    want = bounds(3, 6, vectors, precision=160)
-    monkeypatch.setattr(entropy, "_interval_bounds", recorded)
-    assert bounds(3, 6, vectors, precision=160, enclosure=narrow) == want
-    # the 8-bit ends decide nothing; the seed's widening starts at twice the
-    # base width, as after an undecided first try of its own
-    base = entropy.working_bits(160, 6)
-    assert decisions == [(True, 8, False), (False, 2 * base, True)]
-
-
-def test_bounds_refuse_an_enclosure_of_another_stage(trajectories):
-    vectors = trajectories(3, 5)
-    with pytest.raises(ValueError, match="enclosure is of d=3 stage 5, not d=3 stage 6"):
-        bounds(3, 6, vectors, precision=160, enclosure=enclose(vectors[5], 600))
+    result = bounds(d, 6, vectors, precision=160)
+    assert stepped == [bits]
+    assert result.enclosure == interval_step(enclose(vectors[5], bits), bits)
 
 
 def test_bounds_require_stage_at_least_one(trajectories):

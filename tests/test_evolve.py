@@ -125,9 +125,8 @@ def enumerate_scan_pairs(d: int) -> int:
         return points + factor  # a copy's factor adds factor points
 
     ring = Ring(unit=1, scalar=lambda weight: None, muladd=muladd)
-    choices: dict = {}
-    assert transfer_scan(d, [1] * (d + 1), ring, choices) == d + 2
-    assert transfer_scan(d, [0] * (d + 1), ring, choices) == 1
+    assert transfer_scan(d, [1] * (d + 1), ring) == d + 2
+    assert transfer_scan(d, [0] * (d + 1), ring) == 1
     return taken
 
 
@@ -166,16 +165,15 @@ def test_scan_at_all_ones_gives_closed_form_totals(d):
     # reach of the oracle and of generate, this is the only check of the scan
     # that shares none of its code, and at d = 11 and 12 (y = 2 alone, for
     # time) the only one of its 13- and 14-point interpolation.
-    choices: dict = {}
     for y in (1, 2, Y64) if d <= 10 else (2,):
         mixed = _mixed_counts(d, tuple(y**j for j in range(d + 2)))
         assert mixed == {(a, b): y**b * (1 + y) ** (d + 1 - a - b)
                          for a, b in corner_splits(d)}
         edges = (y * y + 2 * y + 2) ** comb(d + 1, 2)
-        assert _class_counts(d, mixed, choices) == tuple(
+        assert _class_counts(d, mixed) == tuple(
             y**k * edges for k in range(d + 2))
         free = [mixed[deg, 0] for deg in range(d + 1)]
-        assert transfer_scan(d, free, INT_RING, choices) == (1 + y) ** (d + 1) * edges
+        assert transfer_scan(d, free, INT_RING) == (1 + y) ** (d + 1) * edges
 
 
 @pytest.mark.parametrize("d,stages", [(2, 3), (3, 3), (4, 3), (5, 3), (6, 2)])
@@ -222,8 +220,8 @@ def test_a_unit_off_at_any_point_of_the_t_scan_raises(monkeypatch, d):
     v = step(initial_vector(d))
     for point in range(d + 2):
         for delta in (1, -1):
-            def skewed(d, factors, ring, choices=None):
-                result = transfer_scan(d, factors, ring, choices)
+            def skewed(d, factors, ring):
+                result = transfer_scan(d, factors, ring)
                 if ring is POINT_RING:
                     result[point] += delta
                 return result
