@@ -10,9 +10,11 @@ Canonical text form: terms sorted by graded-lexicographic order (total degree
 first, then the exponent tuple against the declared variable order), largest
 first.  Each term is ``coeff*var^exp*...`` with ``^1`` omitted and the
 coefficient always written, e.g. ``1*f + 2*g``.  The zero polynomial is
-``0``.  ``serialize`` and ``parse_polynomial`` are exact inverses on
-canonical forms, and two polynomials over the same variable set are equal
-iff their serializations are byte-identical.
+``0``.  ``serialize_many`` writes polynomials over one varset in one pass;
+``serialize`` is its one-polynomial case.  ``serialize`` and
+``parse_polynomial`` are exact inverses on canonical forms, and two
+polynomials over the same variable set are equal iff their serializations
+are byte-identical.
 
 Polynomials are immutable after construction; all operations are pure
 functions returning new values, so instances are safe to share between
@@ -22,7 +24,7 @@ threads without locking.
 from __future__ import annotations
 
 import re
-from collections.abc import Mapping
+from collections.abc import Mapping, Sequence
 from operator import add
 from typing import Iterator
 
@@ -306,23 +308,39 @@ def evaluate_int(p: Polynomial, point: Mapping[str, int]) -> int:
 
 def serialize(p: Polynomial) -> str:
     """Canonical text form (see module docstring)."""
-    if p.is_zero():
-        return "0"
-    parts: list[str] = []
-    for exps, coeff in p.terms():
-        factors = []
-        for name, e in zip(p.varset, exps):
-            if e == 1:
-                factors.append(name)
-            elif e > 1:
-                factors.append(f"{name}^{e}")
-        mag = abs(coeff)
-        body = str(mag) if not factors else f"{mag}*" + "*".join(factors)
-        if not parts:
-            parts.append(body if coeff > 0 else f"-{body}")
+    return serialize_many((p,))[0]
+
+
+def serialize_many(polys: Sequence[Polynomial]) -> list[str]:
+    """Canonical text forms of polynomials that share one varset.
+
+    The union of their monomials is sorted into graded-lex order once and
+    each monomial's text is built once; every polynomial is then written by
+    walking that order.
+    """
+    if not polys:
+        return []
+    varset = polys[0].varset
+    if any(p.varset != varset for p in polys):
+        raise ValueError("serialize_many needs polynomials over one varset")
+    order = sorted(set().union(*(p._terms for p in polys)), key=_grlex_key, reverse=True)
+    # each monomial as it follows its coefficient: "" for the constant term
+    suffixes = ["".join(f"*{name}" if e == 1 else f"*{name}^{e}"
+                        for name, e in zip(varset, exps) if e)
+                for exps in order]
+    texts = []
+    for p in polys:
+        text = "".join([f" + {coeff}{suffix}" if coeff > 0 else f" - {-coeff}{suffix}"
+                        for coeff, suffix in zip(map(p._terms.get, order), suffixes)
+                        if coeff is not None])
+        # the first term drops its " + ", or keeps only the sign of " - "
+        if not text:
+            texts.append("0")
+        elif text[1] == "+":
+            texts.append(text[3:])
         else:
-            parts.append(f" + {body}" if coeff > 0 else f" - {body}")
-    return "".join(parts)
+            texts.append("-" + text[3:])
+    return texts
 
 
 def parse_polynomial(text: str, varset: tuple[str, ...]) -> Polynomial:

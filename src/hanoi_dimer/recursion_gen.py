@@ -53,7 +53,7 @@ from pathlib import Path
 from typing import Callable, NamedTuple
 
 from .errors import CacheCorruption, CapExceeded, IntegrityError
-from .multipoly import Polynomial, parse_polynomial, serialize
+from .multipoly import Polynomial, parse_polynomial, serialize_many
 
 # caps the scans' price from d alone: a stage step's point-weighted
 # (state, choice) pairs (scan_pairs) admit d <= 12 (1,484,006) and refuse
@@ -202,12 +202,20 @@ def _points_muladd(acc, points, factor):
 
 
 def _terms_muladd(acc, terms, factor):
-    # terms: packed monomial -> coefficient; factor: (packed bump, weight) pairs
+    # terms: packed monomial -> coefficient; factor: (packed bump, weight)
+    # pairs.  A fresh acc takes the first pair at C speed, a copy for a
+    # weight of 1 with no bump; each bump shifts every key apart, so the
+    # comprehension meets no key twice.
+    pairs = iter(factor)
     if acc is None:
-        acc = {}
+        bump, weight = next(pairs)
+        if bump == 0 and weight == 1:
+            acc = dict(terms)
+        else:
+            acc = {mono + bump: coeff * weight for mono, coeff in terms.items()}
     get = acc.get
-    for mono, coeff in terms.items():
-        for bump, weight in factor:
+    for bump, weight in pairs:
+        for mono, coeff in terms.items():
             key = mono + bump
             acc[key] = get(key, 0) + coeff * weight
     return acc
@@ -378,48 +386,62 @@ def _scan_system(d: int, width: int) -> RecursionSystem:
     ]
     packed_terms = transfer_scan(d, factors, TERM_RING)
 
+    # one pass over the packed terms: exponent fields and t-slots are split
+    # by precomputed shifts, and only nonzero coefficients are stored.  Class
+    # k's keys are a subset of M's, so homogeneity is checked once per key.
     exp_mask, slot_mask = (1 << bits) - 1, (1 << width) - 1
-    slotted = [{} for _ in range(slots)]
+    exp_shifts = [bits * i for i in range(nv)]
+    # every k-subset of dimer-forced corners gives the same P_k, so slot k
+    # holds C(d+1, k) P_k
+    slot_plan = [(k, width * k, comb(d + 1, k), {}) for k in range(slots)]
+    top = width * slots
     m_terms = {}
+    homogeneous = True
+    # k -> the first t^k coefficient its choices do not divide; raised after
+    # M's checks, as M's total is what names a carry from a narrowed slot
+    indivisible = {}
     for key, packed in packed_terms.items():
-        if packed >> (width * slots):
+        if not packed:
+            continue
+        if packed >> top:
             raise IntegrityError(f"packed coefficients overflow {slots} t-slots "
                                  f"of {width} bits")
-        exps = tuple(key >> (bits * i) & exp_mask for i in range(nv))
-        m_terms[exps] = 0
-        for k in range(slots):
-            coeff = packed >> (width * k) & slot_mask
-            slotted[k][exps] = coeff
-            m_terms[exps] += coeff
-    m_poly = Polynomial(varset, m_terms)
-    if m_poly.coefficient_sum() != m_total:
-        raise IntegrityError(
-            f"total polynomial coefficient sum {m_poly.coefficient_sum()} "
-            f"!= closed-form total {m_total}"
-        )
-    if not m_poly.is_homogeneous(d + 1) or m_poly.min_coefficient() < 0:
-        raise IntegrityError("total polynomial failed shape checks")
+        exps = tuple([key >> shift & exp_mask for shift in exp_shifts])
+        if sum(exps) != d + 1:
+            homogeneous = False
+        total = 0
+        for k, shift, choices, terms in slot_plan:
+            coeff = packed >> shift & slot_mask
+            if coeff:
+                total += coeff
+                terms[exps], rem = divmod(coeff, choices)
+                if rem:
+                    indivisible.setdefault(k, coeff)
+        m_terms[exps] = total
 
-    for k, terms in enumerate(slotted):
-        # every k-subset of dimer-forced corners gives the same P_k
-        choices = comb(d + 1, k)
-        for exps, coeff in terms.items():
-            terms[exps], rem = divmod(coeff, choices)
-            if rem:
-                raise IntegrityError(
-                    f"t^{k} coefficient {coeff} is not divisible by the "
-                    f"C({d + 1},{k}) = {choices} corner choices")
-    class_polys = tuple(Polynomial(varset, terms) for terms in slotted)
-    for k, poly in enumerate(class_polys):
-        if not poly.is_homogeneous(d + 1):
-            raise IntegrityError(f"class polynomial c{k} is not homogeneous of degree {d + 1}")
-        if poly.min_coefficient() < 0:
+    m_sum = sum(m_terms.values())
+    if m_sum != m_total:
+        raise IntegrityError(
+            f"total polynomial coefficient sum {m_sum} != closed-form total {m_total}")
+    if not homogeneous or min(m_terms.values(), default=0) < 0:
+        raise IntegrityError("total polynomial failed shape checks")
+    if indivisible:
+        k = min(indivisible)
+        raise IntegrityError(
+            f"t^{k} coefficient {indivisible[k]} is not divisible by the "
+            f"C({d + 1},{k}) = {comb(d + 1, k)} corner choices")
+    for k, _, _, terms in slot_plan:
+        if min(terms.values(), default=0) < 0:
             raise IntegrityError(f"class polynomial c{k} has a negative coefficient")
-        if poly.coefficient_sum() != class_total:
+        total = sum(terms.values())
+        if total != class_total:
             raise IntegrityError(
-                f"class polynomial c{k} coefficient total {poly.coefficient_sum()} "
-                f"!= closed-form total {class_total}"
-            )
+                f"class polynomial c{k} coefficient total {total} "
+                f"!= closed-form total {class_total}")
+    index = {name: i for i, name in enumerate(varset)}
+    class_polys = tuple(Polynomial._raw(varset, index, terms)
+                        for _, _, _, terms in slot_plan)
+    m_poly = Polynomial._raw(varset, index, m_terms)
     return RecursionSystem(d=d, varset=varset, class_polys=class_polys, m_poly=m_poly)
 
 
@@ -478,15 +500,31 @@ def cache_path(cache_dir: Path, d: int) -> Path:
     return Path(cache_dir) / f"recursions_d{d}.txt"
 
 
+def _line_labels(d: int) -> list[str]:
+    # the cache file's polynomial lines, in order: the class polynomials, then M
+    return [f"c{k}" for k in range(d + 2)] + ["M"]
+
+
 def save_system(sys: RecursionSystem, path: Path) -> None:
-    """Write the bit-exact canonical cache file."""
+    """Write the bit-exact canonical cache file.
+
+    The text goes to a temporary file beside the target, which then
+    replaces it, so an interrupted write leaves the previous file whole.
+    """
+    import os
+
+    texts = serialize_many(sys.class_polys + (sys.m_poly,))
     lines = [f"# d={sys.d} basis=c0..c{sys.d + 1}"]
-    for k, poly in enumerate(sys.class_polys):
-        lines.append(f"c{k}: {serialize(poly)}")
-    lines.append(f"M: {serialize(sys.m_poly)}")
+    lines += [f"{label}: {text}" for label, text in zip(_line_labels(sys.d), texts)]
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
+    tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
+    try:
+        tmp.write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
+        tmp.replace(path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def load_system(path: Path, d: int | None = None) -> RecursionSystem:
@@ -510,7 +548,7 @@ def load_system(path: Path, d: int | None = None) -> RecursionSystem:
     d = int(header.group(1))
     if int(header.group(2)) != d + 1:
         raise CacheCorruption(f"cache file {path} header basis disagrees with d={d}")
-    labels = [f"c{k}" for k in range(d + 2)] + ["M"]
+    labels = _line_labels(d)
     if len(lines) != 1 + len(labels):
         raise CacheCorruption(
             f"cache file {path} has {len(lines) - 1} polynomial lines, expected {len(labels)}"

@@ -1,8 +1,9 @@
-"""Shared test utilities: classic-symbol polynomial parsing, fixtures, the
-connector-subset census, the degree-profile stage step, the substitution-based
-gap expansion, the Fraction ratio bracket, the exact-count entropy bounds, the
-per-corner-subset class vector, and the Fraction-based decimal rendering and
-contraction report."""
+"""Shared test utilities: classic-symbol polynomial parsing, the per-term
+reference serializer, fixtures, the connector-subset census, the
+degree-profile stage step, the substitution-based gap expansion, the
+Fraction ratio bracket, the exact-count entropy bounds, the
+per-corner-subset class vector, and the Fraction-based decimal rendering
+and contraction report."""
 
 from __future__ import annotations
 
@@ -63,6 +64,29 @@ def parse_classic(rhs: str, symbols: str, varset: tuple[str, ...]) -> Polynomial
             raise ValueError(f"duplicate monomial in fixture: {term!r}")
         terms[key] = coeff
     return Polynomial(varset, terms)
+
+
+def serialize_by_terms(p: Polynomial) -> str:
+    """The canonical text form built term by term: each polynomial sorts its
+    own monomials and writes each monomial's text anew.  The reference for
+    ``multipoly.serialize_many``."""
+    if p.is_zero():
+        return "0"
+    parts: list[str] = []
+    for exps, coeff in p.terms():
+        factors = []
+        for name, e in zip(p.varset, exps):
+            if e == 1:
+                factors.append(name)
+            elif e > 1:
+                factors.append(f"{name}^{e}")
+        mag = abs(coeff)
+        body = str(mag) if not factors else f"{mag}*" + "*".join(factors)
+        if not parts:
+            parts.append(body if coeff > 0 else f"-{body}")
+        else:
+            parts.append(f" + {body}" if coeff > 0 else f" - {body}")
+    return "".join(parts)
 
 
 def run_python(*argv: str) -> subprocess.CompletedProcess:

@@ -13,8 +13,11 @@ from hanoi_dimer.multipoly import (
     evaluate_int,
     parse_polynomial,
     serialize,
+    serialize_many,
     substitute,
 )
+
+from .helpers import serialize_by_terms
 
 FGHTS = ("f", "g", "h", "t", "s")
 
@@ -249,3 +252,41 @@ def test_serialize_parse_roundtrip(p):
 def test_equality_iff_serializations_identical(pq):
     p, q = pq
     assert (p == q) == (serialize(p) == serialize(q))
+
+
+# negative, unit and big coefficients; 0 drops out of a Polynomial
+COEFFICIENTS = st.one_of(st.sampled_from([1, -1]), st.integers(-(10**6), 10**6),
+                         st.integers(-(2**200), 2**200))
+
+
+@st.composite
+def shared_varset_polynomials(draw):
+    """One to four polynomials over one varset, the zero polynomial and
+    constant terms among them."""
+    varset = draw(st.sampled_from(VARSETS))
+    monomials = st.tuples(*[st.integers(0, 4)] * len(varset))
+    return [Polynomial(varset, draw(st.dictionaries(monomials, COEFFICIENTS, max_size=8)))
+            for _ in range(draw(st.integers(1, 4)))]
+
+
+@settings(max_examples=300)
+@given(shared_varset_polynomials())
+def test_serialize_many_matches_the_per_term_reference(polys):
+    want = [serialize_by_terms(p) for p in polys]
+    assert serialize_many(polys) == want
+    assert [serialize(p) for p in polys] == want
+
+
+def test_serialize_many_writes_zero_constants_signs_and_big_coefficients():
+    big = 3**200
+    polys = [Polynomial.zero(FGHTS), Polynomial.constant(FGHTS, -7),
+             P("-f^2 + 3*g - 1"), P(f"{big}*f^2*s - 1*g + 1")]
+    want = ["0", "-7", "-1*f^2 + 3*g - 1", f"{big}*f^2*s - 1*g + 1"]
+    assert serialize_many(polys) == want
+    assert [serialize_by_terms(p) for p in polys] == want
+
+
+def test_serialize_many_needs_one_varset():
+    assert serialize_many([]) == []
+    with pytest.raises(ValueError, match="one varset"):
+        serialize_many([P("f"), Polynomial.variable(("x",), "x")])

@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+import hashlib
+import json
 import random
 from itertools import combinations
+from pathlib import Path
 from math import comb
 
 import pytest
@@ -11,7 +14,13 @@ from hypothesis import given, settings, strategies as st
 
 from hanoi_dimer import recursion_gen
 from hanoi_dimer.errors import CacheCorruption, CapExceeded, IntegrityError
-from hanoi_dimer.multipoly import Polynomial, evaluate_int, serialize, substitute
+from hanoi_dimer.multipoly import (
+    Polynomial,
+    evaluate_int,
+    serialize,
+    serialize_many,
+    substitute,
+)
 from hanoi_dimer.recursion_gen import (
     SCAN_WORK_CAP,
     Ring,
@@ -33,11 +42,13 @@ from hanoi_dimer.recursion_gen import (
 )
 
 from .helpers import (
+    REPO_DIR,
     census,
     degree_profile_step,
     degree_profile_totals,
     load_golden_d3,
     parse_classic,
+    serialize_by_terms,
 )
 
 
@@ -346,6 +357,68 @@ def test_asymmetric_packed_coefficient_fails_divisibility(monkeypatch):
 # -- the point ring ------------------------------------------------------------------
 
 
+@pytest.mark.parametrize("d", range(2, 7))
+def test_generated_polynomials_hold_canonical_terms(systems, d):
+    """The unpack builds its polynomials without Polynomial's checks: every
+    stored coefficient is a nonzero int on a degree-(d+1) monomial."""
+    system = systems(d)
+    for poly in system.class_polys + (system.m_poly,):
+        assert poly.varset == class_varset(d)
+        for exps, coeff in poly._terms.items():
+            assert type(exps) is tuple and len(exps) == d + 2 and sum(exps) == d + 1
+            assert type(coeff) is int and coeff != 0
+
+
+def _skew_one_packed_term(monkeypatch, d, pick, shift):
+    """Make transfer_scan's packed terms go wrong at one key: pick chooses
+    the key from (key, packed) and shift returns its new (key, packed)."""
+    scan = recursion_gen.transfer_scan
+
+    def skewed(*args):
+        terms = scan(*args)
+        key = next(key for key, packed in terms.items() if pick(key, packed))
+        new_key, packed = shift(key, terms.pop(key))
+        terms[new_key] = packed
+        return terms
+
+    monkeypatch.setattr(recursion_gen, "transfer_scan", skewed)
+
+
+D2_WIDTH = recursion_gen._closed_form_totals(2)[1].bit_length()
+D2_SLOT = (1 << D2_WIDTH) - 1
+
+# each fault at d = 2 (4 slots, 2-bit exponent fields) and the message it gets
+PACKED_FAULTS = {
+    "overflow": (lambda key, packed: True,
+                 lambda key, packed: (key, packed + (1 << 4 * D2_WIDTH)),
+                 "overflow 4 t-slots"),
+    "total": (lambda key, packed: True,
+              lambda key, packed: (key, packed + 1),
+              "total polynomial coefficient sum"),
+    "shape": (lambda key, packed: key & 3 == 0,  # c0's exponent 0: bump it
+              lambda key, packed: (key + 1, packed),
+              "total polynomial failed shape checks"),
+    "class total": (lambda key, packed: packed & D2_SLOT >= 3,
+                    lambda key, packed: (key, packed + (3 << D2_WIDTH) - 3),
+                    "class polynomial c0 coefficient total"),
+}
+
+
+@pytest.mark.parametrize("fault", PACKED_FAULTS)
+def test_each_packed_term_fault_raises_its_integrity_error(monkeypatch, fault):
+    pick, shift, message = PACKED_FAULTS[fault]
+    _skew_one_packed_term(monkeypatch, 2, pick, shift)
+    with pytest.raises(IntegrityError, match=message):
+        generate(2)
+
+
+@pytest.mark.parametrize("d", range(2, 7))
+def test_serializer_matches_per_term_reference_on_generated_systems(systems, d):
+    system = systems(d)
+    polys = system.class_polys + (system.m_poly,)
+    assert serialize_many(polys) == [serialize_by_terms(p) for p in polys]
+
+
 def test_points_run_from_zero_and_leave_out_one():
     assert [t_point(j) for j in range(8)] == [0, -1, 2, -2, 3, -3, 4, -4]
     assert 1 not in {t_point(j) for j in range(64)}
@@ -483,6 +556,33 @@ def test_cache_roundtrip_bit_exact(tmp_path, systems):
     save_system(loaded, path)
     assert path.read_bytes() == first
     assert first.startswith(b"# d=3 basis=c0..c4\nc0: ")
+
+
+def test_saved_d6_system_matches_the_benchmark_fixture(tmp_path, systems):
+    want = json.loads((REPO_DIR / "perfbench/fixtures/expected.json")
+                      .read_text(encoding="utf-8"))["toolchain"]["gen-recursions"]
+    path = tmp_path / want["cache_file"]
+    save_system(systems(6), path)
+    data = path.read_bytes()
+    assert len(data) == want["cache_bytes"]
+    assert hashlib.sha256(data).hexdigest() == want["cache_sha256"]
+
+
+def test_interrupted_save_keeps_the_previous_file(tmp_path, monkeypatch, systems):
+    path = cache_path(tmp_path, 3)
+    save_system(systems(3), path)
+    before = path.read_bytes()
+    write_text = Path.write_text
+
+    def cut_short(self, text, *args, **kwargs):
+        write_text(self, text[: len(text) // 2], *args, **kwargs)
+        raise OSError("no space left on device")
+
+    monkeypatch.setattr(Path, "write_text", cut_short)
+    with pytest.raises(OSError, match="no space left"):
+        save_system(systems(4), path)
+    assert path.read_bytes() == before
+    assert list(tmp_path.iterdir()) == [path]
 
 
 def test_cached_system_generates_then_loads(tmp_path):
