@@ -30,7 +30,7 @@ from __future__ import annotations
 from math import comb
 from typing import NamedTuple
 
-from .errors import CapExceeded
+from .errors import DEFAULT_TERM_BUDGET, CapExceeded
 from .multipoly import Polynomial, _grlex_key, serialize
 # bound here only as the name perfbench/traced_cli.py wraps at start-up
 from .multipoly import substitute  # noqa: F401
@@ -40,8 +40,6 @@ from .recursion_gen import (
     ratio_varset,
     reduced_ratio_form,
 )
-
-DEFAULT_TERM_BUDGET = 10**7
 
 
 def gap_varset(d: int) -> tuple[str, ...]:

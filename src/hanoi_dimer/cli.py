@@ -9,36 +9,70 @@ inputs and flags; progress and warnings go to stderr only.
 from __future__ import annotations
 
 import argparse
+import importlib
 import json
 import os
 import sys
 from pathlib import Path
 
-from . import reference_values as ref
-from .appendix_check import DEFAULT_TERM_BUDGET, run_certificates
-from .entropy import DEFAULT_PRECISION, bounds, working_bits
-from .errors import CapExceeded, HanoiDimerError, IntegrityError
-from .evolve import (
+from .errors import (
     DEFAULT_DIGIT_CAP,
-    apply_system,
-    check_contraction,
-    eps_ratio_table_value,
-    evolve_to,
-    ratios,
-    render_quotient,
-    step,
-)
-from .hanoi_graph import DEFAULT_VERTEX_CAP, build, edge_csv
-from .matching_oracle import (
     DEFAULT_MEMO_CAP,
     DEFAULT_ORACLE_VERTEX_CAP,
-    CornerConstraint,
-    boundary_class_vector,
-    count_constrained,
+    DEFAULT_PRECISION,
+    DEFAULT_TERM_BUDGET,
+    DEFAULT_VERTEX_CAP,
+    CapExceeded,
+    HanoiDimerError,
+    IntegrityError,
 )
-from .recursion_gen import cache_path, generate, load_or_generate, save_system
 
 CACHE_ENV = "HANOI_DIMER_CACHE"
+
+# The library names the commands call, each imported from its module when a
+# command first needs it (PEP 562), so that a command loads only the modules
+# it runs.  They are attributes of this module, looked up when a command
+# runs: a name rebound here first (a tracing wrapper, a test's stand-in) is
+# the one called.
+_LIBRARY = {
+    "run_certificates": "appendix_check",
+    "bounds": "entropy",
+    "working_bits": "entropy",
+    "apply_system": "evolve",
+    "check_contraction": "evolve",
+    "eps_ratio_table_value": "evolve",
+    "evolve_to": "evolve",
+    "ratios": "evolve",
+    "render_quotient": "evolve",
+    "step": "evolve",
+    "build": "hanoi_graph",
+    "edge_csv": "hanoi_graph",
+    "CornerConstraint": "matching_oracle",
+    "boundary_class_vector": "matching_oracle",
+    "check_stage_vertex_cap": "matching_oracle",
+    "count_constrained": "matching_oracle",
+    "cache_path": "recursion_gen",
+    "check_generation_work": "recursion_gen",
+    "generate": "recursion_gen",
+    "load_or_generate": "recursion_gen",
+    "save_system": "recursion_gen",
+}
+
+
+def __getattr__(name: str):
+    module = _LIBRARY.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{module}", __package__), name)
+    globals()[name] = value
+    return value
+
+
+def _library(*names: str) -> tuple:
+    """This module's current binding of each of names (see _LIBRARY)."""
+    scope = globals()
+    return tuple(scope[name] if name in scope else __getattr__(name)
+                 for name in names)
 
 
 def resolve_cache_dir(explicit: str | None) -> Path:
@@ -58,6 +92,8 @@ def _emit(text: str) -> None:
 
 
 def cmd_gen_recursions(args: argparse.Namespace) -> int:
+    generate, save_system, cache_path = _library("generate", "save_system",
+                                                 "cache_path")
     system = generate(args.d)
     path = cache_path(resolve_cache_dir(args.cache_dir), args.d)
     save_system(system, path)
@@ -69,6 +105,7 @@ def cmd_gen_recursions(args: argparse.Namespace) -> int:
 
 
 def cmd_count(args: argparse.Namespace) -> int:
+    (evolve_to,) = _library("evolve_to")
     vectors = evolve_to(args.d, args.n, digit_cap=args.digit_cap)
     v = vectors[args.n]
     if args.format == "csv":
@@ -85,6 +122,9 @@ def cmd_count(args: argparse.Namespace) -> int:
 
 
 def cmd_oracle(args: argparse.Namespace) -> int:
+    build, edge_csv, CornerConstraint, count_constrained, boundary_class_vector = (
+        _library("build", "edge_csv", "CornerConstraint", "count_constrained",
+                 "boundary_class_vector"))
     graph = build(args.d, args.n, vertex_cap=args.vertex_cap)
     if args.emit_graph:
         sys.stdout.write(edge_csv(graph))
@@ -109,8 +149,18 @@ def cmd_oracle(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    # the scan applies the scan-work and digit caps before the system is
-    # loaded, or generated and written to the cache
+    (check_generation_work, check_stage_vertex_cap, evolve_to,
+     load_or_generate, apply_system, boundary_class_vector, build,
+     generate) = _library(
+        "check_generation_work", "check_stage_vertex_cap", "evolve_to",
+        "load_or_generate", "apply_system", "boundary_class_vector", "build",
+        "generate")
+    # every cap but the memo cap refuses before any work: generating the
+    # system (verify always does, for a missing file or to compare with a
+    # loaded one), the oracle on its largest graph, TH_d(n_max), and then
+    # the scan's own caps
+    check_generation_work(args.d)
+    check_stage_vertex_cap(args.d, args.n_max, args.oracle_vertex_cap)
     scan = evolve_to(args.d, args.n_max, digit_cap=args.digit_cap)
     system, loaded = load_or_generate(args.d, resolve_cache_dir(args.cache_dir))
     # the loaded system, evaluated term by term on the scan's stages (equal to
@@ -152,6 +202,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_ratios(args: argparse.Namespace) -> int:
+    evolve_to, ratios, render_quotient, eps_ratio_table_value = _library(
+        "evolve_to", "ratios", "render_quotient", "eps_ratio_table_value")
     digits = args.digits
     # render_quotient is quadratic in its places: price the rendering before
     # evolving, d+2 values per stage 1..max_n and one quotient per stage pair
@@ -193,6 +245,8 @@ def cmd_ratios(args: argparse.Namespace) -> int:
 
 
 def cmd_entropy(args: argparse.Namespace) -> int:
+    evolve_to, working_bits, bounds = _library("evolve_to", "working_bits",
+                                               "bounds")
     # bounds needs only the leading bits: stop once the counts outgrow them
     vectors = evolve_to(args.d, args.k, digit_cap=args.digit_cap,
                         stop_bits=working_bits(args.precision, args.k))
@@ -211,6 +265,7 @@ def cmd_entropy(args: argparse.Namespace) -> int:
 
 
 def cmd_appendix_check(args: argparse.Namespace) -> int:
+    (run_certificates,) = _library("run_certificates")
     reports = run_certificates(args.d, args.which, term_budget=args.term_budget)
     status = 0
     for report in reports:
@@ -255,11 +310,6 @@ class _Report:
 
 
 _ORACLE_STAGES = {2: (0, 1, 2), 3: (0, 1), 4: (0, 1)}
-_REFERENCE_COUNTS = {
-    2: (ref.CLASS_COUNTS_D2, ref.TOTALS_D2),
-    3: (ref.CLASS_COUNTS_D3, ref.TOTALS_D3),
-    4: (ref.CLASS_COUNTS_D4, ref.TOTALS_D4),
-}
 
 
 # every reference table reads exact counts of stages up to _EXACT_STAGES; the
@@ -270,6 +320,13 @@ _PRECISION = 160
 
 
 def _reproduce_dimension(report: _Report, d: int) -> None:
+    from . import reference_values as ref
+
+    (generate, evolve_to, boundary_class_vector, build, bounds, ratios,
+     check_contraction, step, render_quotient, eps_ratio_table_value) = _library(
+        "generate", "evolve_to", "boundary_class_vector", "build", "bounds",
+        "ratios", "check_contraction", "step", "render_quotient",
+        "eps_ratio_table_value")
     report.info(f"[d={d}]")
     generate(d)  # checks each polynomial's shape and closed-form total
     report.info(f"  generated {d + 2} class polynomials over c0..c{d + 1}")
@@ -279,7 +336,7 @@ def _reproduce_dimension(report: _Report, d: int) -> None:
         reference = boundary_class_vector(build(d, n))
         report.check(f"oracle cross-check stage {n}", reference == vectors[n])
 
-    counts_ref, totals_ref = _REFERENCE_COUNTS[d]
+    counts_ref, totals_ref = ref.REFERENCE_COUNTS[d]
     for n in (1, 2):
         report.compare(f"class counts n={n}",
                        vectors[n].counts, counts_ref[n])

@@ -46,7 +46,7 @@ from fractions import Fraction
 from math import ceil, log2
 from typing import NamedTuple
 
-from .errors import IntegrityError
+from .errors import DEFAULT_PRECISION, IntegrityError
 from .evolve import (
     BoundaryClassVector,
     CountInterval,
@@ -56,7 +56,6 @@ from .evolve import (
 )
 from .intutil import ceil_div, digit_count
 
-DEFAULT_PRECISION = 160
 GUARD_DIGITS = 20
 
 

@@ -34,7 +34,7 @@ from functools import cached_property
 from math import comb
 from typing import NamedTuple
 
-from .errors import CapExceeded, IntegrityError
+from .errors import DEFAULT_DIGIT_CAP, CapExceeded, IntegrityError
 from .intutil import digit_count
 from .multipoly import evaluate_int
 from .recursion_gen import (
@@ -47,8 +47,6 @@ from .recursion_gen import (
     t_point,
     transfer_scan,
 )
-
-DEFAULT_DIGIT_CAP = 10**7
 
 
 class _BoundaryClassVector(NamedTuple):

@@ -14,9 +14,7 @@ from __future__ import annotations
 from itertools import combinations
 from typing import NamedTuple
 
-from .errors import CapExceeded
-
-DEFAULT_VERTEX_CAP = 10**6
+from .errors import DEFAULT_VERTEX_CAP, CapExceeded
 
 
 class HanoiGraph(NamedTuple):

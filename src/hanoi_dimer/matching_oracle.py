@@ -35,12 +35,15 @@ import sys
 from enum import Enum
 from typing import Iterable, NamedTuple
 
-from .errors import CapExceeded, IntegrityError
+from .errors import (
+    DEFAULT_MEMO_CAP,
+    DEFAULT_ORACLE_VERTEX_CAP,
+    CapExceeded,
+    IntegrityError,
+)
 from .evolve import BoundaryClassVector
 from .hanoi_graph import HanoiGraph
 
-DEFAULT_ORACLE_VERTEX_CAP = 40
-DEFAULT_MEMO_CAP = 1 << 26
 # frames of the recursion limit kept for the counters' callers
 CALLER_FRAMES = 200
 
@@ -95,6 +98,20 @@ def _check_vertex_cap(vertex_count: int, vertex_cap: int) -> None:
             f"recursion limit {sys.getrecursionlimit()} less {CALLER_FRAMES} "
             f"frames for its callers)"
         )
+
+
+def check_stage_vertex_cap(d: int, n: int, vertex_cap: int) -> None:
+    """CapExceeded if the counters would refuse TH_d(n), priced at its
+    (d+1)^(n+1) vertices before it is built."""
+    # (d+1)^(n+1) >= 2^floor_bits: far past the cap, form no such power
+    floor_bits = (n + 1) * ((d + 1).bit_length() - 1)
+    if floor_bits >= vertex_cap.bit_length() + 64:
+        raise CapExceeded(
+            f"oracle refuses TH_{d}({n}), which has at least 2^{floor_bits} "
+            f"vertices, above the cap of {vertex_cap}; raise it with "
+            "--oracle-vertex-cap"
+        )
+    _check_vertex_cap((d + 1) ** (n + 1), vertex_cap)
 
 
 def _adjacency_masks(vertex_count: int, edges, removed=frozenset()) -> list[int]:

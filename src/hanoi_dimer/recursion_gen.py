@@ -327,16 +327,21 @@ def check_scan_work(d: int) -> None:
                                 f"{SCAN_WORK_CAP} (state, choice, t-slot) multiplies")
 
 
+def check_generation_work(d: int) -> None:
+    """CapExceeded if generating the d system prices above SCAN_WORK_CAP
+    packed coefficients (scan_terms)."""
+    _check_price(scan_terms(d), f"generating the d={d} system touches more "
+                                f"than {SCAN_WORK_CAP} polynomial terms")
+
+
 def generate(d: int) -> RecursionSystem:
     """Generate and validate the full recursion system for dimension d.
 
     One packed transfer scan (_scan_system) yields every class polynomial
-    and M.  Refuses with CapExceeded, before any scan, when the packed
-    coefficients the scan touches (scan_terms) price above the scan-work
-    cap.
+    and M.  Refuses with CapExceeded, before any scan, when
+    check_generation_work does.
     """
-    _check_price(scan_terms(d), f"generating the d={d} system touches more "
-                                f"than {SCAN_WORK_CAP} polynomial terms")
+    check_generation_work(d)
     return _scan_system(d, _closed_form_totals(d)[1].bit_length())
 
 

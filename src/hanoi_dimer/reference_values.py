@@ -45,6 +45,13 @@ CLASS_COUNTS_D2 = {
 }
 TOTALS_D2 = {0: 4, 1: 125, 2: 4007754}
 
+# d -> (class counts, totals), the per-stage tables above
+REFERENCE_COUNTS = {
+    2: (CLASS_COUNTS_D2, TOTALS_D2),
+    3: (CLASS_COUNTS_D3, TOTALS_D3),
+    4: (CLASS_COUNTS_D4, TOTALS_D4),
+}
+
 # consecutive-class ratios r_0..r_d, rendered round-half-even
 
 RATIOS_D3 = {  # 15 decimal places

@@ -476,6 +476,30 @@ def test_perfbench_tracer_wraps_reproduce(tmp_path):
         assert spans["evolve.ratios"] and spans["evolve.check_contraction"]
 
 
+@pytest.mark.parametrize("argv, wanted", [
+    (("gen-recursions", "--d", "2", "--cache-dir", "CACHE"),
+     {"recursion_gen.generate", "recursion_gen.save_system"}),
+    (("count", "--d", "2", "--n", "1", "--cache-dir", "CACHE"), {"evolve.evolve_to"}),
+    (("verify", "--d", "2", "--n-max", "1", "--cache-dir", "CACHE"),
+     {"matching_oracle.boundary_class_vector", "hanoi_graph.build"}),
+    (("entropy", "--d", "3", "--k", "3", "--cache-dir", "CACHE"),
+     {"entropy.bounds", "evolve.evolve_to"}),
+    (("appendix-check", "--d", "2", "--which", "alpha"),
+     {"appendix_check.alpha_descending_certificate"}),
+], ids=["gen-recursions", "count", "verify", "entropy", "appendix-check"])
+def test_perfbench_tracer_wraps_each_toolchain_command(capsys, tmp_path, argv, wanted):
+    # the commands bind their library names only when they run, so the
+    # tracer's wrappers, bound first, are the ones each command calls
+    argv = [str(tmp_path) if a == "CACHE" else a for a in argv]
+    spans_file = tmp_path / "spans.json"
+    run = run_python(str(REPO_DIR / "perfbench" / "traced_cli.py"), str(spans_file),
+                     "t", "--", *argv)
+    assert (run.returncode, run.stderr) == (0, "")
+    assert run.stdout == run_cli(capsys, *argv)[1]
+    names = {span["name"] for span in json.loads(spans_file.read_text(encoding="utf-8"))}
+    assert wanted | {"cli.main"} <= names
+
+
 # -- entropy ----------------------------------------------------------------------
 
 
@@ -676,8 +700,11 @@ def test_following_cap_advice_gets_past_the_cap(capsys, tmp_path, argv):
     argv = [str(tmp_path) if a == "CACHE" else a for a in argv]
     parser = build_parser()
     code, out, err = run_cli(capsys, *argv)
-    if argv[0] == "verify" and "--digit-cap" in argv:
-        # the digit cap refuses before the system is generated and cached
+    if argv[0] == "verify" and "--memo-cap" not in argv:
+        # the digit and oracle vertex caps refuse before any stage is checked
+        # or the system is generated and cached; only the memo cap cannot be
+        # priced before the oracle runs
+        assert out == ""
         assert list(tmp_path.iterdir()) == []
     for _ in range(5):
         assert code == 3
@@ -693,6 +720,25 @@ def test_following_cap_advice_gets_past_the_cap(capsys, tmp_path, argv):
         if code == 0:
             return
     pytest.fail(f"still refused after following the advice: {argv}")
+
+
+@pytest.mark.parametrize("argv, refusal", [
+    (("--n-max", "3"), "oracle refuses 81 vertices, above the cap of 40"),
+    (("--n-max", "1000000000000000000"), "oracle refuses TH_2(1000000000000000000), "
+     "which has at least 2^1000000000000000001 vertices, above the cap of 40"),
+    (("--n-max", "7", "--oracle-vertex-cap", "7000"),
+     "oracle refuses 6561 vertices: it recurses once per vertex, past its "
+     f"fixed ceiling of {recursion_ceiling()}"),
+], ids=["cap", "far-past-the-cap", "recursion-ceiling"])
+def test_verify_prices_its_largest_oracle_graph_before_any_work(capsys, tmp_path,
+                                                                argv, refusal):
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "verify", "--d", "2", *argv,
+                             "--cache-dir", str(tmp_path))
+    assert time.perf_counter() - start < 1.0
+    assert (code, out) == (3, "")
+    assert err.startswith(f"resource cap: {refusal}")
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_oracle_far_past_the_vertex_cap_exits_at_once(capsys):
@@ -853,3 +899,35 @@ def test_start_up_imports_no_dataclasses_or_inspect():
                            "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
     assert (run.returncode, run.stderr) == (0, "")
     assert run.stdout == "[]\n"
+
+
+def loaded_modules(code: str) -> set[str]:
+    """The hanoi_dimer modules a fresh interpreter has loaded after code."""
+    run = run_python("-c", code + "\nimport json, sys\n"
+                     "print(json.dumps([m.removeprefix('hanoi_dimer.') for m in sys.modules"
+                     " if m.startswith('hanoi_dimer.')]))")
+    assert (run.returncode, run.stderr) == (0, "")
+    return set(json.loads(run.stdout.splitlines()[-1]))
+
+
+def test_the_package_and_the_parser_load_no_library_module():
+    # without a bytecode cache (PYTHONDONTWRITEBYTECODE=1) every module a
+    # command loads is compiled again at every run
+    assert loaded_modules("import hanoi_dimer") == set()
+    assert loaded_modules("from hanoi_dimer import cli\n"
+                          "cli.build_parser()") == {"cli", "errors"}
+
+
+@pytest.mark.parametrize("argv, runs, unloaded", [
+    (["count", "--d", "2", "--n", "1"], "evolve",
+     {"appendix_check", "entropy", "matching_oracle", "hanoi_graph", "reference_values"}),
+    (["appendix-check", "--d", "2", "--which", "omega"], "appendix_check",
+     {"evolve", "entropy", "matching_oracle", "hanoi_graph", "reference_values"}),
+], ids=["count", "appendix-check"])
+def test_a_command_loads_only_the_modules_it_runs(argv, runs, unloaded):
+    loaded = loaded_modules("from hanoi_dimer import cli\n"
+                            f"status = cli.main({argv!r})\n"
+                            "if status:\n"
+                            "    raise SystemExit(status)")
+    assert runs in loaded
+    assert loaded.isdisjoint(unloaded)
