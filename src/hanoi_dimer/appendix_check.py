@@ -79,8 +79,7 @@ def gap_expansion(poly: Polynomial, d: int,
                 key = head + (t, rest - t) + tail
                 shifted[key] = shifted.get(key, 0) + coeff * b
         terms = {exps: c for exps, c in shifted.items() if c}
-    gaps = gap_varset(d)
-    return Polynomial._raw(gaps, {v: i for i, v in enumerate(gaps)},
+    return Polynomial._raw(gap_varset(d),
                            {exps[d:] + exps[:d]: c for exps, c in terms.items()})
 
 

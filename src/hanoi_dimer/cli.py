@@ -13,6 +13,7 @@ import importlib
 import json
 import os
 import sys
+import warnings
 from pathlib import Path
 
 from .errors import (
@@ -22,6 +23,7 @@ from .errors import (
     DEFAULT_PRECISION,
     DEFAULT_TERM_BUDGET,
     DEFAULT_VERTEX_CAP,
+    CacheCorruption,
     CapExceeded,
     HanoiDimerError,
     IntegrityError,
@@ -54,7 +56,7 @@ _LIBRARY = {
     "cache_path": "recursion_gen",
     "check_generation_work": "recursion_gen",
     "generate": "recursion_gen",
-    "load_or_generate": "recursion_gen",
+    "load_system": "recursion_gen",
     "save_system": "recursion_gen",
 }
 
@@ -149,22 +151,42 @@ def cmd_oracle(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    (check_generation_work, check_stage_vertex_cap, evolve_to,
-     load_or_generate, apply_system, boundary_class_vector, build,
-     generate) = _library(
+    (check_generation_work, check_stage_vertex_cap, evolve_to, generate,
+     cache_path, load_system, save_system, apply_system, boundary_class_vector,
+     build) = _library(
         "check_generation_work", "check_stage_vertex_cap", "evolve_to",
-        "load_or_generate", "apply_system", "boundary_class_vector", "build",
-        "generate")
+        "generate", "cache_path", "load_system", "save_system", "apply_system",
+        "boundary_class_vector", "build")
     # every cap but the memo cap refuses before any work: generating the
-    # system (verify always does, for a missing file or to compare with a
-    # loaded one), the oracle on its largest graph, TH_d(n_max), and then
-    # the scan's own caps
+    # system, the oracle on its largest graph, TH_d(n_max), and then the
+    # scan's own caps
     check_generation_work(args.d)
     check_stage_vertex_cap(args.d, args.n_max, args.oracle_vertex_cap)
     scan = evolve_to(args.d, args.n_max, digit_cap=args.digit_cap)
-    system, loaded = load_or_generate(args.d, resolve_cache_dir(args.cache_dir))
-    # the loaded system, evaluated term by term on the scan's stages (equal to
-    # its own trajectory up to the first mismatch), and the transfer scan
+    system = generate(args.d)
+    # the cache file must hold the generated system: a missing file is
+    # written, a corrupt one rewritten, and one that loads to another system
+    # is refused and left as it is (the stages below cannot see every term:
+    # each odd class count is 0 at stage 0)
+    path = cache_path(resolve_cache_dir(args.cache_dir), args.d)
+    loaded = None
+    if path.exists():
+        try:
+            loaded = load_system(path, args.d)
+        except CacheCorruption as err:
+            warnings.warn(f"regenerating corrupt recursion cache: {err}")
+    if loaded is None:
+        save_system(system, path)
+    else:
+        labels = [f"c{k}" for k in range(args.d + 2)] + ["M"]
+        for label, got, want in zip(labels, loaded.class_polys + (loaded.m_poly,),
+                                    system.class_polys + (system.m_poly,)):
+            if got != want:
+                _emit(f"cache: MISMATCH {label}: the loaded polynomial differs "
+                      "from the generated one")
+                return 1
+    # the generated system, evaluated term by term on the scan's stages (equal
+    # to its own trajectory up to the first mismatch), and the transfer scan
     sources = (
         ("recursion", scan[:1] + [apply_system(system, v) for v in scan[:-1]]),
         ("scan", scan),
@@ -185,19 +207,6 @@ def cmd_verify(args: argparse.Namespace) -> int:
                 _emit(f"stage {n}: MISMATCH M: {label} {got.m}, oracle {reference.m}")
             return 1
         _emit(f"stage {n}: OK ({args.d + 2} class counts + total)")
-    # every odd class count is 0 at stage 0, so the stages above may leave
-    # terms unchecked: a loaded file must also equal the generated system
-    # (a file just written, or rewritten over a corrupt one, is that system
-    # already)
-    if loaded:
-        labels = [f"c{k}" for k in range(args.d + 2)] + ["M"]
-        fresh = generate(args.d)
-        for label, got, want in zip(labels, system.class_polys + (system.m_poly,),
-                                    fresh.class_polys + (fresh.m_poly,)):
-            if got != want:
-                _emit(f"cache: MISMATCH {label}: the loaded polynomial differs "
-                      "from the generated one")
-                return 1
     return 0
 
 

@@ -43,6 +43,7 @@ from __future__ import annotations
 
 import warnings
 from fractions import Fraction
+from functools import cache
 from math import ceil, log2
 from typing import NamedTuple
 
@@ -132,27 +133,18 @@ def _atanh_interval(num: int, den: int, w: int) -> Interval:
     return (total, total + slack)
 
 
-_CONST_CACHE: dict[tuple[str, int], Interval] = {}
-
-
+@cache
 def _ln2_interval(w: int) -> Interval:
-    got = _CONST_CACHE.get(("ln2", w))
-    if got is None:
-        lo, hi = _atanh_interval(1, 3, w)
-        got = (2 * lo, 2 * hi)
-        _CONST_CACHE[("ln2", w)] = got
-    return got
+    lo, hi = _atanh_interval(1, 3, w)
+    return (2 * lo, 2 * hi)
 
 
+@cache
 def _ln10_interval(w: int) -> Interval:
-    got = _CONST_CACHE.get(("ln10", w))
-    if got is None:
-        l2lo, l2hi = _ln2_interval(w)
-        # ln(10/8) = 2 atanh(1/9)
-        qlo, qhi = _atanh_interval(1, 9, w)
-        got = (3 * l2lo + 2 * qlo, 3 * l2hi + 2 * qhi)
-        _CONST_CACHE[("ln10", w)] = got
-    return got
+    l2lo, l2hi = _ln2_interval(w)
+    # ln(10/8) = 2 atanh(1/9)
+    qlo, qhi = _atanh_interval(1, 9, w)
+    return (3 * l2lo + 2 * qlo, 3 * l2hi + 2 * qhi)
 
 
 def _ln_reduced_int(m: int, w: int) -> Interval:

@@ -30,7 +30,6 @@ counts is taken.  An exact Fraction is built only on request.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cached_property
 from math import comb
 from typing import NamedTuple
 
@@ -272,7 +271,7 @@ class RatioTrace(_RatioTrace):
     _replace included.
     """
 
-    # no __slots__: cached_property keeps _eps_pairs in the instance __dict__
+    __slots__ = ()
 
     def __new__(cls, d: int, stages: tuple[int, ...],
                 lo: tuple[tuple[int, ...], ...], hi: tuple[tuple[int, ...], ...]):
@@ -308,17 +307,11 @@ class RatioTrace(_RatioTrace):
         row = self._row(n)
         return row[j], row[j + 1]
 
-    @cached_property
-    def _eps_pairs(self) -> tuple[tuple[int, int], ...]:
-        d = self.d
-        return tuple((c[0] * c[d + 1] - c[d] * c[1], c[1] * c[d + 1])
-                     for c in self.lo)
-
     def eps_pair(self, n: int) -> tuple[int, int]:
         """eps(n) = r_0(n) - r_d(n) as the pair (E, D), E = c_0 c_{d+1} -
         c_d c_1 and D = c_1 c_{d+1} > 0."""
-        self._row(n)
-        return self._eps_pairs[self.stages.index(n)]
+        c, d = self._row(n), self.d
+        return c[0] * c[d + 1] - c[d] * c[1], c[1] * c[d + 1]
 
     def eps_ratio_pair(self, n: int) -> tuple[int, int]:
         """eps(n+1) / eps(n)^2 as the pair (E_1 D_0^2, D_1 E_0^2)."""

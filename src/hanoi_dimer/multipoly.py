@@ -42,7 +42,7 @@ class Polynomial:
     order.  No zero coefficient is ever stored.
     """
 
-    __slots__ = ("_vars", "_index", "_terms")
+    __slots__ = ("_vars", "_terms")
 
     def __init__(self, varset: tuple[str, ...], terms: Mapping[Exponents, int]):
         varset = tuple(varset)
@@ -61,16 +61,13 @@ class Polynomial:
             if coeff:
                 clean[tuple(exps)] = int(coeff)
         self._vars = varset
-        self._index = {name: i for i, name in enumerate(varset)}
         self._terms = clean
 
     @classmethod
-    def _raw(cls, varset: tuple[str, ...], index: dict[str, int],
-             terms: dict[Exponents, int]) -> Polynomial:
+    def _raw(cls, varset: tuple[str, ...], terms: dict[Exponents, int]) -> Polynomial:
         # internal fast path: caller guarantees canonical terms
         self = object.__new__(cls)
         self._vars = varset
-        self._index = index
         self._terms = terms
         return self
 
@@ -116,7 +113,7 @@ class Polynomial:
         """Coefficient of the monomial with the given exponents (0 if absent)."""
         key = [0] * len(self._vars)
         for name, e in exps.items():
-            key[self._index[name]] = e
+            key[self._vars.index(name)] = e
         return self._terms.get(tuple(key), 0)
 
     def coefficient_sum(self) -> int:
@@ -149,13 +146,12 @@ class Polynomial:
                 out[exps] = total
             else:
                 out.pop(exps, None)
-        return Polynomial._raw(varset, {v: i for i, v in enumerate(varset)}, out)
+        return Polynomial._raw(varset, out)
 
     __radd__ = __add__
 
     def __neg__(self) -> Polynomial:
-        return Polynomial._raw(self._vars, self._index,
-                               {e: -c for e, c in self._terms.items()})
+        return Polynomial._raw(self._vars, {e: -c for e, c in self._terms.items()})
 
     def __sub__(self, other: Polynomial | int) -> Polynomial:
         if isinstance(other, int):
@@ -165,8 +161,8 @@ class Polynomial:
     def __mul__(self, other: Polynomial | int) -> Polynomial:
         if isinstance(other, int):
             if other == 0:
-                return Polynomial._raw(self._vars, self._index, {})
-            return Polynomial._raw(self._vars, self._index,
+                return Polynomial._raw(self._vars, {})
+            return Polynomial._raw(self._vars,
                                    {e: c * other for e, c in self._terms.items()})
         a, b, varset = _aligned(self, other)
         if len(a) < len(b):
@@ -178,8 +174,7 @@ class Polynomial:
                 key = tuple(map(add, e1, e2))
                 out[key] = get(key, 0) + c1 * c2
         # cancelled terms are dropped once, after every product is summed
-        return Polynomial._raw(varset, {v: i for i, v in enumerate(varset)},
-                               {e: c for e, c in out.items() if c})
+        return Polynomial._raw(varset, {e: c for e, c in out.items() if c})
 
     __rmul__ = __mul__
 
@@ -210,7 +205,7 @@ class Polynomial:
             for p, e in zip(pos, exps):
                 key[p] = e
             out[tuple(key)] = coeff
-        return Polynomial._raw(varset, {v: i for i, v in enumerate(varset)}, out)
+        return Polynomial._raw(varset, out)
 
 
 def _grlex_key(exps: Exponents) -> tuple[int, Exponents]:
@@ -221,7 +216,7 @@ def _aligned(p: Polynomial, q: Polynomial) -> tuple[dict, dict, tuple[str, ...]]
     """Bring two polynomials onto a shared varset (union, p's order first)."""
     if p._vars == q._vars:
         return p._terms, q._terms, p._vars
-    varset = p._vars + tuple(v for v in q._vars if v not in p._index)
+    varset = p._vars + tuple(v for v in q._vars if v not in p._vars)
     return p.with_varset(varset)._terms, q.with_varset(varset)._terms, varset
 
 
@@ -275,7 +270,7 @@ def substitute(p: Polynomial, bindings: Mapping[str, Polynomial]) -> Polynomial:
                 acc[key] = total
             else:
                 del acc[key]
-    return Polynomial._raw(varset, {v: i for i, v in enumerate(varset)}, acc)
+    return Polynomial._raw(varset, acc)
 
 
 def evaluate_int(p: Polynomial, point: Mapping[str, int]) -> int:

@@ -443,10 +443,8 @@ def _scan_system(d: int, width: int) -> RecursionSystem:
             raise IntegrityError(
                 f"class polynomial c{k} coefficient total {total} "
                 f"!= closed-form total {class_total}")
-    index = {name: i for i, name in enumerate(varset)}
-    class_polys = tuple(Polynomial._raw(varset, index, terms)
-                        for _, _, _, terms in slot_plan)
-    m_poly = Polynomial._raw(varset, index, m_terms)
+    class_polys = tuple(Polynomial._raw(varset, terms) for _, _, _, terms in slot_plan)
+    m_poly = Polynomial._raw(varset, m_terms)
     return RecursionSystem(d=d, varset=varset, class_polys=class_polys, m_poly=m_poly)
 
 
@@ -574,31 +572,3 @@ def load_system(path: Path, d: int | None = None) -> RecursionSystem:
         if not poly.is_homogeneous(d + 1) or poly.min_coefficient() < 0:
             raise CacheCorruption(f"cache file {path}: polynomial failed validation")
     return system
-
-
-def load_or_generate(d: int, cache_dir: Path) -> tuple[RecursionSystem, bool]:
-    """The system from its cache file, and True; or, where there is no
-    usable file, the generated system, stored, and False.
-
-    A corrupt cache file, or one written for another dimension, is
-    regenerated in place with a warning.
-    """
-    path = cache_path(Path(cache_dir), d)
-    if path.exists():
-        try:
-            return load_system(path, d), True
-        except CacheCorruption as err:
-            import warnings
-
-            warnings.warn(f"regenerating corrupt recursion cache: {err}")
-    system = generate(d)
-    save_system(system, path)
-    return system, False
-
-
-def cached_system(d: int, cache_dir: Path | None = None) -> RecursionSystem:
-    """Load from cache when possible, else generate and store
-    (load_or_generate); without a cache directory, generate."""
-    if cache_dir is None:
-        return generate(d)
-    return load_or_generate(d, cache_dir)[0]

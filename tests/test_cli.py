@@ -151,41 +151,74 @@ def test_verify_d3(capsys, tmp_path):
     ]
 
 
-def test_verify_detects_tampered_cache(capsys, tmp_path):
-    run_cli(capsys, "gen-recursions", "--d", "2", "--cache-dir", str(tmp_path))
-    path = cache_path(tmp_path, 2)
+CACHE_MISMATCH = "cache: MISMATCH {}: the loaded polynomial differs from the generated one"
+
+
+def write_tampered_cache(capsys, tmp_path, d, *edits) -> Path:
+    """The d-system's cache file under tmp_path, with each (old, new) text
+    edit made once in its lines."""
+    run_cli(capsys, "gen-recursions", "--d", str(d), "--cache-dir", str(tmp_path))
+    path = cache_path(tmp_path, d)
     text = path.read_text()
+    for old, new in edits:
+        assert text.count(old) == 1
+        text = text.replace(old, new)
+    path.write_text(text)
+    return path
+
+
+def test_verify_detects_tampered_cache(capsys, tmp_path, monkeypatch):
     # bump c0^3 in the c0 and M lines together: the tampered system stays
-    # self-consistent, so only the oracle comparison can expose it
-    assert text.count("8*c0^3") == 2
-    path.write_text(text.replace("8*c0^3", "9*c0^3"))
+    # self-consistent, so no evaluation of it can expose it
+    path = write_tampered_cache(capsys, tmp_path, 2, ("c0: 8*c0^3", "c0: 9*c0^3"),
+                                ("M: 8*c0^3", "M: 9*c0^3"))
+    tampered = path.read_bytes()
+    code, out, _ = run_cli(capsys, "verify", "--d", "2", "--n-max", "1",
+                           "--cache-dir", str(tmp_path))
+    assert (code, out) == (1, CACHE_MISMATCH.format("c0") + "\n")
+    assert path.read_bytes() == tampered
+    # generated, the same system fails the oracle at stage 1
+    monkeypatch.setattr(cli, "generate", lambda d: load_system(path, d))
     code, out, _ = run_cli(capsys, "verify", "--d", "2", "--n-max", "1",
                            "--cache-dir", str(tmp_path))
     assert code == 1
-    assert "stage 1: MISMATCH c0: recursion 19, oracle 18" in out
+    assert out.splitlines() == ["stage 0: OK (4 class counts + total)",
+                                "stage 1: MISMATCH c0: recursion 19, oracle 18"]
 
 
-def test_verify_compares_a_loaded_cache_with_the_generated_system(capsys, tmp_path):
-    run_cli(capsys, "gen-recursions", "--d", "2", "--cache-dir", str(tmp_path))
-    path = cache_path(tmp_path, 2)
-    text = path.read_text()
+def test_verify_compares_a_loaded_cache_with_the_generated_system(capsys, tmp_path,
+                                                                   monkeypatch):
     # c1 is 0 at stage 0, so these c0^2*c1 terms add 0 to every stage-1 count
-    tampered = text.replace("c0: 8*c0^3 + 24*c0^2*c1", "c0: 8*c0^3 + 25*c0^2*c1")
-    tampered = tampered.replace("M: 8*c0^3 + 48*c0^2*c1", "M: 8*c0^3 + 49*c0^2*c1")
-    assert tampered.count("25*c0^2*c1") == tampered.count("49*c0^2*c1") == 1
-    path.write_text(tampered)
+    path = write_tampered_cache(
+        capsys, tmp_path, 2, ("c0: 8*c0^3 + 24*c0^2*c1", "c0: 8*c0^3 + 25*c0^2*c1"),
+        ("M: 8*c0^3 + 48*c0^2*c1", "M: 8*c0^3 + 49*c0^2*c1"))
+    tampered = path.read_bytes()
     code, out, _ = run_cli(capsys, "verify", "--d", "2", "--n-max", "1",
                            "--cache-dir", str(tmp_path))
-    assert code == 1
-    assert out.splitlines() == [
-        "stage 0: OK (4 class counts + total)",
-        "stage 1: OK (4 class counts + total)",
-        "cache: MISMATCH c0: the loaded polynomial differs from the generated one",
-    ]
+    assert (code, out) == (1, CACHE_MISMATCH.format("c0") + "\n")
+    assert path.read_bytes() == tampered
+    # generated, the same system passes every stage up to 1 and fails at 2
+    monkeypatch.setattr(cli, "generate", lambda d: load_system(path, d))
+    code, out, _ = run_cli(capsys, "verify", "--d", "2", "--n-max", "1",
+                           "--cache-dir", str(tmp_path))
+    assert (code, out.splitlines()[-1]) == (0, "stage 1: OK (4 class counts + total)")
     code, out, _ = run_cli(capsys, "verify", "--d", "2", "--n-max", "2",
                            "--cache-dir", str(tmp_path))
     assert code == 1
     assert out.splitlines()[-1].startswith("stage 2: MISMATCH c0: recursion ")
+
+
+def test_verify_refuses_a_truncated_cache_file_and_leaves_it(capsys, tmp_path):
+    # cut at its last " + ", the file still parses, with M one term short
+    run_cli(capsys, "gen-recursions", "--d", "3", "--cache-dir", str(tmp_path))
+    path = cache_path(tmp_path, 3)
+    data = path.read_bytes()
+    cut = data[:data.rindex(b" + ")]
+    path.write_bytes(cut)
+    code, out, err = run_cli(capsys, "verify", "--d", "3", "--n-max", "1",
+                             "--cache-dir", str(tmp_path))
+    assert (code, out, err) == (1, CACHE_MISMATCH.format("M") + "\n", "")
+    assert path.read_bytes() == cut
 
 
 def test_verify_generates_once_when_it_writes_the_cache(capsys, tmp_path,
@@ -228,6 +261,35 @@ def test_verify_generates_once_over_a_corrupt_cache_file(capsys, tmp_path,
     assert (code, calls) == (0, [2])
     assert out.splitlines()[-1] == "stage 1: OK (4 class counts + total)"
     assert load_system(path, 2) == real_generate(2)
+
+
+@pytest.mark.parametrize("held", ["other-d", "different"])
+def test_verify_generates_once_over_a_file_for_another_system(tmp_path, monkeypatch,
+                                                              held):
+    calls = []
+    real_generate = recursion_gen.generate
+
+    def counted(d):
+        calls.append(d)
+        return real_generate(d)
+
+    monkeypatch.setattr(cli, "generate", counted)
+    path = cache_path(tmp_path, 2)
+    data = (cache_bytes(3) if held == "other-d"
+            else cache_bytes(2).replace(b"c0: 8*c0^3", b"c0: 9*c0^3"))
+    path.write_bytes(data)
+    code, out, warned = run_quietly("verify", "--d", "2", "--n-max", "1",
+                                    "--cache-dir", str(tmp_path))
+    assert calls == [2]
+    if held == "other-d":
+        # rewritten with a warning, then checked
+        assert code == 0
+        assert any(m.startswith("regenerating corrupt recursion cache") for m in warned)
+        assert path.read_bytes() == cache_bytes(2)
+    else:
+        # refused before any stage, and left as it is
+        assert (code, out, warned) == (1, CACHE_MISMATCH.format("c0") + "\n", [])
+        assert path.read_bytes() == data
 
 
 @cache
@@ -330,15 +392,19 @@ def test_hostile_cache_files_never_pass_with_wrong_data(case):
         assert path.read_bytes() == cache_bytes(d)
 
 
-def test_inconsistent_tamper_caught_by_integrity_layer(capsys, tmp_path):
-    run_cli(capsys, "gen-recursions", "--d", "2", "--cache-dir", str(tmp_path))
-    path = cache_path(tmp_path, 2)
-    text = path.read_text()
-    path.write_text(text.replace("c0: 8*c0^3", "c0: 9*c0^3"))
-    code, _, err = run_cli(capsys, "verify", "--d", "2", "--n-max", "1",
+def test_inconsistent_tamper_caught_by_integrity_layer(capsys, tmp_path, monkeypatch):
+    # c0 bumped, M not: the class sum no longer matches the total
+    path = write_tampered_cache(capsys, tmp_path, 2, ("c0: 8*c0^3", "c0: 9*c0^3"))
+    code, out, _ = run_cli(capsys, "verify", "--d", "2", "--n-max", "1",
                            "--cache-dir", str(tmp_path))
-    assert code == 1
-    assert "error" in err
+    assert (code, out) == (1, CACHE_MISMATCH.format("c0") + "\n")
+    # generated, the same system fails apply_system's total check
+    monkeypatch.setattr(cli, "generate", lambda d: load_system(path, d))
+    code, out, err = run_cli(capsys, "verify", "--d", "2", "--n-max", "1",
+                             "--cache-dir", str(tmp_path))
+    assert (code, out) == (1, "")
+    assert err.startswith("error: total ")
+    assert "differs from binomial-weighted class sum" in err
 
 
 # -- ratios ----------------------------------------------------------------------

@@ -25,7 +25,6 @@ from hanoi_dimer.recursion_gen import (
     SCAN_WORK_CAP,
     Ring,
     cache_path,
-    cached_system,
     class_varset,
     generate,
     load_system,
@@ -585,30 +584,9 @@ def test_interrupted_save_keeps_the_previous_file(tmp_path, monkeypatch, systems
     assert list(tmp_path.iterdir()) == [path]
 
 
-def test_cached_system_generates_then_loads(tmp_path):
-    sys2 = cached_system(2, tmp_path)
-    assert cache_path(tmp_path, 2).exists()
-    again = cached_system(2, tmp_path)
-    assert again == sys2
-
-
-def test_cached_system_regenerates_on_corruption(tmp_path):
-    cached_system(2, tmp_path)
-    path = cache_path(tmp_path, 2)
-    path.write_text("# d=2 basis=c0..c3\ngarbage\n")
-    with pytest.raises(CacheCorruption):
-        load_system(path)
-    with pytest.warns(UserWarning):
-        sys2 = cached_system(2, tmp_path)
-    assert load_system(path) == sys2
-
-
 def test_load_system_rejects_another_dimension(tmp_path, systems):
     path = cache_path(tmp_path, 3)
     save_system(systems(4), path)
     assert load_system(path) == systems(4)
     with pytest.raises(CacheCorruption, match="d=4 system, not d=3"):
         load_system(path, 3)
-    with pytest.warns(UserWarning, match="d=4 system"):
-        assert cached_system(3, tmp_path) == systems(3)
-    assert load_system(path, 3) == systems(3)
