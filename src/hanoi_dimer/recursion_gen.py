@@ -44,6 +44,7 @@ linearly in the class basis, N(a, b) = sum_j C(d+1-a-b, j) c_{b+j}.
 from __future__ import annotations
 
 import re
+from contextlib import suppress
 from fractions import Fraction
 from functools import cache
 from itertools import groupby, repeat
@@ -52,7 +53,7 @@ from operator import add, mul
 from pathlib import Path
 from typing import Callable, NamedTuple
 
-from .errors import CacheCorruption, CapExceeded, IntegrityError
+from .errors import CacheCorruption, CapExceeded, HanoiDimerError, IntegrityError
 from .multipoly import Polynomial, parse_polynomial, serialize_many
 
 # caps the scans' price from d alone: a stage step's point-weighted
@@ -513,6 +514,9 @@ def save_system(sys: RecursionSystem, path: Path) -> None:
 
     The text goes to a temporary file beside the target, which then
     replaces it, so an interrupted write leaves the previous file whole.
+    A write that fails (an OSError: the target is a directory, the
+    directory is read-only, the disk is full) removes the temporary file
+    and raises HanoiDimerError naming the path.
     """
     import os
 
@@ -520,13 +524,17 @@ def save_system(sys: RecursionSystem, path: Path) -> None:
     lines = [f"# d={sys.d} basis=c0..c{sys.d + 1}"]
     lines += [f"{label}: {text}" for label, text in zip(_line_labels(sys.d), texts)]
     path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
     try:
+        path.parent.mkdir(parents=True, exist_ok=True)
         tmp.write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
         tmp.replace(path)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
+    except BaseException as err:
+        with suppress(OSError):
+            tmp.unlink(missing_ok=True)
+        if isinstance(err, OSError):
+            raise HanoiDimerError(
+                f"cannot write cache file {path}: {err.strerror or err}") from err
         raise
 
 

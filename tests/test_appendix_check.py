@@ -22,7 +22,7 @@ from hanoi_dimer.appendix_check import (
     run_certificates,
     w_power_coefficient,
 )
-from hanoi_dimer.errors import CapExceeded
+from hanoi_dimer.errors import CapExceeded, IntegrityError
 from hanoi_dimer.multipoly import Polynomial, serialize
 from hanoi_dimer.recursion_gen import ratio_varset, reduced_ratio_form
 
@@ -214,8 +214,10 @@ def test_gap_expansion_matches_substitution(systems, d, name):
 
 
 @st.composite
-def ratio_polynomials(draw):
-    # random subsets and orders of r0..rd, so some r_j are absent entirely
+def ratio_polynomials(draw, filled=None):
+    """(d, poly) over a random subset and order of r0..rd, so some r_j are
+    absent entirely.  A filled draw has a term of total degree 2^b - 1,
+    b = 1..4, and none above it: its degree fills every b-bit field."""
     d = draw(st.integers(2, 4))
     varset = tuple(draw(st.lists(st.sampled_from(ratio_varset(d)),
                                  min_size=1, unique=True)))
@@ -223,6 +225,15 @@ def ratio_polynomials(draw):
         st.tuples(*[st.integers(0, 5)] * len(varset)),
         st.integers(-50, 50), max_size=8,
     ))
+    if filled is None:
+        filled = draw(st.booleans())
+    if filled:
+        degree = 2 ** draw(st.integers(1, 4)) - 1
+        slots = draw(st.lists(st.integers(0, len(varset) - 1),
+                              min_size=degree, max_size=degree))
+        top = tuple(slots.count(i) for i in range(len(varset)))
+        terms = {exps: c for exps, c in terms.items() if sum(exps) < degree}
+        terms[top] = draw(st.integers(-50, 50).filter(bool))
     return d, Polynomial(varset, terms)
 
 
@@ -233,6 +244,50 @@ def ratio_polynomials(draw):
 def test_gap_expansion_matches_substitution_on_random_polynomials(case):
     d, poly = case
     assert gap_expansion(poly, d) == gap_expansion_by_substitution(poly, d)
+
+
+def narrowed_by_one_bit(monkeypatch):
+    real_width = appendix_check._field_width
+    monkeypatch.setattr(appendix_check, "_field_width",
+                        lambda degree: real_width(degree) - 1)
+
+
+@settings(max_examples=40, deadline=None)
+@given(ratio_polynomials(filled=True))
+def test_a_field_one_bit_too_narrow_never_passes_silently(case):
+    d, poly = case
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        narrowed_by_one_bit(monkeypatch)
+        try:
+            narrowed = gap_expansion(poly, d)
+        except IntegrityError as err:
+            assert "does not fit" in str(err)
+            return
+    assert narrowed != gap_expansion_by_substitution(poly, d)
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_certificate_fields_one_bit_too_narrow_raise(monkeypatch, systems, d):
+    narrowed_by_one_bit(monkeypatch)
+    with pytest.raises(IntegrityError, match="does not fit"):
+        run_certificates(d, "all", system=systems(d))
+
+
+def test_packing_refuses_a_degree_the_field_cannot_hold():
+    # r0^2 r1: degree 3 fills two-bit fields; degree 4 does not fit them
+    rvars = ratio_varset(2)
+    assert appendix_check._pack(Polynomial(rvars, {(2, 1, 0): 5}), 2, 2) == {
+        0b11_10_01_00: 5}
+    with pytest.raises(IntegrityError, match="degree-4 term does not fit 2-bit"):
+        appendix_check._pack(Polynomial(rvars, {(2, 1, 1): 5}), 2, 2)
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_certificate_width_holds_twice_the_largest_form_degree(systems, d):
+    packed = appendix_check.pack_forms(systems(d))
+    degree = max(sum(exps) for form in reduced_ratio_form(systems(d))
+                 for exps, _ in form.terms())
+    assert packed.width == (2 * degree).bit_length()
 
 
 def test_gap_expansion_rejects_variable_outside_ratio_basis():
@@ -379,11 +434,21 @@ def sorted_scan_report(expansions: list[Polynomial], contraction: bool):
     return True, None, None
 
 
+def packed_gaps(expanded: Polynomial, d: int, width: int) -> dict[int, int]:
+    """A gap-basis expansion as the packed dict the certificates expand to:
+    gap1..gapd in the fields of r0..r_{d-1}, w in the field of r_d."""
+    in_ratio_fields = Polynomial(ratio_varset(d), {exps[1:] + exps[:1]: coeff
+                                                   for exps, coeff in expanded.terms()})
+    return appendix_check._pack(in_ratio_fields, d, width)
+
+
 def certificate_on(monkeypatch, system, expansions: list[Polynomial],
                    contraction: bool):
     # the d=3 certificates see the given expansions in place of their numerators'
     feed = iter(expansions)
-    monkeypatch.setattr(appendix_check, "gap_expansion", lambda *_args: next(feed))
+    monkeypatch.setattr(appendix_check, "_expand",
+                        lambda _numerator, d, width, _budget:
+                        packed_gaps(next(feed), d, width))
     if contraction:
         return quadratic_contraction_certificate(3, system)
     return omega_ascending_certificate(3, system)
@@ -429,12 +494,13 @@ def test_contraction_fail_reports_grlex_first_term_of_first_failing_pair(monkeyp
 def test_contraction_fails_on_one_negated_coefficient(monkeypatch, systems, pair):
     # the real d=3 expansions, with the sign of one term of gap-degree >= 2
     # flipped in the given pair: only the sign rule can catch it
-    real_expansion = appendix_check.gap_expansion
+    real_expansion = appendix_check._expand
     expansions = []
     negated = []
 
-    def expand(*args):
-        expanded = real_expansion(*args)
+    def expand(numerator, d, width, term_budget):
+        expanded = appendix_check._unpack(
+            real_expansion(numerator, d, width, term_budget), d, width)
         if len(expansions) == pair:
             terms = dict(expanded.terms())
             exps = max(terms, key=gap_degree)
@@ -442,9 +508,9 @@ def test_contraction_fails_on_one_negated_coefficient(monkeypatch, systems, pair
             negated.append(Polynomial(expanded.varset, {exps: terms[exps]}))
             expanded = Polynomial(expanded.varset, terms)
         expansions.append(expanded)
-        return expanded
+        return packed_gaps(expanded, d, width)
 
-    monkeypatch.setattr(appendix_check, "gap_expansion", expand)
+    monkeypatch.setattr(appendix_check, "_expand", expand)
     report = quadratic_contraction_certificate(3, systems(3))
     mono = serialize(negated[0])
     assert report.attempted and report.passed is False

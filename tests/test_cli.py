@@ -20,7 +20,7 @@ from hypothesis import event, given, settings, strategies as st
 
 from hanoi_dimer import cli, entropy, evolve, recursion_gen
 from hanoi_dimer.cli import build_parser, main
-from hanoi_dimer.errors import CacheCorruption
+from hanoi_dimer.errors import CacheCorruption, HanoiDimerError
 from hanoi_dimer.evolve import BoundaryClassVector
 from hanoi_dimer.matching_oracle import recursion_ceiling
 from hanoi_dimer.recursion_gen import (
@@ -612,6 +612,40 @@ def test_gen_recursions_writes_cache(capsys, tmp_path):
     assert path.read_text().startswith("# d=3 basis=c0..c4\n")
 
 
+@pytest.mark.parametrize("argv", [
+    ("gen-recursions", "--d", "2"),
+    ("verify", "--d", "2", "--n-max", "1"),
+], ids=["gen-recursions", "verify"])
+def test_a_cache_write_failure_ends_in_one_error_line(tmp_path, argv):
+    # a directory where the cache file goes: verify reads it as a corrupt
+    # file and warns first, then neither command can write the file
+    path = cache_path(tmp_path, 2)
+    path.mkdir()
+    run = run_python("-m", "hanoi_dimer", *argv, "--cache-dir", str(tmp_path))
+    assert (run.returncode, run.stdout) == (1, "")
+    assert "Traceback" not in run.stderr
+    error_lines = [line for line in run.stderr.splitlines() if line.startswith("error:")]
+    assert error_lines == [f"error: cannot write cache file {path}: Is a directory"]
+    assert run.stderr.endswith(error_lines[0] + "\n")
+    assert path.is_dir()
+    assert [p.name for p in tmp_path.iterdir()] == [path.name]
+
+
+def test_save_system_removes_its_temporary_file_when_the_write_fails(tmp_path,
+                                                                    monkeypatch):
+    path = cache_path(tmp_path, 2)
+
+    def full_disk(self, target):
+        raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr(Path, "replace", full_disk)
+    with pytest.raises(HanoiDimerError,
+                       match=f"^cannot write cache file {re.escape(str(path))}: "
+                             "No space left on device$"):
+        save_system(generate(2), path)
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_gen_recursions_scan_work_cap(capsys, tmp_path):
     start = time.perf_counter()
     code, _, err = run_cli(capsys, "gen-recursions", "--d", "7",
@@ -723,6 +757,34 @@ def test_appendix_check_not_attempted_states_the_reason_once(capsys):
         "omega-ascending d=2: NOT ATTEMPTED (gap expansion would pass 24 raw "
         "terms, above the budget of 1; raise it with --term-budget)\n"
     )
+
+
+D3_ALL_PASS = ("omega-ascending d=3: PASS (384 terms)\n"
+               "alpha-descending d=3: PASS (1020 terms)\n"
+               "quadratic-contraction d=3: PASS (14552 terms)\n")
+# the largest price `--d 3 --which all` checks against --term-budget: a
+# gap-expansion pass of the contraction.  Budgets of 0, -1 and 2.5 exit 2
+# (test_out_of_range_flag_is_a_usage_error)
+D3_ALL_PRICE = 14834
+
+
+@pytest.mark.parametrize("budget", [D3_ALL_PRICE, 10**30])
+def test_a_term_budget_at_or_above_the_largest_price_passes(capsys, budget):
+    code, out, err = run_cli(capsys, "appendix-check", "--d", "3", "--which",
+                             "all", "--term-budget", str(budget))
+    assert (code, out, err) == (0, D3_ALL_PASS, "")
+
+
+def test_a_term_budget_one_below_the_largest_price_exits_3(capsys):
+    code, out, err = run_cli(capsys, "appendix-check", "--d", "3", "--which",
+                             "all", "--term-budget", str(D3_ALL_PRICE - 1))
+    assert (code, err) == (3, "")
+    assert out == (
+        "omega-ascending d=3: PASS (384 terms)\n"
+        "alpha-descending d=3: PASS (1020 terms)\n"
+        "quadratic-contraction d=3: NOT ATTEMPTED (gap expansion would pass "
+        f"{D3_ALL_PRICE} raw terms, above the budget of {D3_ALL_PRICE - 1}; "
+        "raise it with --term-budget)\n")
 
 
 # -- cap advice ----------------------------------------------------------------------

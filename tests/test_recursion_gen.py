@@ -5,6 +5,7 @@ from __future__ import annotations
 import hashlib
 import json
 import random
+import re
 from itertools import combinations
 from pathlib import Path
 from math import comb
@@ -13,7 +14,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hanoi_dimer import recursion_gen
-from hanoi_dimer.errors import CacheCorruption, CapExceeded, IntegrityError
+from hanoi_dimer.errors import CacheCorruption, CapExceeded, HanoiDimerError, IntegrityError
 from hanoi_dimer.multipoly import (
     Polynomial,
     evaluate_int,
@@ -578,7 +579,9 @@ def test_interrupted_save_keeps_the_previous_file(tmp_path, monkeypatch, systems
         raise OSError("no space left on device")
 
     monkeypatch.setattr(Path, "write_text", cut_short)
-    with pytest.raises(OSError, match="no space left"):
+    # the write failure reaches the CLI as one error line, not a traceback
+    with pytest.raises(HanoiDimerError, match=f"^cannot write cache file "
+                       f"{re.escape(str(path))}: no space left on device$"):
         save_system(systems(4), path)
     assert path.read_bytes() == before
     assert list(tmp_path.iterdir()) == [path]
