@@ -21,36 +21,36 @@ grlex-first offending term of the first failing numerator.
 The numerators are built and expanded on packed monomial keys (Kronecker
 substitution): a monomial r_0^e_0 ... r_d^e_d of total degree D is the
 integer with fields D, e_0, ..., e_d of `width` bits each, D most
-significant and e_d = the w exponent least.  A product of monomials is
-the sum of their keys.  The gap expansion is a binomial Taylor shift, one
-ratio at a time: r_j = r_{j+1} + gap_{j+1} turns r_j^e into
-sum_u C(e, u) gap_{j+1}^(e-u) r_{j+1}^u, which moves u from field j to
-field j+1 of the key, so field j then holds the gap_{j+1} exponent.  The
-shift and the products keep every term's total degree, and no field
-exceeds it, so once the width holds the largest degree a numerator can
-reach no field carries into the next; packing and every product check
-that degree and raise IntegrityError where it does not fit.  The gap
-degree of a term is its total-degree field less its w field.  A term
-budget on each pass's raw outgrowth, and on the raw terms of the products
-that build a contraction numerator, aborts oversized runs ("not
+significant and e_d = the w exponent least.  Each certificate takes the
+generated system and packs only the reduced forms it reads, straight from
+the class polynomials' exponent tuples: omega R_d and R_{d+1}, alpha R_0
+and R_1, the contraction every form, each when a pair first reads it.  A
+product of monomials is the sum of their keys.  The gap expansion is a
+binomial Taylor shift, one ratio at a time: r_j = r_{j+1} + gap_{j+1}
+turns r_j^e into sum_u C(e, u) gap_{j+1}^(e-u) r_{j+1}^u, which moves u
+from field j to field j+1 of the key, so field j then holds the gap_{j+1}
+exponent.  The shift and the products keep every term's total degree, and
+no field exceeds it, so once the width holds the largest degree a
+numerator can reach no field carries into the next; packing and every
+product check that degree and raise IntegrityError where it does not fit.
+The gap degree of a term is its total-degree field less its w field.  A
+term budget on each pass's raw outgrowth, and on the raw terms of the
+products that build a contraction numerator, aborts oversized runs ("not
 attempted") rather than reporting partial results.
 """
 
 from __future__ import annotations
 
+from itertools import accumulate
 from math import comb
+from operator import mul
 from typing import NamedTuple
 
 from .errors import DEFAULT_TERM_BUDGET, CapExceeded, IntegrityError
 from .multipoly import Polynomial, _grlex_key, serialize
 # bound here only as the name perfbench/traced_cli.py wraps at start-up
 from .multipoly import substitute  # noqa: F401
-from .recursion_gen import (
-    RecursionSystem,
-    generate,
-    ratio_varset,
-    reduced_ratio_form,
-)
+from .recursion_gen import RecursionSystem, generate
 
 Packed = dict[int, int]  # packed monomial key -> nonzero coefficient
 
@@ -67,19 +67,40 @@ def _field_width(max_degree: int) -> int:
     return max(max_degree, 1).bit_length()
 
 
-def _pack(poly: Polynomial, d: int, width: int) -> Packed:
-    """poly's terms over r0..rd as packed keys with `width`-bit fields.
+def _form_degree(system: RecursionSystem, k: int) -> int:
+    """The largest total degree of R_k over r0..rd.
 
-    A variable outside r0..rd raises ValueError, a term whose total degree
-    does not fit the width IntegrityError.
+    c^e maps to r_j^(e_0 + ... + e_j) for j = 0..d, so its degree is
+    sum_i (d+1-i) e_i, less the d+1-k powers of r_d that R_k drops.
     """
+    d = system.d
+    drop, weights = d + 1 - k, range(d + 1, 0, -1)
+    return max((sum(map(mul, exps, weights)) - drop
+                for exps in system.class_polys[k]._terms), default=0)
+
+
+def _pack_form(system: RecursionSystem, k: int, width: int) -> Packed:
+    """R_k, the ratio image of class polynomial c_k with r_d^(d+1-k) divided
+    out, packed with `width`-bit fields straight from its exponent tuples.
+
+    c^e maps to the monomial with r_j exponent e_0 + ... + e_j; on
+    homogeneous polynomials that map is injective, so no two terms merge.
+    IntegrityError if an image lacks the r_d power or a term's total degree
+    does not fit the width.
+    """
+    d = system.d
+    drop = d + 1 - k
     packed = {}
-    for exps, coeff in poly.with_varset(ratio_varset(d))._terms.items():
-        key = sum(exps)
+    for exps, coeff in system.class_polys[k]._terms.items():
+        fields = list(accumulate(exps[:d + 1]))
+        if fields[d] < drop:
+            raise IntegrityError(f"ratio image of c{k} not divisible by r{d}^{drop}")
+        fields[d] -= drop
+        key = sum(fields)
         if key >> width:
             raise IntegrityError(
                 f"a degree-{key} term does not fit {width}-bit exponent fields")
-        for e in exps:
+        for e in fields:
             key = key << width | e
         packed[key] = coeff
     return packed
@@ -89,12 +110,6 @@ def _unpack_key(key: int, d: int, width: int) -> tuple[int, ...]:
     # an expanded key's exponents in gap_varset order: w, then gap1..gapd
     mask = (1 << width) - 1
     return (key & mask,) + tuple(key >> (d - j) * width & mask for j in range(d))
-
-
-def _unpack(terms: Packed, d: int, width: int) -> Polynomial:
-    """An expanded packed dict as a Polynomial over gap_varset(d)."""
-    return Polynomial._raw(gap_varset(d), {_unpack_key(key, d, width): coeff
-                                           for key, coeff in terms.items()})
 
 
 def _add_product(out: Packed, a: Packed, b: Packed, sign: int, d: int,
@@ -164,58 +179,6 @@ def _expand(terms: Packed, d: int, width: int, term_budget: int) -> Packed:
     return terms
 
 
-def gap_expansion(poly: Polynomial, d: int,
-                  term_budget: int = DEFAULT_TERM_BUDGET) -> Polynomial:
-    """Rewrite a ratio-basis polynomial over (w, gap1..gapd).
-
-    The packed Taylor shift of `_expand`, at the width poly's own largest
-    degree needs; slot j of the result then holds the gap_{j+1} exponent
-    and the last slot, r_d, is w.  Exact, no numerics.  A pass whose raw
-    outgrowth passes the term budget raises CapExceeded, and a variable
-    outside r0..rd ValueError.
-    """
-    rvars = ratio_varset(d)
-    degree = max(map(sum, poly.with_varset(rvars)._terms), default=0)
-    width = _field_width(degree)
-    return _unpack(_expand(_pack(poly, d, width), d, width, term_budget), d, width)
-
-
-def w_power_coefficient(poly: Polynomial, power: int) -> Polynomial:
-    """The coefficient of w^power, as a polynomial in the gap variables."""
-    gaps = poly.varset[1:]
-    assert poly.varset[0] == "w"
-    terms = {}
-    for exps, coeff in poly.terms():
-        if exps[0] == power:
-            terms[exps[1:]] = coeff
-    return Polynomial(gaps, terms)
-
-
-def gap_degree(exps: tuple[int, ...]) -> int:
-    # exponent layout (w, gap1..gapd)
-    return sum(exps[1:])
-
-
-class PackedForms(NamedTuple):
-    """The reduced ratio forms R_0..R_{d+1}, packed once for every certificate.
-
-    width holds the largest degree any numerator reaches: twice the forms'
-    largest, for the contraction products, and one more than it for alpha's.
-    """
-
-    d: int
-    width: int
-    forms: tuple[Packed, ...]
-
-
-def pack_forms(system: RecursionSystem) -> PackedForms:
-    reduced = reduced_ratio_form(system)
-    degree = max((sum(exps) for form in reduced for exps in form._terms), default=0)
-    width = _field_width(max(2 * degree, degree + 1))
-    return PackedForms(system.d, width,
-                       tuple(_pack(form, system.d, width) for form in reduced))
-
-
 class CertificateReport(NamedTuple):
     name: str
     d: int
@@ -230,7 +193,7 @@ class CertificateReport(NamedTuple):
         return self.attempted and bool(self.passed)
 
 
-def _expansion_certificate(name: str, packed: PackedForms, numerators,
+def _expansion_certificate(name: str, d: int, width: int, numerators,
                            min_gap_degree: int, term_budget: int) -> CertificateReport:
     """Expand each (label, packed numerator) in turn and FAIL on the
     grlex-first term with a negative coefficient or gap-degree <
@@ -241,7 +204,6 @@ def _expansion_certificate(name: str, packed: PackedForms, numerators,
     CapExceeded from it or from an expansion reports NOT ATTEMPTED.  Only
     the failing terms are unpacked, to order them.
     """
-    d, width = packed.d, packed.width
     top, mask = (d + 1) * width, (1 << width) - 1
     total_terms = 0
     try:
@@ -262,7 +224,7 @@ def _expansion_certificate(name: str, packed: PackedForms, numerators,
             name=name, d=d, attempted=False, passed=None, term_count=0,
             offending_monomial=None, notes=(f"not attempted: {err}",),
         )
-    # the failing term terms() would reach first
+    # the failing term first in graded-lex order, largest first
     exps, coeff = max(((_unpack_key(key, d, width), coeff) for key, coeff in failing),
                       key=lambda term: _grlex_key(term[0]))
     offending = serialize(Polynomial(gap_varset(d), {exps: coeff}))
@@ -278,75 +240,86 @@ def _expansion_certificate(name: str, packed: PackedForms, numerators,
     )
 
 
-def omega_ascending_certificate(
-    d: int, system: RecursionSystem | None = None,
-    term_budget: int = DEFAULT_TERM_BUDGET, packed: PackedForms | None = None,
-) -> CertificateReport:
-    """r_d grows every stage: R_d - R_{d+1} >= 0 coefficientwise in (w, gaps)."""
-    packed = packed or pack_forms(system or generate(d))
-    numerator = dict(packed.forms[d])
-    for key, coeff in packed.forms[d + 1].items():
+def omega_ascending_certificate(system: RecursionSystem,
+                                term_budget: int = DEFAULT_TERM_BUDGET
+                                ) -> CertificateReport:
+    """r_d grows every stage: R_d - R_{d+1} >= 0 coefficientwise in (w, gaps).
+
+    Packs R_d and R_{d+1} only, at the width their larger degree needs.
+    """
+    d = system.d
+    width = _field_width(max(_form_degree(system, d), _form_degree(system, d + 1)))
+    numerator = _pack_form(system, d, width)
+    for key, coeff in _pack_form(system, d + 1, width).items():
         numerator[key] = numerator.get(key, 0) - coeff
     return _expansion_certificate(
-        "omega-ascending", packed, [("", _drop_zeros(numerator))], 1, term_budget
+        "omega-ascending", d, width, [("", _drop_zeros(numerator))], 1, term_budget
     )
 
 
-def alpha_descending_certificate(
-    d: int, system: RecursionSystem | None = None,
-    term_budget: int = DEFAULT_TERM_BUDGET, packed: PackedForms | None = None,
-) -> CertificateReport:
+def alpha_descending_certificate(system: RecursionSystem,
+                                 term_budget: int = DEFAULT_TERM_BUDGET
+                                 ) -> CertificateReport:
     """r_0 shrinks every stage: r_0 R_1 - w R_0 >= 0 coefficientwise.
 
     r_0(n) - r_0(n+1) equals that numerator over the positive R_1, so
-    nonnegative coefficients prove the descent.
+    nonnegative coefficients prove the descent.  Packs R_0 and R_1 only, at
+    the width of one degree more than theirs.
     """
-    packed = packed or pack_forms(system or generate(d))
-    width = packed.width
+    d = system.d
+    width = _field_width(max(_form_degree(system, 0), _form_degree(system, 1)) + 1)
     # the monomials r_0 and w = r_d: total degree 1 on top, then the field
     r0 = 1 << (d + 1) * width | 1 << d * width
     w = 1 << (d + 1) * width | 1
     numerator: Packed = {}
-    _add_product(numerator, {r0: 1}, packed.forms[1], 1, d, width)
-    _add_product(numerator, {w: 1}, packed.forms[0], -1, d, width)
+    _add_product(numerator, {r0: 1}, _pack_form(system, 1, width), 1, d, width)
+    _add_product(numerator, {w: 1}, _pack_form(system, 0, width), -1, d, width)
     return _expansion_certificate(
-        "alpha-descending", packed, [("", _drop_zeros(numerator))], 1, term_budget
+        "alpha-descending", d, width, [("", _drop_zeros(numerator))], 1, term_budget
     )
 
 
-def quadratic_contraction_certificate(
-    d: int, system: RecursionSystem | None = None,
-    term_budget: int = DEFAULT_TERM_BUDGET, packed: PackedForms | None = None,
-) -> CertificateReport:
+def quadratic_contraction_certificate(system: RecursionSystem,
+                                      term_budget: int = DEFAULT_TERM_BUDGET
+                                      ) -> CertificateReport:
     """Adjacent ratio gaps contract quadratically, and stay ordered.
 
     For each pair j, the numerator of r_j(n+1) - r_{j+1}(n+1) is
     R_j R_{j+2} - R_{j+1}^2.  Nonnegative coefficients carry the chain
     r_j >= r_{j+1} to the next stage; every monomial carrying gap-degree >= 2
     is exactly what bounds the new gap by (old outer gap)^2 times positive
-    factors.  Each numerator is priced before it is built: its products
-    pass n_j n_{j+2} + n_{j+1}^2 raw terms, from the factors' term counts
-    n, and over the term budget the certificate is not attempted.
+    factors.  Each numerator is priced before any of its forms is packed:
+    its products pass n_j n_{j+2} + n_{j+1}^2 raw terms, where n_k is the
+    term count of class polynomial c_k (R_k has as many, as the ratio map
+    is injective), and over the term budget the certificate is not
+    attempted.  A form is packed when a pair first reads it, at the width
+    of twice the largest degree of all the forms.
     """
-    packed = packed or pack_forms(system or generate(d))
-    forms, width = packed.forms, packed.width
+    d, polys = system.d, system.class_polys
+    width = _field_width(2 * max(_form_degree(system, k) for k in range(d + 2)))
+    forms: dict[int, Packed] = {}
+
+    def form(k: int) -> Packed:
+        if k not in forms:
+            forms[k] = _pack_form(system, k, width)
+        return forms[k]
 
     def numerators():
         for j in range(d):
-            low, mid, high = forms[j], forms[j + 1], forms[j + 2]
-            raw = len(low) * len(high) + len(mid) ** 2
+            low, mid, high = (p.term_count() for p in polys[j:j + 3])
+            raw = low * high + mid ** 2
             if raw > term_budget:
                 raise CapExceeded(
                     f"pair {j} products would pass {raw} raw terms, above the "
                     f"budget of {term_budget}; raise it with --term-budget"
                 )
             numerator: Packed = {}
-            _add_product(numerator, low, high, 1, d, width)
-            _add_product(numerator, mid, mid, -1, d, width)
+            _add_product(numerator, form(j), form(j + 2), 1, d, width)
+            _add_product(numerator, form(j + 1), form(j + 1), -1, d, width)
             yield f"pair {j}: ", _drop_zeros(numerator)
 
     return _expansion_certificate(
-        "quadratic-contraction", packed, numerators(), 2, term_budget
+        "quadratic-contraction", d, width, numerators(), 2, term_budget
     )
 
 
@@ -360,6 +333,7 @@ CERTIFICATES = {
 def run_certificates(d: int, which: str = "all",
                      term_budget: int = DEFAULT_TERM_BUDGET,
                      system: RecursionSystem | None = None) -> list[CertificateReport]:
+    """The chosen certificates on the d system, generated unless given."""
     if which == "all":
         names = list(CERTIFICATES)
     elif which in CERTIFICATES:
@@ -368,5 +342,4 @@ def run_certificates(d: int, which: str = "all",
         raise ValueError(f"unknown certificate {which!r}; "
                          f"pick from {', '.join(CERTIFICATES)} or all")
     system = system or generate(d)
-    packed = pack_forms(system)
-    return [CERTIFICATES[name](d, system, term_budget, packed=packed) for name in names]
+    return [CERTIFICATES[name](system, term_budget) for name in names]

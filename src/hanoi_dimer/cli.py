@@ -282,7 +282,7 @@ def cmd_appendix_check(args: argparse.Namespace) -> int:
             reasons = (note.removeprefix("not attempted: ") for note in report.notes)
             _emit(f"{report.name} d={args.d}: NOT ATTEMPTED ({'; '.join(reasons)})")
             status = max(status, 3)
-        elif report.passed:
+        elif report.ok:
             _emit(f"{report.name} d={args.d}: PASS ({report.term_count} terms)")
         else:
             _emit(f"{report.name} d={args.d}: FAIL "

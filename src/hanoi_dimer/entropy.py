@@ -42,7 +42,6 @@ thousand ulps never reaches a reported digit.
 from __future__ import annotations
 
 import warnings
-from fractions import Fraction
 from functools import cache
 from math import ceil, log2
 from typing import NamedTuple
@@ -76,9 +75,6 @@ class HighPrecisionReal(NamedTuple):
         digits = str(abs(self.scaled)).rjust(self.precision + 1, "0")
         return f"{sign}{digits[:-self.precision]}.{digits[-self.precision:]}"
 
-    def as_fraction(self) -> Fraction:
-        return Fraction(self.scaled, 10**self.precision)
-
 
 class BoundsResult(NamedTuple):
     d: int
@@ -89,20 +85,6 @@ class BoundsResult(NamedTuple):
     lambda_digits: int
     enclosure: CountInterval
     warning: str | None = None
-
-
-class SandwichReport(NamedTuple):
-    """Exact rational verification of the finite-stage matching sandwich."""
-
-    d: int
-    k: int
-    n: int
-    lower_ok: bool
-    upper_ok: bool
-
-    @property
-    def ok(self) -> bool:
-        return self.lower_ok and self.upper_ok
 
 
 # -- fixed-point interval log ---------------------------------------------------
@@ -196,31 +178,7 @@ def _ln_ratio_end(num: int, den: int, w: int, upper: bool) -> int:
     return _ln_int_end(num, w, upper) - _ln_int_end(den, w, not upper)
 
 
-def hp_ln(x: int | Fraction, precision: int = DEFAULT_PRECISION,
-          rounding: str = "floor") -> HighPrecisionReal:
-    """Natural log of a positive integer or rational, correct to ``precision``
-    digits with the requested rounding direction ("floor" or "ceiling")."""
-    if rounding not in ("floor", "ceiling"):
-        raise ValueError(f"unknown rounding direction {rounding!r}")
-    value = Fraction(x)
-    if value <= 0:
-        raise ValueError(f"ln domain error: {x} <= 0")
-    w = precision + GUARD_DIGITS
-    upper = rounding == "ceiling"
-    end = _ln_ratio_end(value.numerator, value.denominator, w, upper)
-    grain = 10**GUARD_DIGITS
-    scaled = ceil_div(end, grain) if upper else end // grain
-    return HighPrecisionReal(scaled=scaled, precision=precision, rounding=rounding)
-
-
 # -- entropy bounds ----------------------------------------------------------------
-
-
-def _stage_vector(vectors: list[BoundaryClassVector], k: int) -> BoundaryClassVector:
-    for v in vectors:
-        if v.n == k:
-            return v
-    raise ValueError(f"no stage-{k} vector available")
 
 
 def _edge_factor(t: int, s: int) -> tuple[int, int]:
@@ -340,39 +298,3 @@ def bounds(d: int, k: int, vectors: list[BoundaryClassVector],
         d=d, k=k, lower=lower, upper=upper, certified_digits=digits,
         lambda_digits=lambda_digits, enclosure=iv, warning=warning,
     )
-
-
-def check_finite_sandwich(d: int, k: int, n: int,
-                          vectors: list[BoundaryClassVector]) -> SandwichReport:
-    """Exact rational check of the finite-stage sandwich.
-
-    lambda(k)^{(d+1)^(n-k)} * q(omega_k)^{(d+1)((d+1)^(n-k)-1)/2} * (1+omega_n)^{d+1}
-    < M(n) < the same with alpha, where q(x) = 1 + 2x + 2x^2.  No rounding
-    anywhere; a violation raises IntegrityError.
-    """
-    if not 1 <= k <= n:
-        raise ValueError("need 1 <= k <= n")
-    vk = _stage_vector(vectors, k)
-    vn = _stage_vector(vectors, n)
-    lam = vk.counts[d + 1]
-    omega_k = Fraction(vk.counts[d], vk.counts[d + 1])
-    alpha_k = Fraction(vk.counts[0], vk.counts[1])
-    omega_n = Fraction(vn.counts[d], vn.counts[d + 1])
-    alpha_n = Fraction(vn.counts[0], vn.counts[1])
-
-    copies = (d + 1) ** (n - k)
-    middle_exp = (d + 1) * (copies - 1) // 2
-
-    def side(ratio_k: Fraction, ratio_n: Fraction) -> Fraction:
-        q = 1 + 2 * ratio_k + 2 * ratio_k**2
-        return Fraction(lam) ** copies * q**middle_exp * (1 + ratio_n) ** (d + 1)
-
-    lower_ok = side(omega_k, omega_n) < vn.m
-    upper_ok = vn.m < side(alpha_k, alpha_n)
-    report = SandwichReport(d=d, k=k, n=n, lower_ok=lower_ok, upper_ok=upper_ok)
-    if not report.ok:
-        raise IntegrityError(
-            f"finite sandwich violated for d={d}, k={k}, n={n}: "
-            f"lower_ok={lower_ok}, upper_ok={upper_ok}"
-        )
-    return report

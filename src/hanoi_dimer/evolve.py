@@ -24,12 +24,11 @@ stage is exact), check_contraction decides every fact on the ends of integer
 cross-products of them (decide_at_least; the chain by chain_decisions, which
 entropy.bounds uses too), and each exact value is rendered
 from its unreduced (num, den) pair (render_quotient), so no gcd of the long
-counts is taken.  An exact Fraction is built only on request.
+counts is taken.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import comb
 from typing import NamedTuple
 
@@ -264,11 +263,10 @@ class RatioTrace(_RatioTrace):
     exact stage is the degenerate enclosure, lo[i] == hi[i].  r_j =
     c_j / c_{j+1}.  The denominators c_1..c_{d+1} must be positive (a zero
     one raises ZeroDivisionError), so every comparison of ratios is one of
-    integer cross-products.  The values (ratio_pair, eps_pair, and the
-    Fractions of ratio, eps, eps_ratio and ratios, built only when called)
-    are read off exact stages only; every value is rendered from an
-    unreduced (num, den) pair.  Checked on every construction, _make and
-    _replace included.
+    integer cross-products.  The values (ratio_pair, eps_pair,
+    eps_ratio_pair) are read off exact stages only, as unreduced
+    (num, den) pairs.  Checked on every construction, _make and _replace
+    included.
     """
 
     __slots__ = ()
@@ -319,22 +317,6 @@ class RatioTrace(_RatioTrace):
         e1, d1 = self.eps_pair(n + 1)
         return e1 * d0 * d0, d1 * e0 * e0
 
-    def ratio(self, n: int, j: int) -> Fraction:
-        return Fraction(*self.ratio_pair(n, j))
-
-    def eps(self, n: int) -> Fraction:
-        """Outer ratio gap r_0(n) - r_d(n); contracts quadratically."""
-        return Fraction(*self.eps_pair(n))
-
-    def eps_ratio(self, n: int) -> Fraction:
-        """eps(n+1) / eps(n)^2, exact."""
-        return Fraction(*self.eps_ratio_pair(n))
-
-    @property
-    def ratios(self) -> tuple[tuple[Fraction, ...], ...]:
-        """Rows r_0..r_d per stage, as exact Fractions."""
-        return tuple(tuple(Fraction(c[j], c[j + 1]) for j in range(self.d + 1))
-                     for c in map(self._row, self.stages))
 
 
 def ratios(stages: list[BoundaryClassVector | CountInterval]) -> RatioTrace:
@@ -377,11 +359,6 @@ def render_quotient(num: int, den: int, places: int,
         raise ValueError(f"unknown rendering mode {mode!r}")
     digits = str(q).rjust(places + 1, "0")
     return digits[:-places] + "." + digits[-places:] if places else digits
-
-
-def render_decimal(value: Fraction, places: int, mode: str = "half_even") -> str:
-    """Fixed-point decimal string of a nonnegative Fraction (render_quotient)."""
-    return render_quotient(value.numerator, value.denominator, places, mode)
 
 
 def eps_ratio_table_value(trace: RatioTrace, n: int, places: int = 14) -> str:

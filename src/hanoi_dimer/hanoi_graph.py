@@ -82,14 +82,6 @@ def build(d: int, n: int, vertex_cap: int = DEFAULT_VERTEX_CAP) -> HanoiGraph:
                       corners=tuple(corners))
 
 
-def expected_vertex_count(d: int, n: int) -> int:
-    return (d + 1) ** (n + 1)
-
-
-def expected_edge_count(d: int, n: int) -> int:
-    return (d + 1) * ((d + 1) ** (n + 1) - 1) // 2
-
-
 def edge_csv(g: HanoiGraph) -> str:
     """Edge list as CSV ``u,v`` rows under a header comment line."""
     corners = ",".join(str(c) for c in g.corners)

@@ -2,9 +2,11 @@
 
 A Polynomial owns an ordered variable set and a mapping from dense exponent
 tuples (one entry per declared variable) to nonzero integer coefficients.
-Everything downstream (recursion generation, ratio forms, the monotonicity
-certificates) is built on the four operations here: add, multiply,
-substitute, evaluate.
+Generation builds the class polynomials, the cache file holds their
+canonical text, verify evaluates them at integer points (evaluate_int), and
+the certificates pack their exponent tuples.  substitute and the ring
+operations it runs on (+, -, *, **) serve the tests' reference computations
+and the name perfbench/traced_cli.py wraps.
 
 Canonical text form: terms sorted by graded-lexicographic order (total degree
 first, then the exponent tuple against the declared variable order), largest
@@ -26,7 +28,6 @@ from __future__ import annotations
 import re
 from collections.abc import Mapping, Sequence
 from operator import add
-from typing import Iterator
 
 from .errors import PolynomialParseError, UnboundVariableError
 
@@ -74,10 +75,6 @@ class Polynomial:
     # -- constructors ------------------------------------------------------
 
     @classmethod
-    def zero(cls, varset: tuple[str, ...]) -> Polynomial:
-        return cls(varset, {})
-
-    @classmethod
     def constant(cls, varset: tuple[str, ...], value: int) -> Polynomial:
         return cls(varset, {(0,) * len(varset): value})
 
@@ -95,30 +92,11 @@ class Polynomial:
     def varset(self) -> tuple[str, ...]:
         return self._vars
 
-    def terms(self) -> Iterator[tuple[Exponents, int]]:
-        """Iterate (exponent tuple, coefficient) in graded-lex order."""
-        for exps in sorted(self._terms, key=_grlex_key, reverse=True):
-            yield exps, self._terms[exps]
-
     def term_count(self) -> int:
         return len(self._terms)
 
-    def is_zero(self) -> bool:
-        return not self._terms
-
     def is_homogeneous(self, degree: int) -> bool:
         return all(sum(e) == degree for e in self._terms)
-
-    def coefficient(self, exps: Mapping[str, int]) -> int:
-        """Coefficient of the monomial with the given exponents (0 if absent)."""
-        key = [0] * len(self._vars)
-        for name, e in exps.items():
-            key[self._vars.index(name)] = e
-        return self._terms.get(tuple(key), 0)
-
-    def coefficient_sum(self) -> int:
-        """Value at the all-ones point."""
-        return sum(self._terms.values())
 
     def min_coefficient(self) -> int:
         return min(self._terms.values(), default=0)
@@ -129,9 +107,6 @@ class Polynomial:
         return self._vars == other._vars and self._terms == other._terms
 
     __hash__ = None  # mutable-dict backed; identity hashing would mislead
-
-    def __repr__(self) -> str:
-        return f"Polynomial({self._vars!r}, {serialize(self)!r})"
 
     # -- arithmetic --------------------------------------------------------
 

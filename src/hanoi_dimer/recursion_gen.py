@@ -67,10 +67,6 @@ def class_varset(d: int) -> tuple[str, ...]:
     return tuple(f"c{k}" for k in range(d + 2))
 
 
-def ratio_varset(d: int) -> tuple[str, ...]:
-    return tuple(f"r{j}" for j in range(d + 1))
-
-
 def corner_splits(d: int) -> tuple[tuple[int, int], ...]:
     """Every (a, b) a copy can take: a monomer-forced, b dimer-forced corners.
 
@@ -91,22 +87,6 @@ class RecursionSystem(NamedTuple):
     varset: tuple[str, ...]
     class_polys: tuple[Polynomial, ...]
     m_poly: Polynomial
-
-
-def mixed_count_expansion(d: int, forced_monomers: int, forced_dimers: int) -> Polynomial:
-    """N(a, b) as a class-basis polynomial: sum_j C(d+1-a-b, j) c_{b+j}."""
-    a, b = forced_monomers, forced_dimers
-    if a < 0 or b < 0 or a + b > d + 1:
-        raise ValueError(f"invalid corner split a={a}, b={b} for d={d}")
-    varset = class_varset(d)
-    free = d + 1 - a - b
-    nv = len(varset)
-    terms = {}
-    for j in range(free + 1):
-        exps = [0] * nv
-        exps[b + j] = 1
-        terms[tuple(exps)] = comb(free, j)
-    return Polynomial(varset, terms)
 
 
 # -- the transfer scan over copies -----------------------------------------------
@@ -449,52 +429,6 @@ def _scan_system(d: int, width: int) -> RecursionSystem:
     return RecursionSystem(d=d, varset=varset, class_polys=class_polys, m_poly=m_poly)
 
 
-def ratio_form(sys: RecursionSystem) -> tuple[Polynomial, ...]:
-    """Images of the class polynomials under c_k -> (prod_{j>=k} r_j) c_{d+1}.
-
-    Each recursion polynomial equals c_{d+1}^{d+1} times the returned
-    polynomial in the consecutive-ratio variables r0..rd.
-    """
-    d = sys.d
-    rvars = ratio_varset(d)
-    images = []
-    for poly in sys.class_polys:
-        terms: dict[tuple[int, ...], int] = {}
-        for exps, coeff in poly.terms():
-            acc = 0
-            rexps = []
-            for j in range(d + 1):
-                acc += exps[j]
-                rexps.append(acc)
-            key = tuple(rexps)
-            terms[key] = terms.get(key, 0) + coeff
-        images.append(Polynomial(rvars, terms))
-    return tuple(images)
-
-
-def reduced_ratio_form(sys: RecursionSystem) -> tuple[Polynomial, ...]:
-    """Ratio images with the guaranteed r_d^{d+1-k} factor divided out.
-
-    The stage-(n+1) ratios then read r_k(n+1) = r_d * R_k / R_{k+1} over
-    these reduced polynomials R_k, the form the monotonicity and
-    contraction certificates work with.
-    """
-    d = sys.d
-    rvars = ratio_varset(d)
-    reduced = []
-    for k, image in enumerate(ratio_form(sys)):
-        drop = d + 1 - k
-        terms = {}
-        for exps, coeff in image.terms():
-            if exps[d] < drop:
-                raise IntegrityError(
-                    f"ratio image of c{k} not divisible by r{d}^{drop}"
-                )
-            terms[exps[:d] + (exps[d] - drop,)] = coeff
-        reduced.append(Polynomial(rvars, terms))
-    return tuple(reduced)
-
-
 # -- cache file --------------------------------------------------------------
 
 _HEADER_RE = re.compile(r"# d=(\d+) basis=c0\.\.c(\d+)$")
@@ -541,11 +475,16 @@ def save_system(sys: RecursionSystem, path: Path) -> None:
 def load_system(path: Path, d: int | None = None) -> RecursionSystem:
     """Parse and sanity-check a cache file; CacheCorruption on any defect.
 
-    Given d, a file written for another dimension is a defect too.
+    Given d, a file written for another dimension is a defect too.  A path
+    that cannot be read at all (an OSError: a directory, no permission) is
+    no defect of the text, and raises HanoiDimerError naming the path.
     """
     try:
         text = Path(path).read_text(encoding="utf-8")
-    except (OSError, UnicodeDecodeError) as err:
+    except OSError as err:
+        raise HanoiDimerError(
+            f"cannot read cache file {path}: {err.strerror or err}") from err
+    except UnicodeDecodeError as err:
         raise CacheCorruption(f"cannot read cache file {path}: {err}") from err
     lines = text.splitlines()
     if not lines:

@@ -3,7 +3,10 @@ reference serializer, fixtures, the connector-subset census, the
 degree-profile stage step, the substitution-based gap expansion, the
 Fraction ratio bracket, the exact-count entropy bounds, the
 per-corner-subset class vector, and the Fraction-based decimal rendering
-and contraction report."""
+and contraction report.  Also the references that no command runs:
+Polynomial accessors, graph sizes, mixed counts, ratio forms, the gap
+expansion, hp_ln, the finite sandwich and Fraction ratios.
+"""
 
 from __future__ import annotations
 
@@ -17,12 +20,23 @@ from functools import cache
 from itertools import combinations
 from math import comb
 from pathlib import Path
+from typing import NamedTuple
 
 import hanoi_dimer
-from hanoi_dimer import entropy
+from hanoi_dimer import appendix_check, entropy
 from hanoi_dimer.appendix_check import gap_varset
-from hanoi_dimer.errors import CapExceeded, IntegrityError
-from hanoi_dimer.evolve import BoundaryClassVector, ContractionReport, RatioTrace
+from hanoi_dimer.errors import (
+    DEFAULT_PRECISION,
+    DEFAULT_TERM_BUDGET,
+    CapExceeded,
+    IntegrityError,
+)
+from hanoi_dimer.evolve import (
+    BoundaryClassVector,
+    ContractionReport,
+    RatioTrace,
+    render_quotient,
+)
 from hanoi_dimer.hanoi_graph import HanoiGraph, connector_edges
 from hanoi_dimer.intutil import digit_count
 from hanoi_dimer.matching_oracle import (
@@ -31,7 +45,8 @@ from hanoi_dimer.matching_oracle import (
     count_constrained,
     count_matchings,
 )
-from hanoi_dimer.multipoly import Polynomial, substitute
+from hanoi_dimer.multipoly import Polynomial, _grlex_key, substitute
+from hanoi_dimer.recursion_gen import RecursionSystem, class_varset
 
 DATA_DIR = Path(__file__).parent / "data"
 REPO_DIR = Path(__file__).resolve().parents[1]
@@ -66,14 +81,37 @@ def parse_classic(rhs: str, symbols: str, varset: tuple[str, ...]) -> Polynomial
     return Polynomial(varset, terms)
 
 
+def zero(varset: tuple[str, ...]) -> Polynomial:
+    return Polynomial(varset, {})
+
+
+def is_zero(p: Polynomial) -> bool:
+    return not p._terms
+
+
+def terms(p: Polynomial):
+    """(exponents, coefficient) pairs in graded-lex order, largest first."""
+    order = sorted(p._terms, key=_grlex_key, reverse=True)
+    return ((exps, p._terms[exps]) for exps in order)
+
+
+def coefficient(p: Polynomial, exps: dict[str, int]) -> int:
+    key = tuple(exps.get(name, 0) for name in p.varset)
+    return p._terms.get(key, 0)
+
+
+def coefficient_sum(p: Polynomial) -> int:
+    return sum(p._terms.values())
+
+
 def serialize_by_terms(p: Polynomial) -> str:
     """The canonical text form built term by term: each polynomial sorts its
     own monomials and writes each monomial's text anew.  The reference for
     ``multipoly.serialize_many``."""
-    if p.is_zero():
+    if is_zero(p):
         return "0"
     parts: list[str] = []
-    for exps, coeff in p.terms():
+    for exps, coeff in terms(p):
         factors = []
         for name, e in zip(p.varset, exps):
             if e == 1:
@@ -302,7 +340,7 @@ def check_contraction_by_fractions(trace: RatioTrace,
     trace's Fraction rows, as the report was made before it compared
     integer cross-products."""
     d = trace.d
-    rows = trace.ratios
+    rows = ratio_rows(trace)
     violations: list[str] = []
 
     chain_violations: list[tuple[int, int]] = []
@@ -366,3 +404,161 @@ def check_contraction_by_fractions(trace: RatioTrace,
         limit_digits=limit_digits,
         violations=tuple(violations),
     )
+
+
+def expected_vertex_count(d: int, n: int) -> int:
+    return (d + 1) ** (n + 1)
+
+
+def expected_edge_count(d: int, n: int) -> int:
+    return (d + 1) * ((d + 1) ** (n + 1) - 1) // 2
+
+
+def mixed_count_expansion(d: int, a: int, b: int) -> Polynomial:
+    """N(a, b) as a class-basis polynomial: sum_j C(d+1-a-b, j) c_{b+j}."""
+    free = d + 1 - a - b
+    return Polynomial(class_varset(d), {tuple(int(i == b + j) for i in range(d + 2)):
+                                        comb(free, j) for j in range(free + 1)})
+
+
+def ratio_varset(d: int) -> tuple[str, ...]:
+    return tuple(f"r{j}" for j in range(d + 1))
+
+
+def ratio_form(sys: RecursionSystem) -> tuple[Polynomial, ...]:
+    """Images of the class polynomials under c_k -> (prod_{j>=k} r_j) c_{d+1}:
+    each recursion polynomial is c_{d+1}^{d+1} times its image over r0..rd."""
+    images = []
+    for poly in sys.class_polys:
+        image: dict[tuple[int, ...], int] = {}
+        for exps, coeff in poly._terms.items():
+            key = tuple(sum(exps[:j + 1]) for j in range(sys.d + 1))
+            image[key] = image.get(key, 0) + coeff
+        images.append(Polynomial(ratio_varset(sys.d), image))
+    return tuple(images)
+
+
+def reduced_ratio_form(sys: RecursionSystem) -> tuple[Polynomial, ...]:
+    """The reference for appendix_check._pack_form: the ratio images with the
+    r_d^{d+1-k} factor divided out, so that r_k(n+1) = r_d R_k / R_{k+1}."""
+    d, reduced = sys.d, []
+    for k, image in enumerate(ratio_form(sys)):
+        drop = d + 1 - k
+        if any(exps[d] < drop for exps in image._terms):
+            raise IntegrityError(f"ratio image of c{k} not divisible by r{d}^{drop}")
+        reduced.append(Polynomial(ratio_varset(d), {
+            exps[:d] + (exps[d] - drop,): c for exps, c in image._terms.items()}))
+    return tuple(reduced)
+
+
+def pack(poly: Polynomial, d: int, width: int) -> dict[int, int]:
+    """poly over r0..rd as packed keys of width-bit fields, the total degree
+    on top: ValueError for another variable, IntegrityError for a term whose
+    degree does not fit."""
+    packed = {}
+    for exps, coeff in poly.with_varset(ratio_varset(d))._terms.items():
+        key = sum(exps)
+        if key >> width:
+            raise IntegrityError(
+                f"a degree-{key} term does not fit {width}-bit exponent fields")
+        for e in exps:
+            key = key << width | e
+        packed[key] = coeff
+    return packed
+
+
+def unpack(terms: dict[int, int], d: int, width: int) -> Polynomial:
+    """An expanded packed dict as a Polynomial over (w, gap1..gapd)."""
+    mask = (1 << width) - 1
+    return Polynomial(gap_varset(d), {
+        (key & mask,) + tuple(key >> (d - j) * width & mask for j in range(d)): c
+        for key, c in terms.items()})
+
+
+def gap_expansion(poly: Polynomial, d: int,
+                  term_budget: int = DEFAULT_TERM_BUDGET) -> Polynomial:
+    """poly over (w, gap1..gapd) by the certificates' Taylor shift, at the
+    width its own largest degree needs (read from the module, so that a
+    test can narrow it)."""
+    width = appendix_check._field_width(max(map(sum, poly._terms), default=0))
+    expanded = appendix_check._expand(pack(poly, d, width), d, width, term_budget)
+    return unpack(expanded, d, width)
+
+
+def w_power_coefficient(poly: Polynomial, power: int) -> Polynomial:
+    """The coefficient of w^power, as a polynomial in the gap variables."""
+    return Polynomial(poly.varset[1:], {exps[1:]: c for exps, c in poly._terms.items()
+                                        if exps[0] == power})
+
+
+def gap_degree(exps: tuple[int, ...]) -> int:
+    return sum(exps[1:])  # exponent layout (w, gap1..gapd)
+
+
+def hp_ln(x: int | Fraction, precision: int = DEFAULT_PRECISION,
+          rounding: str = "floor") -> entropy.HighPrecisionReal:
+    """ln of a positive integer or rational to precision digits, rounded
+    "floor" or "ceiling", from one end of entropy's enclosure."""
+    value, upper = Fraction(x), rounding == "ceiling"
+    end = entropy._ln_ratio_end(value.numerator, value.denominator,
+                                precision + entropy.GUARD_DIGITS, upper)
+    grain = 10**entropy.GUARD_DIGITS
+    scaled = entropy.ceil_div(end, grain) if upper else end // grain
+    return entropy.HighPrecisionReal(scaled, precision, rounding)
+
+
+def as_fraction(real: entropy.HighPrecisionReal) -> Fraction:
+    return Fraction(real.scaled, 10**real.precision)
+
+
+class SandwichReport(NamedTuple):
+    d: int
+    k: int
+    n: int
+    lower_ok: bool
+    upper_ok: bool
+
+    @property
+    def ok(self) -> bool:
+        return self.lower_ok and self.upper_ok
+
+
+def check_finite_sandwich(d: int, k: int, n: int,
+                          vectors: list[BoundaryClassVector]) -> SandwichReport:
+    """Exact rational check of lambda(k)^{(d+1)^(n-k)} q(omega_k)^{(d+1)
+    ((d+1)^(n-k)-1)/2} (1+omega_n)^{d+1} < M(n) < the same with alpha, where
+    q(x) = 1 + 2x + 2x^2; a violation raises IntegrityError."""
+    vk, vn = ({v.n: v for v in vectors}[stage] for stage in (k, n))
+    copies = (d + 1) ** (n - k)
+
+    def side(j: int) -> Fraction:  # r_j = c_j / c_{j+1} at stages k and n
+        r_k, r_n = (Fraction(v.counts[j], v.counts[j + 1]) for v in (vk, vn))
+        middle = (1 + 2 * r_k + 2 * r_k**2) ** ((d + 1) * (copies - 1) // 2)
+        return vk.counts[d + 1] ** copies * middle * (1 + r_n) ** (d + 1)
+
+    report = SandwichReport(d, k, n, side(d) < vn.m, vn.m < side(0))
+    if not report.ok:
+        raise IntegrityError(f"finite sandwich violated for d={d}, k={k}, n={n}")
+    return report
+
+
+def render_decimal(value: Fraction, places: int, mode: str = "half_even") -> str:
+    return render_quotient(value.numerator, value.denominator, places, mode)
+
+
+def ratio(trace: RatioTrace, n: int, j: int) -> Fraction:
+    return Fraction(*trace.ratio_pair(n, j))
+
+
+def eps(trace: RatioTrace, n: int) -> Fraction:
+    return Fraction(*trace.eps_pair(n))  # r_0(n) - r_d(n)
+
+
+def eps_ratio(trace: RatioTrace, n: int) -> Fraction:
+    return Fraction(*trace.eps_ratio_pair(n))  # eps(n+1) / eps(n)^2
+
+
+def ratio_rows(trace: RatioTrace) -> tuple[tuple[Fraction, ...], ...]:
+    """Rows r_0..r_d per stage; ValueError on an enclosure stage."""
+    return tuple(tuple(ratio(trace, n, j) for j in range(trace.d + 1))
+                 for n in trace.stages)

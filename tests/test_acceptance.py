@@ -17,21 +17,31 @@ import pytest
 
 import hanoi_dimer
 from hanoi_dimer import reference_values as ref
-from hanoi_dimer.appendix_check import run_certificates, gap_expansion, w_power_coefficient
-from hanoi_dimer.entropy import bounds, check_finite_sandwich
+from hanoi_dimer.appendix_check import run_certificates
+from hanoi_dimer.entropy import bounds
 from hanoi_dimer.evolve import (
     check_contraction,
     eps_ratio_table_value,
     evolve_to,
     ratios,
-    render_decimal,
 )
 from hanoi_dimer.hanoi_graph import build
 from hanoi_dimer.matching_oracle import boundary_class_vector
 from hanoi_dimer.multipoly import Polynomial, serialize
-from hanoi_dimer.recursion_gen import reduced_ratio_form
 
-from .helpers import REPO_DIR, load_golden_d3, parse_classic
+from .helpers import (
+    REPO_DIR,
+    as_fraction,
+    check_finite_sandwich,
+    gap_expansion,
+    load_golden_d3,
+    parse_classic,
+    ratio,
+    reduced_ratio_form,
+    render_decimal,
+    terms,
+    w_power_coefficient,
+)
 
 
 @contextmanager
@@ -91,10 +101,10 @@ def test_criterion_05_ratio_tables(trajectories):
     trace4 = ratios(trajectories(4, 5))
     with budget(1.0):
         for n, row in ref.RATIOS_D3.items():
-            got = tuple(render_decimal(trace3.ratio(n, j), 15) for j in range(4))
+            got = tuple(render_decimal(ratio(trace3, n, j), 15) for j in range(4))
             assert got == row
         for n, row in ref.RATIOS_D4.items():
-            got = tuple(render_decimal(trace4.ratio(n, j), 14) for j in range(5))
+            got = tuple(render_decimal(ratio(trace4, n, j), 14) for j in range(5))
             assert got == row
         for n, want in ref.EPS_RATIO_TABLE_D3.items():
             assert eps_ratio_table_value(trace3, n) == want
@@ -156,7 +166,7 @@ def test_criterion_10_appendix_certificates(systems):
         assert w_power_coefficient(ascent, 11) == parse_classic(
             "64a+64b+64c", "abc", ("gap1", "gap2", "gap3"))
         pair0 = gap_expansion(reduced[0] * reduced[2] - reduced[1] ** 2, 3)
-        assert max(e[0] for e, _ in pair0.terms()) == 20
+        assert max(e[0] for e, _ in terms(pair0)) == 20
         assert serialize(w_power_coefficient(pair0, 20)) == "1024*gap1^2"
     report(10, "monotonicity and contraction certificates pass for d=2,3,4 "
                "with printed d=3 spot coefficients")
@@ -167,10 +177,10 @@ def test_criterion_11_higher_dimension_probe_d5():
         vectors = evolve_to(5, 3)
         results = [bounds(5, k, vectors, precision=120) for k in (1, 2, 3)]
         for a, b in zip(results, results[1:]):
-            assert b.lower.as_fraction() >= a.lower.as_fraction()
-            assert b.upper.as_fraction() <= a.upper.as_fraction()
-            width_a = a.upper.as_fraction() - a.lower.as_fraction()
-            width_b = b.upper.as_fraction() - b.lower.as_fraction()
+            assert as_fraction(b.lower) >= as_fraction(a.lower)
+            assert as_fraction(b.upper) <= as_fraction(a.upper)
+            width_a = as_fraction(a.upper) - as_fraction(a.lower)
+            width_b = as_fraction(b.upper) - as_fraction(b.lower)
             assert width_b < width_a
     report(11, "d=5 bounds at k=1..3 form a strictly narrowing sandwich")
 

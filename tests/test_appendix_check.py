@@ -14,19 +14,29 @@ from hypothesis import given, settings, strategies as st
 from hanoi_dimer import appendix_check
 from hanoi_dimer.appendix_check import (
     alpha_descending_certificate,
-    gap_degree,
-    gap_expansion,
     gap_varset,
     omega_ascending_certificate,
     quadratic_contraction_certificate,
     run_certificates,
-    w_power_coefficient,
 )
 from hanoi_dimer.errors import CapExceeded, IntegrityError
 from hanoi_dimer.multipoly import Polynomial, serialize
-from hanoi_dimer.recursion_gen import ratio_varset, reduced_ratio_form
+from hanoi_dimer.recursion_gen import RecursionSystem, class_varset
 
-from .helpers import REPO_DIR, gap_expansion_by_substitution, parse_classic, run_python
+from .helpers import (
+    REPO_DIR,
+    gap_degree,
+    gap_expansion,
+    gap_expansion_by_substitution,
+    pack,
+    parse_classic,
+    ratio_varset,
+    reduced_ratio_form,
+    run_python,
+    terms,
+    unpack,
+    w_power_coefficient,
+)
 
 GAPS_D3 = ("gap1", "gap2", "gap3")
 
@@ -50,7 +60,7 @@ def ascent_expansion_d3(reduced_d3):
 
 
 def test_omega_certificate_passes_d3(systems):
-    report = omega_ascending_certificate(3, systems(3))
+    report = omega_ascending_certificate(systems(3))
     assert report.ok
     assert report.offending_monomial is None
 
@@ -82,7 +92,7 @@ def test_ascent_expansion_constant_block(ascent_expansion_d3):
 
 
 def test_ascent_expansion_tops_out_at_w11(ascent_expansion_d3):
-    assert max(exps[0] for exps, _ in ascent_expansion_d3.terms()) == 11
+    assert max(exps[0] for exps, _ in terms(ascent_expansion_d3)) == 11
 
 
 def test_ascent_vanishes_at_zero_gaps(ascent_expansion_d3):
@@ -98,7 +108,7 @@ def test_ascent_vanishes_at_zero_gaps(ascent_expansion_d3):
 
 @pytest.mark.parametrize("d", [2, 3])
 def test_alpha_certificate_passes(systems, d):
-    report = alpha_descending_certificate(d, systems(d))
+    report = alpha_descending_certificate(systems(d))
     assert report.ok
 
 
@@ -113,7 +123,7 @@ def test_alpha_numerator_numeric_validation(systems, reduced_d3):
 
     def eval_fraction(poly, point):
         total = Fraction(0)
-        for exps, coeff in poly.terms():
+        for exps, coeff in terms(poly):
             term = Fraction(coeff)
             for name, e in zip(poly.varset, exps):
                 term *= point[name] ** e
@@ -142,7 +152,7 @@ def test_alpha_numerator_numeric_validation(systems, reduced_d3):
 
 @pytest.mark.parametrize("d", [2, 3])
 def test_contraction_certificate_passes(systems, d):
-    report = quadratic_contraction_certificate(d, systems(d))
+    report = quadratic_contraction_certificate(systems(d))
     assert report.ok
     assert report.offending_monomial is None
 
@@ -155,7 +165,7 @@ def contraction_pair0_d3(reduced_d3):
 
 def test_contraction_leading_term(contraction_pair0_d3):
     # highest w-power block of R0 R2 - R1^2
-    assert max(exps[0] for exps, _ in contraction_pair0_d3.terms()) == 20
+    assert max(exps[0] for exps, _ in terms(contraction_pair0_d3)) == 20
     block = w_power_coefficient(contraction_pair0_d3, 20)
     assert serialize(block) == "1024*gap1^2"
 
@@ -166,7 +176,7 @@ def test_contraction_w19_block(contraction_pair0_d3):
 
 
 def test_contraction_no_low_gap_degree_terms(contraction_pair0_d3):
-    for exps, _ in contraction_pair0_d3.terms():
+    for exps, _ in terms(contraction_pair0_d3):
         assert sum(exps[1:]) >= 2
 
 
@@ -274,20 +284,77 @@ def test_certificate_fields_one_bit_too_narrow_raise(monkeypatch, systems, d):
 
 
 def test_packing_refuses_a_degree_the_field_cannot_hold():
-    # r0^2 r1: degree 3 fills two-bit fields; degree 4 does not fit them
-    rvars = ratio_varset(2)
-    assert appendix_check._pack(Polynomial(rvars, {(2, 1, 0): 5}), 2, 2) == {
-        0b11_10_01_00: 5}
+    # in R_3 of d=2, c1 c2 c3 maps to r1 r2^2 (degree 3 fills two-bit fields)
+    # and c0 c2 c3 to r0 r1 r2^2 (degree 4 does not fit them); in R_0, c3^3
+    # maps to 1, which lacks the r2^3 that R_0 divides out
+    def system(k, terms):
+        polys = [Polynomial(class_varset(2), {})] * 4
+        polys[k] = Polynomial(class_varset(2), terms)
+        return RecursionSystem(2, class_varset(2), tuple(polys), polys[0])
+
+    assert appendix_check._pack_form(system(3, {(0, 1, 1, 1): 5}), 3, 2) == {
+        0b11_00_01_10: 5}
     with pytest.raises(IntegrityError, match="degree-4 term does not fit 2-bit"):
-        appendix_check._pack(Polynomial(rvars, {(2, 1, 1): 5}), 2, 2)
+        appendix_check._pack_form(system(3, {(1, 0, 1, 1): 5}), 3, 2)
+    with pytest.raises(IntegrityError, match="ratio image of c0 not divisible by r2.3"):
+        appendix_check._pack_form(system(0, {(0, 0, 0, 3): 1}), 0, 4)
+
+
+def form_degrees(system) -> list[int]:
+    return [max(map(sum, form._terms)) for form in reduced_ratio_form(system)]
 
 
 @pytest.mark.parametrize("d", [2, 3, 4])
-def test_certificate_width_holds_twice_the_largest_form_degree(systems, d):
-    packed = appendix_check.pack_forms(systems(d))
-    degree = max(sum(exps) for form in reduced_ratio_form(systems(d))
-                 for exps, _ in form.terms())
-    assert packed.width == (2 * degree).bit_length()
+def test_certificate_width_holds_twice_the_largest_form_degree(monkeypatch, systems, d):
+    # the contraction's products reach twice the largest form degree; omega
+    # needs the larger degree of its two forms, alpha one more than its two
+    widths = {}
+    real = appendix_check._expansion_certificate
+
+    def spy(name, d, width, *rest):
+        widths[name] = width
+        return real(name, d, width, *rest)
+
+    monkeypatch.setattr(appendix_check, "_expansion_certificate", spy)
+    run_certificates(d, "all", term_budget=1, system=systems(d))
+    degree = form_degrees(systems(d))
+    assert widths == {
+        "omega-ascending": max(degree[d:]).bit_length(),
+        "alpha-descending": (max(degree[:2]) + 1).bit_length(),
+        "quadratic-contraction": (2 * max(degree)).bit_length(),
+    }
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5])
+def test_direct_packing_equals_the_packed_reference_forms(systems, d):
+    reference = reduced_ratio_form(systems(d))
+    width = (2 * max(form_degrees(systems(d)))).bit_length()
+    for k, (form, degree) in enumerate(zip(reference, form_degrees(systems(d)))):
+        assert appendix_check._form_degree(systems(d), k) == degree
+        assert appendix_check._pack_form(systems(d), k, width) == pack(form, d, width)
+
+
+def test_each_certificate_packs_only_the_forms_it_reads(monkeypatch, systems):
+    packed = []
+    real = appendix_check._pack_form
+
+    def spy(system, k, width):
+        packed.append(k)
+        return real(system, k, width)
+
+    monkeypatch.setattr(appendix_check, "_pack_form", spy)
+    (report,) = run_certificates(4, "alpha", system=systems(4))
+    assert report.ok and sorted(packed) == [0, 1]
+    packed.clear()
+    (report,) = run_certificates(3, "omega", system=systems(3))
+    assert report.ok and sorted(packed) == [3, 4]
+    packed.clear()
+    (report,) = run_certificates(3, "contraction", system=systems(3))
+    assert report.ok and packed == [0, 2, 1, 3, 4]  # each form once
+    packed.clear()
+    # the d=6 pair 0 is priced from the class polynomials' term counts
+    (report,) = run_certificates(6, "contraction", system=systems(6))
+    assert not report.attempted and packed == []
 
 
 def test_gap_expansion_rejects_variable_outside_ratio_basis():
@@ -303,7 +370,7 @@ def budget_message(outgrowth: int, budget: int) -> str:
 
 def test_gap_expansion_budget_boundary_at_first_outgrowth(reduced_d3):
     numerator = reduced_d3[0] * reduced_d3[2] - reduced_d3[1] ** 2
-    first = sum(exps[0] + 1 for exps, _ in numerator.terms())
+    first = sum(exps[0] + 1 for exps, _ in terms(numerator))
     with pytest.raises(CapExceeded, match=budget_message(first, first - 1)):
         gap_expansion(numerator, 3, first - 1)
     # at the budget the first pass runs; a later, larger outgrowth stops it
@@ -419,7 +486,7 @@ def test_certificates_imply_numeric_monotonicity(systems, trajectories):
 def sorted_scan_report(expansions: list[Polynomial], contraction: bool):
     """(passed, offending, notes) as the scans gave them over sorted terms()."""
     for j, expanded in enumerate(expansions):
-        for exps, coeff in expanded.terms():
+        for exps, coeff in terms(expanded):
             mono = serialize(Polynomial(expanded.varset, {exps: coeff}))
             if contraction:
                 if coeff < 0:
@@ -438,8 +505,8 @@ def packed_gaps(expanded: Polynomial, d: int, width: int) -> dict[int, int]:
     """A gap-basis expansion as the packed dict the certificates expand to:
     gap1..gapd in the fields of r0..r_{d-1}, w in the field of r_d."""
     in_ratio_fields = Polynomial(ratio_varset(d), {exps[1:] + exps[:1]: coeff
-                                                   for exps, coeff in expanded.terms()})
-    return appendix_check._pack(in_ratio_fields, d, width)
+                                                   for exps, coeff in terms(expanded)})
+    return pack(in_ratio_fields, d, width)
 
 
 def certificate_on(monkeypatch, system, expansions: list[Polynomial],
@@ -450,8 +517,8 @@ def certificate_on(monkeypatch, system, expansions: list[Polynomial],
                         lambda _numerator, d, width, _budget:
                         packed_gaps(next(feed), d, width))
     if contraction:
-        return quadratic_contraction_certificate(3, system)
-    return omega_ascending_certificate(3, system)
+        return quadratic_contraction_certificate(system)
+    return omega_ascending_certificate(system)
 
 
 def gaps_poly(terms: dict[tuple[int, ...], int], d: int = 3) -> Polynomial:
@@ -499,19 +566,19 @@ def test_contraction_fails_on_one_negated_coefficient(monkeypatch, systems, pair
     negated = []
 
     def expand(numerator, d, width, term_budget):
-        expanded = appendix_check._unpack(
+        expanded = unpack(
             real_expansion(numerator, d, width, term_budget), d, width)
         if len(expansions) == pair:
-            terms = dict(expanded.terms())
-            exps = max(terms, key=gap_degree)
-            terms[exps] = -terms[exps]
-            negated.append(Polynomial(expanded.varset, {exps: terms[exps]}))
-            expanded = Polynomial(expanded.varset, terms)
+            table = dict(terms(expanded))
+            exps = max(table, key=gap_degree)
+            table[exps] = -table[exps]
+            negated.append(Polynomial(expanded.varset, {exps: table[exps]}))
+            expanded = Polynomial(expanded.varset, table)
         expansions.append(expanded)
         return packed_gaps(expanded, d, width)
 
     monkeypatch.setattr(appendix_check, "_expand", expand)
-    report = quadratic_contraction_certificate(3, systems(3))
+    report = quadratic_contraction_certificate(systems(3))
     mono = serialize(negated[0])
     assert report.attempted and report.passed is False
     assert report.offending_monomial == mono

@@ -451,13 +451,11 @@ def test_ratios_digits_are_priced_before_evolving(capsys, monkeypatch):
     assert "raise it with --digit-cap" in err
 
 
-def test_ratios_and_reproduce_build_no_fraction(capsys, monkeypatch):
+def test_ratios_and_reproduce_build_no_fraction(capsys):
     # the ratio facts are integer cross-products and every digit comes from
-    # an unreduced pair, so neither command builds a Fraction from the counts
-    def no_fraction(*args):
-        raise AssertionError("a Fraction was built")
-
-    monkeypatch.setattr(evolve, "Fraction", no_fraction)
+    # an unreduced pair, so neither command builds a Fraction from the
+    # counts: the modules that read them do not import Fraction at all
+    assert not hasattr(evolve, "Fraction") and not hasattr(entropy, "Fraction")
     code, out, _ = run_cli(capsys, "ratios", "--d", "4", "--max-n", "4")
     assert code == 0 and json.loads(out)["eps_ratios"]
     code, out, _ = run_cli(capsys, "reproduce")
@@ -612,23 +610,48 @@ def test_gen_recursions_writes_cache(capsys, tmp_path):
     assert path.read_text().startswith("# d=3 basis=c0..c4\n")
 
 
-@pytest.mark.parametrize("argv", [
-    ("gen-recursions", "--d", "2"),
-    ("verify", "--d", "2", "--n-max", "1"),
+@pytest.mark.parametrize("argv, failed", [
+    (("gen-recursions", "--d", "2"), "write"),
+    (("verify", "--d", "2", "--n-max", "1"), "read"),
 ], ids=["gen-recursions", "verify"])
-def test_a_cache_write_failure_ends_in_one_error_line(tmp_path, argv):
-    # a directory where the cache file goes: verify reads it as a corrupt
-    # file and warns first, then neither command can write the file
+def test_a_cache_write_failure_ends_in_one_error_line(tmp_path, argv, failed):
+    # a directory where the cache file goes, which no command can write:
+    # gen-recursions fails on the write, verify already on the read, so it
+    # neither warns that it regenerates the file nor tries to
     path = cache_path(tmp_path, 2)
     path.mkdir()
     run = run_python("-m", "hanoi_dimer", *argv, "--cache-dir", str(tmp_path))
     assert (run.returncode, run.stdout) == (1, "")
     assert "Traceback" not in run.stderr
     error_lines = [line for line in run.stderr.splitlines() if line.startswith("error:")]
-    assert error_lines == [f"error: cannot write cache file {path}: Is a directory"]
-    assert run.stderr.endswith(error_lines[0] + "\n")
+    assert error_lines == [f"error: cannot {failed} cache file {path}: Is a directory"]
+    assert run.stderr == error_lines[0] + "\n"
     assert path.is_dir()
     assert [p.name for p in tmp_path.iterdir()] == [path.name]
+
+
+def test_verify_refuses_a_cache_file_it_cannot_read(capsys, tmp_path, monkeypatch):
+    # a file verify may not read is no corrupt text: one error line, exit 1,
+    # no regeneration promised and nothing written (root reads a chmod 000
+    # file, so the refusal is simulated)
+    path = cache_path(tmp_path, 2)
+    path.write_bytes(cache_bytes(2))
+    real_read_text = Path.read_text
+
+    def no_permission(self, *args, **kwargs):
+        if self == path:
+            raise PermissionError(13, "Permission denied")
+        return real_read_text(self, *args, **kwargs)
+
+    monkeypatch.setattr(Path, "read_text", no_permission)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli(capsys, "verify", "--d", "2", "--n-max", "1",
+                                 "--cache-dir", str(tmp_path))
+    assert (code, out) == (1, "")
+    assert err == f"error: cannot read cache file {path}: Permission denied\n"
+    assert path.read_bytes() == cache_bytes(2)
+    assert list(tmp_path.iterdir()) == [path]
 
 
 def test_save_system_removes_its_temporary_file_when_the_write_fails(tmp_path,
@@ -932,6 +955,12 @@ COMMAND_FLAGS = {
 }
 
 
+# the flags also run at 10**30; a huge --precision is left out, as nothing
+# prices entropy's work at a given precision yet (ROADMAP item 1)
+HUGE_VALUE_FLAGS = ("--digit-cap", "--memo-cap", "--vertex-cap",
+                    "--oracle-vertex-cap", "--term-budget", "--digits")
+
+
 @pytest.mark.parametrize("command,flag", [
     (command, flag) for command, (_, flags) in COMMAND_FLAGS.items()
     for flag in flags
@@ -948,6 +977,14 @@ def test_out_of_range_flag_is_a_usage_error(capsys, tmp_path, command, flag):
     assert exc.value.code == 2
     assert capsys.readouterr().out == ""
     assert not any(tmp_path.iterdir())
+    if flag in HUGE_VALUE_FLAGS:
+        # 10**30 prints what the default prints, or is refused, in under 1 s
+        argv = [command, *(str(tmp_path / "huge") if a == "CACHE" else a for a in base)]
+        at_default = run_cli(capsys, *argv)
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, *with_flag(argv, flag, 10**30))
+        assert time.perf_counter() - start < 1
+        assert (code, out, err) == at_default or (code, out) == (3, "")
 
 
 def test_census_cap_flag_is_gone(capsys, tmp_path):

@@ -13,12 +13,7 @@ from hypothesis import given, settings, strategies as st
 
 from hanoi_dimer import cli, entropy
 from hanoi_dimer import reference_values as ref
-from hanoi_dimer.entropy import (
-    bounds,
-    certified_digit_prefix,
-    check_finite_sandwich,
-    hp_ln,
-)
+from hanoi_dimer.entropy import bounds, certified_digit_prefix
 from hanoi_dimer.errors import IntegrityError
 from hanoi_dimer.evolve import (
     BoundaryClassVector,
@@ -28,7 +23,13 @@ from hanoi_dimer.evolve import (
     interval_step,
 )
 
-from .helpers import exact_bounds, fraction_bracketed
+from .helpers import (
+    as_fraction,
+    check_finite_sandwich,
+    exact_bounds,
+    fraction_bracketed,
+    hp_ln,
+)
 
 
 def mp_ln(x, dps=220):
@@ -51,7 +52,7 @@ def test_ln_of_near_e_rational_is_near_one():
     with mpmath.workdps(80):
         e_scaled = int(mpmath.floor(mpmath.e * 10**60))
     e_rational = Fraction(e_scaled, 10**60)
-    value = hp_ln(e_rational, p).as_fraction()
+    value = as_fraction(hp_ln(e_rational, p))
     assert abs(value - 1) < Fraction(1, 10 ** (p - 1))
 
 
@@ -60,7 +61,7 @@ def test_ln_ten_digits():
     assert lo.as_decimal().startswith("2.302585092994045684")
     # independent high-precision oracle brackets our directed values
     hi = hp_ln(10, 60, "ceiling")
-    assert lo.as_fraction() <= hi.as_fraction()
+    assert as_fraction(lo) <= as_fraction(hi)
     with mpmath.workdps(100):
         truth = mpmath.log(10)
         assert mpmath.mpf(lo.as_decimal()) <= truth <= mpmath.mpf(hi.as_decimal())
@@ -79,21 +80,21 @@ def test_directed_rounding_brackets_oracle(value):
     p = 50
     lo = hp_ln(value, p)
     hi = hp_ln(value, p, "ceiling")
-    assert lo.as_fraction() <= hi.as_fraction()
-    assert hi.as_fraction() - lo.as_fraction() <= Fraction(3, 10**p)
+    assert as_fraction(lo) <= as_fraction(hi)
+    assert as_fraction(hi) - as_fraction(lo) <= Fraction(3, 10**p)
     truth = mp_ln(value)
     with mpmath.workdps(120):
-        assert mpmath.mpf(str(lo.as_fraction())) <= truth
-        assert truth <= mpmath.mpf(str(hi.as_fraction()))
+        assert mpmath.mpf(str(as_fraction(lo))) <= truth
+        assert truth <= mpmath.mpf(str(as_fraction(hi)))
 
 
 def test_ln_additivity_of_directed_bounds():
     # ln(6) must lie between ln2+ln3 floors and ceilings
     p = 60
-    six_lo = hp_ln(6, p).as_fraction()
-    six_hi = hp_ln(6, p, "ceiling").as_fraction()
-    parts_lo = hp_ln(2, p).as_fraction() + hp_ln(3, p).as_fraction()
-    parts_hi = hp_ln(2, p, "ceiling").as_fraction() + hp_ln(3, p, "ceiling").as_fraction()
+    six_lo = as_fraction(hp_ln(6, p))
+    six_hi = as_fraction(hp_ln(6, p, "ceiling"))
+    parts_lo = as_fraction(hp_ln(2, p)) + as_fraction(hp_ln(3, p))
+    parts_hi = as_fraction(hp_ln(2, p, "ceiling")) + as_fraction(hp_ln(3, p, "ceiling"))
     assert parts_lo <= six_hi and six_lo <= parts_hi
 
 
@@ -105,8 +106,8 @@ def test_doubling_precision_preserves_digits():
 
 def test_ln_huge_integer_truncation_path():
     m = 7**500  # 423 digits, forces the truncated-mantissa path at p=60
-    lo = hp_ln(m, 60).as_fraction()
-    hi = hp_ln(m, 60, "ceiling").as_fraction()
+    lo = as_fraction(hp_ln(m, 60))
+    hi = as_fraction(hp_ln(m, 60, "ceiling"))
     with mpmath.workdps(200):
         truth = 500 * mpmath.log(7)
         assert mpmath.mpf(str(lo)) <= truth <= mpmath.mpf(str(hi))
@@ -141,8 +142,8 @@ def test_bounds_monotone_in_k(trajectories):
     for k in range(1, 7):
         result = bounds(3, k, vectors, precision=120)
         if prev is not None:
-            assert result.lower.as_fraction() >= prev.lower.as_fraction()
-            assert result.upper.as_fraction() <= prev.upper.as_fraction()
+            assert as_fraction(result.lower) >= as_fraction(prev.lower)
+            assert as_fraction(result.upper) <= as_fraction(prev.upper)
             assert result.certified_digits >= prev.certified_digits
         prev = result
 
@@ -166,7 +167,7 @@ def test_bounds_warn_when_precision_cannot_separate(trajectories):
 
 def test_bounds_lower_below_upper_and_brackets_oracle(trajectories):
     result = bounds(3, 3, trajectories(3, 3), precision=80)
-    lo, hi = result.lower.as_fraction(), result.upper.as_fraction()
+    lo, hi = as_fraction(result.lower), as_fraction(result.upper)
     assert lo < hi
     v = trajectories(3, 3)[3]
     lam = v.counts[4]
@@ -319,11 +320,11 @@ def test_bounds_narrow_beyond_reference_dimensions(d):
     vectors = evolve_to(d, 2)
     first = bounds(d, 1, vectors, precision=80)
     second = bounds(d, 2, vectors, precision=80)
-    assert first.lower.as_fraction() < first.upper.as_fraction()
-    assert second.lower.as_fraction() >= first.lower.as_fraction()
-    assert second.upper.as_fraction() <= first.upper.as_fraction()
-    width_first = first.upper.as_fraction() - first.lower.as_fraction()
-    width_second = second.upper.as_fraction() - second.lower.as_fraction()
+    assert as_fraction(first.lower) < as_fraction(first.upper)
+    assert as_fraction(second.lower) >= as_fraction(first.lower)
+    assert as_fraction(second.upper) <= as_fraction(first.upper)
+    width_first = as_fraction(first.upper) - as_fraction(first.lower)
+    width_second = as_fraction(second.upper) - as_fraction(second.lower)
     assert width_second < width_first
 
 

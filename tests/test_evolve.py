@@ -39,7 +39,6 @@ from hanoi_dimer.evolve import (
     initial_vector,
     interval_step,
     ratios,
-    render_decimal,
     render_quotient,
     step,
 )
@@ -47,6 +46,11 @@ from hanoi_dimer.evolve import (
 from .helpers import (
     check_contraction_by_fractions,
     degree_profile_step,
+    eps,
+    eps_ratio,
+    ratio,
+    ratio_rows,
+    render_decimal,
     render_decimal_by_fraction,
 )
 
@@ -299,14 +303,14 @@ def test_rerunning_is_bit_identical():
 def test_ratio_trace_matches_reference_table_d3(trajectories):
     trace = ratios(trajectories(3, 4))
     for n, row in ref.RATIOS_D3.items():
-        got = tuple(render_decimal(trace.ratio(n, j), 15) for j in range(4))
+        got = tuple(render_decimal(ratio(trace, n, j), 15) for j in range(4))
         assert got == row
 
 
 def test_ratio_trace_matches_reference_table_d4(trajectories):
     trace = ratios(trajectories(4, 4))
     for n, row in ref.RATIOS_D4.items():
-        got = tuple(render_decimal(trace.ratio(n, j), 14) for j in range(5))
+        got = tuple(render_decimal(ratio(trace, n, j), 14) for j in range(5))
         assert got == row
 
 
@@ -329,7 +333,7 @@ def test_eps_ratio_converges(trajectories):
     limit = Fraction(
         int(ref.EPS_RATIO_LIMIT_D3.replace("0.", "")), 10**14
     ) / 10
-    assert abs(trace.eps_ratio(4) - limit) < Fraction(1, 10**10)
+    assert abs(eps_ratio(trace, 4) - limit) < Fraction(1, 10**10)
 
 
 def test_render_decimal_half_even_ties():
@@ -425,7 +429,7 @@ def test_contraction_report_d2_tolerates_stage_one_inversion(trajectories):
 @pytest.mark.parametrize("d", [2, 3, 4, 5])
 def test_ratio_range_by_dimension(trajectories, d):
     trace = ratios(trajectories(d, 3))
-    for row in trace.ratios:
+    for row in ratio_rows(trace):
         if d == 2:
             assert all(r > 1 for r in row)
         else:
@@ -436,7 +440,7 @@ def test_ratio_range_by_dimension(trajectories, d):
 def test_eps_quadratic_contraction(trajectories, d):
     trace = ratios(trajectories(d, 4))
     for n in (1, 2, 3):
-        assert trace.eps(n + 1) < 3 * trace.eps(n) ** 2
+        assert eps(trace, n + 1) < 3 * eps(trace, n) ** 2
 
 
 # the stages the trajectories fixture evolves, per dimension
@@ -460,12 +464,12 @@ def test_contraction_report_matches_fraction_reference(trajectories, d):
 @pytest.mark.parametrize("d", [2, 3, 4])
 def test_fraction_accessors_match_the_ratio_rows(trajectories, d):
     trace = ratios(trajectories(d, 5))
-    for n, row, c in zip(trace.stages, trace.ratios, trace.lo):
+    for n, row, c in zip(trace.stages, ratio_rows(trace), trace.lo):
         assert row == tuple(Fraction(c[j], c[j + 1]) for j in range(d + 1))
-        assert [trace.ratio(n, j) for j in range(d + 1)] == list(row)
-        assert trace.eps(n) == row[0] - row[d]
+        assert [ratio(trace, n, j) for j in range(d + 1)] == list(row)
+        assert eps(trace, n) == row[0] - row[d]
         if n + 1 in trace.stages:
-            assert trace.eps_ratio(n) == trace.eps(n + 1) / trace.eps(n) ** 2
+            assert eps_ratio(trace, n) == eps(trace, n + 1) / eps(trace, n) ** 2
 
 
 def trace_of_ratio_rows(d: int, rows) -> RatioTrace:
@@ -625,7 +629,7 @@ def test_enclosure_stages_have_no_single_value(trajectories):
     assert trace.ratio_pair(4, 0) == vectors[4].counts[:2]
     assert trace.eps_ratio_pair(3) == ratios(vectors).eps_ratio_pair(3)
     for read in (lambda: trace.ratio_pair(5, 0), lambda: trace.eps_pair(5),
-                 lambda: trace.eps_ratio_pair(4), lambda: trace.ratios):
+                 lambda: trace.eps_ratio_pair(4), lambda: ratio_rows(trace)):
         with pytest.raises(ValueError, match="stage 5 is an enclosure"):
             read()
     with pytest.raises(IntegrityError, match="out of order"):

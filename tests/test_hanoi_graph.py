@@ -9,13 +9,9 @@ import pytest
 from hypothesis import given, strategies as st
 
 from hanoi_dimer.errors import CapExceeded
-from hanoi_dimer.hanoi_graph import (
-    build,
-    connector_edges,
-    edge_csv,
-    expected_edge_count,
-    expected_vertex_count,
-)
+from hanoi_dimer.hanoi_graph import build, connector_edges, edge_csv
+
+from .helpers import expected_edge_count, expected_vertex_count
 
 
 def test_build_2_1_sizes():

@@ -17,7 +17,7 @@ from hanoi_dimer.multipoly import (
     substitute,
 )
 
-from .helpers import serialize_by_terms
+from .helpers import coefficient, is_zero, serialize_by_terms, zero
 
 FGHTS = ("f", "g", "h", "t", "s")
 
@@ -66,7 +66,7 @@ def polynomial_triples():
 
 def test_additive_inverse_cancels_to_zero():
     f = Polynomial.variable(FGHTS, "f")
-    assert (f + (-f)).is_zero()
+    assert is_zero(f + (-f))
     assert serialize(f + (-f)) == "0"
 
 
@@ -76,7 +76,7 @@ def test_like_terms_collect():
 
 def test_mixed_count_assembly_matches_stored_expansion():
     # f+3g+3h+t assembled by repeated addition
-    built = Polynomial.zero(FGHTS)
+    built = zero(FGHTS)
     for text in ("f", "3*g", "3*h", "t"):
         built = built + P(text)
     assert built == P("1*f + 3*g + 3*h + 1*t")
@@ -94,11 +94,11 @@ def test_edge_factor_sixth_power_coefficients():
     # (1+2a+2a^2)^6: the per-edge factor of the all-dimer recursion
     q = parse_polynomial("1 + 2*a + 2*a^2", ("a",))
     p = q**6
-    assert p.coefficient({"a": 0}) == 1
-    assert p.coefficient({"a": 1}) == 12
-    assert p.coefficient({"a": 2}) == 72
-    assert p.coefficient({"a": 3}) == 280
-    assert p.coefficient({"a": 12}) == 64
+    assert coefficient(p, {"a": 0}) == 1
+    assert coefficient(p, {"a": 1}) == 12
+    assert coefficient(p, {"a": 2}) == 72
+    assert coefficient(p, {"a": 3}) == 280
+    assert coefficient(p, {"a": 12}) == 64
 
 
 def test_fourth_power_multinomial_spot_coefficients():
@@ -116,11 +116,11 @@ def test_fourth_power_multinomial_spot_coefficients():
     assert expected_f4 == 1 and expected_f3g == 12  # frozen from the oracle
 
     p = P("f + 3*g + 3*h + t") ** 4
-    assert p.coefficient({"f": 4}) == expected_f4
-    assert p.coefficient({"f": 3, "g": 1}) == expected_f3g
+    assert coefficient(p, {"f": 4}) == expected_f4
+    assert coefficient(p, {"f": 3, "g": 1}) == expected_f3g
     # full agreement, not just spots
     for exps, value in counts.items():
-        assert p.coefficient(dict(zip(FGHTS, exps))) == value
+        assert coefficient(p, dict(zip(FGHTS, exps))) == value
 
 
 # -- substitute ---------------------------------------------------------------
@@ -163,8 +163,8 @@ def test_evaluate_unbound_variable_is_named():
 
 
 def test_serialize_zero():
-    assert serialize(Polynomial.zero(FGHTS)) == "0"
-    assert parse_polynomial("0", FGHTS).is_zero()
+    assert serialize(zero(FGHTS)) == "0"
+    assert is_zero(parse_polynomial("0", FGHTS))
 
 
 def test_serialize_fixed_formatting_rule():
@@ -279,7 +279,7 @@ def test_serialize_many_matches_the_per_term_reference(polys):
 
 def test_serialize_many_writes_zero_constants_signs_and_big_coefficients():
     big = 3**200
-    polys = [Polynomial.zero(FGHTS), Polynomial.constant(FGHTS, -7),
+    polys = [zero(FGHTS), Polynomial.constant(FGHTS, -7),
              P("-f^2 + 3*g - 1"), P(f"{big}*f^2*s - 1*g + 1")]
     want = ["0", "-7", "-1*f^2 + 3*g - 1", f"{big}*f^2*s - 1*g + 1"]
     assert serialize_many(polys) == want

@@ -21,8 +21,6 @@ PUBLIC = {
         "BoundsResult",
         "HighPrecisionReal",
         "bounds",
-        "check_finite_sandwich",
-        "hp_ln",
     ),
     "evolve": (
         "BoundaryClassVector",
@@ -33,7 +31,6 @@ PUBLIC = {
         "evolve_to",
         "initial_vector",
         "ratios",
-        "render_decimal",
         "render_quotient",
         "step",
     ),
@@ -55,9 +52,6 @@ PUBLIC = {
     "recursion_gen": (
         "RecursionSystem",
         "generate",
-        "mixed_count_expansion",
-        "ratio_form",
-        "reduced_ratio_form",
     ),
 }
 MODULE_OF = {name: module for module, names in PUBLIC.items() for name in names}

@@ -10,13 +10,7 @@ from math import comb
 import pytest
 
 from hanoi_dimer.appendix_check import CertificateReport, run_certificates
-from hanoi_dimer.entropy import (
-    BoundsResult,
-    HighPrecisionReal,
-    SandwichReport,
-    bounds,
-    check_finite_sandwich,
-)
+from hanoi_dimer.entropy import BoundsResult, HighPrecisionReal, bounds
 from hanoi_dimer.errors import IntegrityError
 from hanoi_dimer.evolve import (
     BoundaryClassVector,
@@ -31,6 +25,8 @@ from hanoi_dimer.evolve import (
 from hanoi_dimer.hanoi_graph import HanoiGraph, build
 from hanoi_dimer.matching_oracle import CornerConstraint
 from hanoi_dimer.recursion_gen import INT_RING, RecursionSystem, Ring, generate
+
+from .helpers import SandwichReport, check_finite_sandwich
 
 
 @pytest.fixture(scope="module")
