@@ -13,7 +13,6 @@ import importlib
 import json
 import os
 import sys
-import warnings
 from pathlib import Path
 
 from .errors import (
@@ -174,7 +173,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
         try:
             loaded = load_system(path, args.d)
         except CacheCorruption as err:
-            warnings.warn(f"regenerating corrupt recursion cache: {err}")
+            print(f"warning: regenerating corrupt recursion cache: {err}",
+                  file=sys.stderr)
     if loaded is None:
         save_system(system, path)
     else:
@@ -269,6 +269,7 @@ def cmd_entropy(args: argparse.Namespace) -> int:
     }
     if result.warning:
         payload["warning"] = result.warning
+        print(f"warning: {result.warning}", file=sys.stderr)
     _emit(json.dumps(payload))
     return 0
 

@@ -41,7 +41,6 @@ thousand ulps never reaches a reported digit.
 
 from __future__ import annotations
 
-import warnings
 from functools import cache
 from math import ceil, log2
 from typing import NamedTuple
@@ -293,7 +292,6 @@ def bounds(d: int, k: int, vectors: list[BoundaryClassVector],
             f"precision {precision} too small to separate the bounds; "
             f"achieved {digits} certified digits"
         )
-        warnings.warn(warning)
     return BoundsResult(
         d=d, k=k, lower=lower, upper=upper, certified_digits=digits,
         lambda_digits=lambda_digits, enclosure=iv, warning=warning,

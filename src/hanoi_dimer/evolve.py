@@ -9,8 +9,9 @@ nothing but d: one scan whose values are polynomials in t, held as their
 exact values at d+2 integer points, gives every class count (coefficient
 t^k sums the C(d+1, k) choices of k dimer-forced corners), and one plain
 integer scan gives the total M.  apply_system evaluates a given recursion
-system term by term instead, which is how verify checks a loaded system
-against the oracle.  Stage-0 vectors are the matching counts of K_{d+1}
+system term by term instead, which is how verify checks the generated
+system against the oracle (the loaded cache file is compared with that
+system, not evaluated).  Stage-0 vectors are the matching counts of K_{d+1}
 with the corner constraints applied: c_k(0) is the number of perfect
 matchings on the k dimer-forced corners, (k-1)!! for even k and 0 for odd k.
 

@@ -1,32 +1,32 @@
 """Brute-force exact matching counts with per-corner constraints.
 
 This is the independent ground truth the generated recursion systems are
-validated against.  The core counter eliminates the lowest-index surviving
-vertex v of the bitmask state: either v stays unmatched, or it is matched
-to one of its surviving neighbors.  Memoization is keyed by the surviving
-mask; the copy-major vertex order of HanoiGraph keeps the reachable state
-count small on these self-similar graphs.
+validated against.  One memoized elimination, _pattern_counts, does all the
+counting: it removes the lowest-index surviving vertex v of the bitmask
+state, which either stays unmatched or is matched to one of its surviving
+neighbors, and the copy-major vertex order of HanoiGraph keeps the
+reachable state count small on these self-similar graphs.  Its memo maps
+each surviving mask to a dict from the bitmask of tracked corners a
+matching covers to the number of such matchings: the unmatched branch
+takes the child's dict as it is, and matching v to u adds the corner bits
+of v and u to every pattern of the child.  Constraints act inside the same
+run: monomer-forced vertices are deleted up front, and a dimer-forced
+vertex never takes the unmatched branch.  The forced set is fixed for the
+whole call, so the surviving mask stays a sound memo key.
 
-Corner constraints act inside that recursion, so a constrained count is a
-single counter run: monomer-forced vertices are deleted up front, and a
-dimer-forced vertex never takes the unmatched branch.  The forced set is
-fixed for the whole call, so the surviving mask still determines the count
-and stays a sound memo key.
-
-A class vector needs the count for every corner subset, and one elimination
-run gives them all: its memo maps each surviving mask to a dict from the
-bitmask of corners a matching covers to the number of such matchings.  The
-unmatched branch takes the child's dict as it is; matching v to u adds the
-corner bits of v and u to every pattern of the child.  The memo cap counts
-the stored (mask, pattern) entries.  M comes from a separate unconstrained
-run, so the binomial identity checked by BoundaryClassVector compares two
-independent computations.
+It has three uses.  count_matchings (and through it count_constrained, with
+the corner constraints as forced vertices) tracks no corner and reads the
+empty pattern's count.  boundary_class_vector tracks every corner, so one
+run gives the count for every corner subset; M comes from a separate
+count_matchings run, so the binomial identity checked by
+BoundaryClassVector compares two independent computations.  The memo cap
+counts the stored (mask, pattern) entries, at least one per mask.
 
 Every call owns a private memo table, so concurrent calls are independent.
 Not meant to scale past a few dozen vertices; the recursion system is the
-scalable path.  The counters recurse once per eliminated vertex, so a graph
-with more vertices than recursion_ceiling() is refused with CapExceeded
-before any count, whatever the vertex cap.
+scalable path.  The elimination recurses once per eliminated vertex, so a
+graph with more vertices than recursion_ceiling() is refused with
+CapExceeded before any count, whatever the vertex cap.
 """
 
 from __future__ import annotations
@@ -44,7 +44,7 @@ from .errors import (
 from .evolve import BoundaryClassVector
 from .hanoi_graph import HanoiGraph
 
-# frames of the recursion limit kept for the counters' callers
+# frames of the recursion limit kept for the elimination's callers
 CALLER_FRAMES = 200
 
 
@@ -77,7 +77,7 @@ def _graph_data(graph) -> tuple[int, tuple[tuple[int, int], ...]]:
 
 
 def recursion_ceiling() -> int:
-    """The most vertices the counters can eliminate, one frame each.
+    """The most vertices the elimination can remove, one frame each.
 
     Python's recursion limit less the frames left to their callers.
     """
@@ -101,7 +101,7 @@ def _check_vertex_cap(vertex_count: int, vertex_cap: int) -> None:
 
 
 def check_stage_vertex_cap(d: int, n: int, vertex_cap: int) -> None:
-    """CapExceeded if the counters would refuse TH_d(n), priced at its
+    """CapExceeded if the oracle would refuse TH_d(n), priced at its
     (d+1)^(n+1) vertices before it is built."""
     # (d+1)^(n+1) >= 2^floor_bits: far past the cap, form no such power
     floor_bits = (n + 1) * ((d + 1).bit_length() - 1)
@@ -114,7 +114,7 @@ def check_stage_vertex_cap(d: int, n: int, vertex_cap: int) -> None:
     _check_vertex_cap((d + 1) ** (n + 1), vertex_cap)
 
 
-def _adjacency_masks(vertex_count: int, edges, removed=frozenset()) -> list[int]:
+def _adjacency_masks(vertex_count: int, edges, removed) -> list[int]:
     """Neighbor bitmask per vertex, edges at a removed vertex left out."""
     adjacency = [0] * vertex_count
     for u, v in edges:
@@ -127,21 +127,18 @@ def _adjacency_masks(vertex_count: int, edges, removed=frozenset()) -> list[int]
     return adjacency
 
 
-def _memo_full(memo_cap: int) -> CapExceeded:
-    return CapExceeded(
-        f"matching memo table hit the cap of {memo_cap} entries; "
-        "raise it with --memo-cap"
-    )
+_NO_CORNERS = {0: 1}  # the empty mask: one matching, covering no corner
 
 
-def count_matchings(graph, *, monomers: Iterable[int] = (),
-                    dimers: Iterable[int] = (),
-                    vertex_cap: int = DEFAULT_ORACLE_VERTEX_CAP,
-                    memo_cap: int = DEFAULT_MEMO_CAP) -> int:
-    """Exact number of matchings (independent edge subsets), empty one included.
+def _pattern_counts(graph, corners=(), *, monomers: Iterable[int] = (),
+                    dimers: Iterable[int] = (), vertex_cap: int,
+                    memo_cap: int) -> dict[int, int]:
+    """Matchings of the graph keyed by the tracked corners they cover.
 
-    Only matchings that leave every vertex of ``monomers`` unmatched and
-    cover every vertex of ``dimers`` are counted.
+    Bit i of a key is set when vertex corners[i] is covered; a pattern that
+    no matching has is absent.  Only matchings that leave every vertex of
+    ``monomers`` unmatched and cover every vertex of ``dimers`` are counted.
+    memo_cap bounds the stored (mask, pattern) entries, at least one per mask.
     """
     vertex_count, edges = _graph_data(graph)
     _check_vertex_cap(vertex_count, vertex_cap)
@@ -151,55 +148,11 @@ def count_matchings(graph, *, monomers: Iterable[int] = (),
         if not 0 <= v < vertex_count:
             raise ValueError(f"constrained vertex {v} is not in the graph")
     if removed & forced_set:
-        return 0  # no matching both avoids and covers a vertex
+        return {}  # no matching both avoids and covers a vertex
     forced = sum(1 << v for v in forced_set)
     adjacency = _adjacency_masks(vertex_count, edges, removed)
-    alive = 0
-    for v in range(vertex_count):
-        if v not in removed:
-            alive |= 1 << v
-
-    memo: dict[int, int] = {}
-
-    def count(mask: int) -> int:
-        if mask == 0:
-            return 1
-        cached = memo.get(mask)
-        if cached is not None:
-            return cached
-        v_bit = mask & -mask
-        v = v_bit.bit_length() - 1
-        rest = mask ^ v_bit
-        total = 0 if v_bit & forced else count(rest)  # v unmatched
-        neighbors = adjacency[v] & rest
-        while neighbors:
-            u_bit = neighbors & -neighbors
-            total += count(rest ^ u_bit)  # v matched to u
-            neighbors ^= u_bit
-        if len(memo) >= memo_cap:
-            raise _memo_full(memo_cap)
-        memo[mask] = total
-        return total
-
-    return count(alive)
-
-
-_NO_CORNERS = {0: 1}  # the empty mask: one matching, covering no corner
-
-
-def _corner_pattern_counts(graph: HanoiGraph, *, vertex_cap: int,
-                           memo_cap: int) -> dict[int, int]:
-    """Matchings of the graph keyed by the corners they cover.
-
-    Bit i of a key is set when corner i is covered; a pattern that no
-    matching has is absent.  memo_cap bounds the stored (mask, pattern)
-    entries summed over all masks.
-    """
-    vertex_count = graph.vertex_count
-    _check_vertex_cap(vertex_count, vertex_cap)
-    adjacency = _adjacency_masks(vertex_count, graph.edges)
     corner_bits = [0] * vertex_count
-    for i, corner in enumerate(graph.corners):
+    for i, corner in enumerate(corners):
         corner_bits[corner] |= 1 << i
 
     memo: dict[int, dict[int, int]] = {}
@@ -215,7 +168,8 @@ def _corner_pattern_counts(graph: HanoiGraph, *, vertex_cap: int,
         v_bit = mask & -mask
         v = v_bit.bit_length() - 1
         rest = mask ^ v_bit
-        total = dict(patterns(rest))  # v unmatched: the child's patterns as they are
+        # v unmatched: the child's patterns as they are
+        total = {} if v_bit & forced else dict(patterns(rest))
         neighbors = adjacency[v] & rest
         while neighbors:
             u_bit = neighbors & -neighbors
@@ -225,13 +179,28 @@ def _corner_pattern_counts(graph: HanoiGraph, *, vertex_cap: int,
                 key = pattern | gained
                 total[key] = total.get(key, 0) + count
             neighbors ^= u_bit
-        entries += len(total)
+        entries += len(total) or 1
         if entries > memo_cap:
-            raise _memo_full(memo_cap)
+            raise CapExceeded(
+                f"matching memo table hit the cap of {memo_cap} entries; "
+                "raise it with --memo-cap")
         memo[mask] = total
         return total
 
-    return patterns((1 << vertex_count) - 1)
+    return patterns(((1 << vertex_count) - 1) ^ sum(1 << v for v in removed))
+
+
+def count_matchings(graph, *, monomers: Iterable[int] = (),
+                    dimers: Iterable[int] = (),
+                    vertex_cap: int = DEFAULT_ORACLE_VERTEX_CAP,
+                    memo_cap: int = DEFAULT_MEMO_CAP) -> int:
+    """Exact number of matchings (independent edge subsets), empty one included.
+
+    Only matchings that leave every vertex of ``monomers`` unmatched and
+    cover every vertex of ``dimers`` are counted.
+    """
+    return _pattern_counts(graph, monomers=monomers, dimers=dimers,
+                           vertex_cap=vertex_cap, memo_cap=memo_cap).get(0, 0)
 
 
 def count_constrained(graph, constraint: CornerConstraint, *,
@@ -261,13 +230,14 @@ def boundary_class_vector(graph: HanoiGraph, *,
                           memo_cap: int = DEFAULT_MEMO_CAP) -> BoundaryClassVector:
     """All d+2 class counts of a built graph, with the symmetry cross-check.
 
-    The counts come from one corner-pattern run and M from an unconstrained
-    count_matchings run.  For every k, each k-subset of corners must give the same count; a
-    disagreement would indicate a construction bug and raises IntegrityError.
+    The counts come from one run that tracks every corner and M from an
+    unconstrained count_matchings run.  For every k, each k-subset of corners
+    must give the same count; a disagreement would indicate a construction
+    bug and raises IntegrityError.
     """
     d = graph.d
-    patterns = _corner_pattern_counts(graph, vertex_cap=vertex_cap,
-                                      memo_cap=memo_cap)
+    patterns = _pattern_counts(graph, graph.corners, vertex_cap=vertex_cap,
+                               memo_cap=memo_cap)
     by_size: list[set[int]] = [set() for _ in range(d + 2)]
     for pattern in range(1 << (d + 1)):
         by_size[pattern.bit_count()].add(patterns.get(pattern, 0))

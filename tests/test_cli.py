@@ -8,7 +8,6 @@ import json
 import re
 import tempfile
 import time
-import warnings
 from functools import cache
 from importlib import resources
 from itertools import count
@@ -255,10 +254,11 @@ def test_verify_generates_once_over_a_corrupt_cache_file(capsys, tmp_path,
     monkeypatch.setattr(recursion_gen, "generate", counted)
     path = cache_path(tmp_path, 2)
     path.write_text("garbage\n")
-    with pytest.warns(UserWarning, match="regenerating corrupt recursion cache"):
-        code, out, _ = run_cli(capsys, "verify", "--d", "2", "--n-max", "1",
-                               "--cache-dir", str(tmp_path))
+    code, out, err = run_cli(capsys, "verify", "--d", "2", "--n-max", "1",
+                             "--cache-dir", str(tmp_path))
     assert (code, calls) == (0, [2])
+    assert err.startswith("warning: regenerating corrupt recursion cache: ")
+    assert err.count("\n") == 1
     assert out.splitlines()[-1] == "stage 1: OK (4 class counts + total)"
     assert load_system(path, 2) == real_generate(2)
 
@@ -284,7 +284,8 @@ def test_verify_generates_once_over_a_file_for_another_system(tmp_path, monkeypa
     if held == "other-d":
         # rewritten with a warning, then checked
         assert code == 0
-        assert any(m.startswith("regenerating corrupt recursion cache") for m in warned)
+        assert len(warned) == 1
+        assert warned[0].startswith("warning: regenerating corrupt recursion cache")
         assert path.read_bytes() == cache_bytes(2)
     else:
         # refused before any stage, and left as it is
@@ -351,13 +352,13 @@ def load_system_bytes(d: int, data: bytes):
 
 
 def run_quietly(*argv: str) -> tuple[int, str, list[str]]:
-    """main's exit code, stdout and warning messages, stderr discarded."""
-    out = io.StringIO()
-    with warnings.catch_warnings(record=True) as caught, \
-            contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
-        warnings.simplefilter("always")
+    """main's exit code, stdout and the warning lines of stderr."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(list(argv))
-    return code, out.getvalue(), [str(w.message) for w in caught]
+    warned = [line for line in err.getvalue().splitlines()
+              if line.startswith("warning: ")]
+    return code, out.getvalue(), warned
 
 
 @settings(max_examples=30, deadline=None)
@@ -378,8 +379,8 @@ def test_hostile_cache_files_never_pass_with_wrong_data(case):
         if tampered is None:
             # regenerated with a warning, and checked
             assert code == 0
-            assert any(m.startswith("regenerating corrupt recursion cache")
-                       for m in warned)
+            assert len(warned) == 1
+            assert warned[0].startswith("warning: regenerating corrupt recursion cache")
             assert path.read_bytes() == cache_bytes(d)
         elif tampered == clean:
             assert code == 0
@@ -644,10 +645,8 @@ def test_verify_refuses_a_cache_file_it_cannot_read(capsys, tmp_path, monkeypatc
         return real_read_text(self, *args, **kwargs)
 
     monkeypatch.setattr(Path, "read_text", no_permission)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        code, out, err = run_cli(capsys, "verify", "--d", "2", "--n-max", "1",
-                                 "--cache-dir", str(tmp_path))
+    code, out, err = run_cli(capsys, "verify", "--d", "2", "--n-max", "1",
+                             "--cache-dir", str(tmp_path))
     assert (code, out) == (1, "")
     assert err == f"error: cannot read cache file {path}: Permission denied\n"
     assert path.read_bytes() == cache_bytes(2)
@@ -1011,9 +1010,28 @@ def test_verify_regenerates_cache_of_another_dimension(tmp_path):
                      "--cache-dir", str(tmp_path))
     assert run.returncode == 0
     assert run.stdout.splitlines()[-1] == "stage 1: OK (5 class counts + total)"
-    assert "regenerating corrupt recursion cache" in run.stderr
-    assert "d=4" in run.stderr
+    (line,) = run.stderr.splitlines()
+    assert line.startswith("warning: regenerating corrupt recursion cache: ")
+    assert "d=4" in line
     assert cache_path(tmp_path, 3).read_text().startswith("# d=3 basis=c0..c4\n")
+
+
+def test_cli_warnings_are_one_stderr_line_whatever_the_warnings_filter(tmp_path,
+                                                                      monkeypatch):
+    # the commands print their warnings themselves, so a filter that turns
+    # Python warnings into errors changes nothing
+    monkeypatch.setenv("PYTHONWARNINGS", "error")
+    save_system(generate(4), cache_path(tmp_path, 3))
+    verify = run_python("-m", "hanoi_dimer", "verify", "--d", "3", "--n-max", "1",
+                        "--cache-dir", str(tmp_path))
+    entropy_run = run_python("-m", "hanoi_dimer", "entropy", "--d", "3", "--k", "8",
+                             "--precision", "40")
+    for run, text in ((verify, "regenerating corrupt recursion cache: "),
+                      (entropy_run, "precision 40 too small to separate the bounds")):
+        assert run.returncode == 0, run.stderr
+        (line,) = run.stderr.splitlines()
+        assert line.startswith(f"warning: {text}")
+    assert json.loads(entropy_run.stdout)["warning"] == line.removeprefix("warning: ")
 
 
 @pytest.mark.parametrize("argv", [

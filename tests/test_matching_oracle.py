@@ -12,9 +12,11 @@ from hanoi_dimer import reference_values as ref
 from hanoi_dimer.errors import CapExceeded, IntegrityError
 from hanoi_dimer.evolve import evolve_to
 from hanoi_dimer.hanoi_graph import build
+from hanoi_dimer.errors import DEFAULT_MEMO_CAP, DEFAULT_ORACLE_VERTEX_CAP
 from hanoi_dimer.matching_oracle import (
     CornerConstraint,
     CornerState,
+    _pattern_counts,
     boundary_class_vector,
     count_constrained,
     count_matchings,
@@ -180,6 +182,52 @@ def test_class_vector_memo_cap_counts_corner_patterns():
             lo = mid + 1
     with pytest.raises(CapExceeded, match="raise it with --memo-cap"):
         boundary_class_vector(g, memo_cap=lo)
+
+
+# the smallest memo cap each use of the elimination admits: the class vector,
+# the all-dimer, all-monomer and "md" + free constraints, and M
+SMALLEST_MEMO_CAPS = {
+    (3, 1): (418, 84, 55, 83, 87),
+    (2, 2): (260, 84, 74, 84, 86),
+    (4, 1): (3766, 543, 363, 539, 547),
+}
+
+
+@pytest.mark.parametrize("d,n", sorted(SMALLEST_MEMO_CAPS))
+def test_smallest_memo_cap_of_each_use(d, n):
+    g = build(d, n)
+
+    def constrained(text):
+        constraint = CornerConstraint.parse(text)
+        return lambda cap: count_constrained(g, constraint, memo_cap=cap)
+
+    uses = (
+        lambda cap: boundary_class_vector(g, memo_cap=cap),
+        constrained("d" * (d + 1)),
+        constrained("m" * (d + 1)),
+        constrained("md" + "f" * (d - 1)),
+        lambda cap: count_matchings(g, memo_cap=cap),
+    )
+    for run, smallest in zip(uses, SMALLEST_MEMO_CAPS[(d, n)]):
+        run(smallest)
+        with pytest.raises(CapExceeded, match="raise it with --memo-cap"):
+            run(smallest - 1)
+
+
+@pytest.mark.parametrize("d,n", [(2, 0), (2, 1), (2, 2), (3, 0), (3, 1), (4, 0), (4, 1)])
+def test_pruned_constraint_runs_match_the_tracked_corner_patterns(d, n):
+    # count_constrained forces the corners; the class-vector run tracks them
+    g = build(d, n)
+    patterns = _pattern_counts(g, g.corners, vertex_cap=DEFAULT_ORACLE_VERTEX_CAP,
+                               memo_cap=DEFAULT_MEMO_CAP)
+    for letters in product("mdf", repeat=d + 1):
+        agreeing = sum(
+            count for pattern, count in patterns.items()
+            if all(state == "f" or (state == "d") == bool(pattern >> i & 1)
+                   for i, state in enumerate(letters))
+        )
+        constraint = CornerConstraint.parse("".join(letters))
+        assert count_constrained(g, constraint) == agreeing, letters
 
 
 def test_binomial_identity_on_oracle_vectors():
