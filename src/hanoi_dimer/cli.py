@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import importlib
-import json
 import os
 import sys
 from pathlib import Path
@@ -89,6 +88,13 @@ def _emit(text: str) -> None:
     sys.stdout.write(text + "\n")
 
 
+def _emit_json(payload: dict) -> None:
+    # json is imported here, so that a command printing no JSON never loads it
+    import json
+
+    _emit(json.dumps(payload))
+
+
 # -- commands ----------------------------------------------------------------
 
 
@@ -115,10 +121,10 @@ def cmd_count(args: argparse.Namespace) -> int:
         _emit(",".join(heads))
         _emit(",".join(row))
     else:
-        _emit(json.dumps({
+        _emit_json({
             "d": args.d, "n": args.n,
             "c": [str(c) for c in v.counts], "M": str(v.m),
-        }))
+        })
     return 0
 
 
@@ -135,17 +141,17 @@ def cmd_oracle(args: argparse.Namespace) -> int:
         value = count_constrained(graph, constraint,
                                   vertex_cap=args.oracle_vertex_cap,
                                   memo_cap=args.memo_cap)
-        _emit(json.dumps({
+        _emit_json({
             "d": args.d, "n": args.n,
             "constraint": args.constraint, "count": str(value),
-        }))
+        })
         return 0
     vector = boundary_class_vector(graph, vertex_cap=args.oracle_vertex_cap,
                                    memo_cap=args.memo_cap)
-    _emit(json.dumps({
+    _emit_json({
         "d": args.d, "n": args.n, "M": str(vector.m),
         "c": [str(c) for c in vector.counts],
-    }))
+    })
     return 0
 
 
@@ -246,10 +252,10 @@ def cmd_ratios(args: argparse.Namespace) -> int:
         for row in stages:
             _emit(",".join([str(row["n"])] + row["r"] + [row["eps"]]))
     else:
-        _emit(json.dumps({
+        _emit_json({
             "d": args.d, "digits": digits,
             "stages": stages, "eps_ratios": quotients,
-        }))
+        })
     return 0
 
 
@@ -270,7 +276,7 @@ def cmd_entropy(args: argparse.Namespace) -> int:
     if result.warning:
         payload["warning"] = result.warning
         print(f"warning: {result.warning}", file=sys.stderr)
-    _emit(json.dumps(payload))
+    _emit_json(payload)
     return 0
 
 
@@ -549,7 +555,37 @@ def main(argv: list[str] | None = None) -> int:
     except ValueError as err:
         print(f"usage error: {err}", file=sys.stderr)
         return 2
+    except BrokenPipeError as err:
+        return _stdout_lost(err)
+
+
+def _stdout_lost(err: OSError) -> int:
+    """Report a stdout that takes no more output, and point its descriptor at
+    os.devnull so that no later flush raises again."""
+    print(f"error: cannot write to stdout: {err}", file=sys.stderr)
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, sys.stdout.fileno())
+    os.close(devnull)
+    return 1
+
+
+def run() -> None:
+    """The entry point of ``python -m hanoi_dimer`` and ``hanoi-dimer``: main
+    on sys.argv, then flush both streams and end the process at once.
+
+    The process skips the interpreter's teardown, which would free every
+    object one by one: every file a command writes is closed before main
+    returns.  argparse's SystemExit and an uncaught exception leave through
+    the usual path.
+    """
+    status = main()
+    try:
+        sys.stdout.flush()
+    except OSError as err:
+        status = _stdout_lost(err)
+    sys.stderr.flush()
+    os._exit(status)
 
 
 if __name__ == "__main__":
-    raise SystemExit(main())
+    run()

@@ -45,10 +45,9 @@ from __future__ import annotations
 
 import re
 from contextlib import suppress
-from fractions import Fraction
 from functools import cache
 from itertools import groupby, repeat
-from math import comb, lcm
+from math import comb, gcd, lcm
 from operator import add, mul
 from pathlib import Path
 from typing import Callable, NamedTuple
@@ -120,15 +119,17 @@ def _extension_weights(n: int) -> tuple[tuple[int, ...], int]:
     """Integer Lagrange weights W and their denominator D such that
     f(x_n) = sum_j W_j f(x_j) / D for every f of degree < n, x_j = t_point(j)."""
     xs = [t_point(j) for j in range(n + 1)]
-    weights = []
+    pairs = []
     for j in range(n):
-        weight = Fraction(1)
+        num = den = 1
         for m in range(n):
             if m != j:
-                weight *= Fraction(xs[n] - xs[m], xs[j] - xs[m])
-        weights.append(weight)
-    den = lcm(*(weight.denominator for weight in weights))
-    return tuple(int(weight * den) for weight in weights), den
+                num *= xs[n] - xs[m]
+                den *= xs[j] - xs[m]
+        g = gcd(num, den)
+        pairs.append((num // g, den // g))
+    common = lcm(*(den for _, den in pairs))
+    return tuple(num * (common // den) for num, den in pairs), common
 
 
 def extend_points(values) -> list[int]:

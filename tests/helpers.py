@@ -1,11 +1,11 @@
 """Shared test utilities: classic-symbol polynomial parsing, the per-term
 reference serializer, fixtures, the connector-subset census, the
 degree-profile stage step, the substitution-based gap expansion, the
-Fraction ratio bracket, the exact-count entropy bounds, the
-per-corner-subset class vector, and the Fraction-based decimal rendering
-and contraction report.  Also the references that no command runs:
-Polynomial accessors, graph sizes, mixed counts, ratio forms, the gap
-expansion, hp_ln, the finite sandwich and Fraction ratios.
+Fraction extension weights, the Fraction ratio bracket, the exact-count
+entropy bounds, the per-corner-subset class vector, and the Fraction-based
+decimal rendering and contraction report.  Also the references that no
+command runs: Polynomial accessors, graph sizes, mixed counts, ratio forms,
+the gap expansion, hp_ln, the finite sandwich and Fraction ratios.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from itertools import combinations
-from math import comb
+from math import comb, lcm
 from pathlib import Path
 from typing import NamedTuple
 
@@ -46,7 +46,7 @@ from hanoi_dimer.matching_oracle import (
     count_matchings,
 )
 from hanoi_dimer.multipoly import Polynomial, _grlex_key, substitute
-from hanoi_dimer.recursion_gen import RecursionSystem, class_varset
+from hanoi_dimer.recursion_gen import RecursionSystem, class_varset, t_point
 
 DATA_DIR = Path(__file__).parent / "data"
 REPO_DIR = Path(__file__).resolve().parents[1]
@@ -127,13 +127,19 @@ def serialize_by_terms(p: Polynomial) -> str:
     return "".join(parts)
 
 
-def run_python(*argv: str) -> subprocess.CompletedProcess:
-    """Run a fresh interpreter that imports this checkout's hanoi_dimer."""
+def python_env() -> dict[str, str]:
+    """This process's environment, with this checkout's hanoi_dimer first on
+    PYTHONPATH."""
     src = str(Path(hanoi_dimer.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return {**os.environ, "PYTHONPATH": path}
+
+
+def run_python(*argv: str) -> subprocess.CompletedProcess:
+    """Run a fresh interpreter that imports this checkout's hanoi_dimer."""
     return subprocess.run(
         [sys.executable, *argv], capture_output=True, text=True, timeout=300,
-        env={**os.environ, "PYTHONPATH": path},
+        env=python_env(),
     )
 
 
@@ -260,6 +266,21 @@ def gap_expansion_by_substitution(poly: Polynomial, d: int) -> Polynomial:
     if f"r{d}" in current.varset:
         current = substitute(current, {f"r{d}": Polynomial(("w",), {(1,): 1})})
     return current.with_varset(gap_varset(d))
+
+
+def extension_weights_by_fractions(n: int) -> tuple[tuple[int, ...], int]:
+    """Reference for recursion_gen._extension_weights: each Lagrange weight a
+    Fraction, all of them put over the lcm of their denominators."""
+    xs = [t_point(j) for j in range(n + 1)]
+    weights = []
+    for j in range(n):
+        weight = Fraction(1)
+        for m in range(n):
+            if m != j:
+                weight *= Fraction(xs[n] - xs[m], xs[j] - xs[m])
+        weights.append(weight)
+    den = lcm(*(weight.denominator for weight in weights))
+    return tuple(int(weight * den) for weight in weights), den
 
 
 def fraction_bracketed(counts: tuple[int, ...]) -> bool:

@@ -5,7 +5,10 @@ from __future__ import annotations
 import contextlib
 import io
 import json
+import os
 import re
+import subprocess
+import sys
 import tempfile
 import time
 from functools import cache
@@ -31,7 +34,7 @@ from hanoi_dimer.recursion_gen import (
     scan_pairs,
 )
 
-from .helpers import REPO_DIR, run_python
+from .helpers import REPO_DIR, python_env, run_python
 
 
 def run_cli(capsys, *argv: str) -> tuple[int, str, str]:
@@ -1114,3 +1117,80 @@ def test_a_command_loads_only_the_modules_it_runs(argv, runs, unloaded):
                             "    raise SystemExit(status)")
     assert runs in loaded
     assert loaded.isdisjoint(unloaded)
+
+
+# -- process exit --------------------------------------------------------------------
+
+
+def run_module(*argv: str, unbuffered: bool = False,
+               stdout=subprocess.PIPE) -> subprocess.CompletedProcess:
+    """python -m hanoi_dimer, its stdout a pipe (or the given descriptor)
+    buffered as Python buffers a pipe unless unbuffered is set."""
+    env = python_env()
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    return subprocess.run([sys.executable, "-m", "hanoi_dimer", *argv],
+                          stdout=stdout, stderr=subprocess.PIPE, env=env,
+                          timeout=300)
+
+
+def test_the_hard_exit_keeps_every_output_and_status(tmp_path):
+    # run ends the process without the interpreter's teardown: what a command
+    # printed or wrote is all there, and its status is the one main returned
+    run = run_module("reproduce")
+    assert (run.returncode, run.stderr) == (0, b"")
+    assert run.stdout == REPRODUCE_STDOUT.read_bytes()
+    for argv, status, line in (
+        (("count", "--d", "13", "--n", "1"), 3, b"resource cap: one d=13 stage step"),
+        (("count", "--d", "1", "--n", "1"), 2, b"usage error: --d must be at least 2"),
+    ):
+        run = run_module(*argv)
+        assert (run.returncode, run.stdout) == (status, b"")
+        assert run.stderr.startswith(line) and run.stderr.count(b"\n") == 1
+    run = run_module("gen-recursions", "--d", "3", "--cache-dir", str(tmp_path))
+    assert (run.returncode, run.stderr) == (0, b"")
+    path = cache_path(tmp_path, 3)
+    assert run.stdout.startswith(f"wrote {path}\n".encode())
+    assert load_system(path, 3) == generate(3)
+
+
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+def test_a_closed_stdout_ends_in_one_error_line(unbuffered):
+    # a pipe whose reader is gone: unbuffered, the command's write fails;
+    # buffered, the flush before the exit does
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        run = run_module("reproduce", unbuffered=unbuffered, stdout=write_end)
+    finally:
+        os.close(write_end)
+    assert run.returncode == 1
+    assert run.stderr == b"error: cannot write to stdout: [Errno 32] Broken pipe\n"
+
+
+def test_the_console_script_exits_as_python_m_does():
+    # setuptools' wrapper calls sys.exit on what the entry point returns, so an
+    # entry point of main would pay the teardown that run skips
+    text = (REPO_DIR / "pyproject.toml").read_text(encoding="utf-8")
+    assert 'hanoi-dimer = "hanoi_dimer.cli:run"' in text
+
+
+def test_commands_printing_no_json_load_no_json_fractions_or_decimal(tmp_path):
+    # fractions pulls in decimal and numbers, json its encoder and decoder: a
+    # command pays for them at every run, and these commands need neither
+    commands = [["reproduce"],
+                ["gen-recursions", "--d", "3", "--cache-dir", str(tmp_path)],
+                ["verify", "--d", "2", "--n-max", "1", "--cache-dir", str(tmp_path)],
+                ["appendix-check", "--d", "3", "--which", "omega"]]
+    run = run_python("-c", "import sys\n"
+                           "from hanoi_dimer import cli\n"
+                           "cli.build_parser()\n"
+                           "print(sorted({'json'} & set(sys.modules)))\n"
+                           f"for argv in {commands!r}:\n"
+                           "    assert cli.main(argv) == 0, argv\n"
+                           "print(sorted({'decimal', 'fractions', 'json'}"
+                           " & set(sys.modules)))")
+    assert (run.returncode, run.stderr) == (0, "")
+    lines = run.stdout.splitlines()
+    assert (lines[0], lines[-1]) == ("[]", "[]")

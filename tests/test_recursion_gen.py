@@ -25,6 +25,7 @@ from hanoi_dimer.multipoly import (
 from hanoi_dimer.recursion_gen import (
     SCAN_WORK_CAP,
     Ring,
+    _extension_weights,
     cache_path,
     class_varset,
     generate,
@@ -44,6 +45,7 @@ from .helpers import (
     coefficient_sum,
     degree_profile_step,
     degree_profile_totals,
+    extension_weights_by_fractions,
     load_golden_d3,
     mixed_count_expansion,
     parse_classic,
@@ -445,6 +447,12 @@ def test_values_of_no_integer_polynomial_raise():
         interpolate_points([0, 1, 0])
     with pytest.raises(IntegrityError, match="not those of an integer polynomial"):
         extend_points([0, 1, 0])
+
+
+@pytest.mark.parametrize("n", range(1, 15))
+def test_extension_weights_equal_the_fraction_reference(n):
+    # a d <= 12 stage step holds at most d + 2 = 14 points
+    assert _extension_weights(n) == extension_weights_by_fractions(n)
 
 
 # -- generation price ----------------------------------------------------------------
