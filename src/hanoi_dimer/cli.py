@@ -54,6 +54,7 @@ _LIBRARY = {
     "cache_path": "recursion_gen",
     "check_generation_work": "recursion_gen",
     "generate": "recursion_gen",
+    "line_labels": "recursion_gen",
     "load_system": "recursion_gen",
     "save_system": "recursion_gen",
 }
@@ -85,7 +86,10 @@ def resolve_cache_dir(explicit: str | None) -> Path:
 
 
 def _emit(text: str) -> None:
-    sys.stdout.write(text + "\n")
+    try:
+        sys.stdout.write(text + "\n")
+    except OSError as err:
+        raise _stdout_lost(err) from err
 
 
 def _emit_json(payload: dict) -> None:
@@ -134,7 +138,7 @@ def cmd_oracle(args: argparse.Namespace) -> int:
                  "boundary_class_vector"))
     graph = build(args.d, args.n, vertex_cap=args.vertex_cap)
     if args.emit_graph:
-        sys.stdout.write(edge_csv(graph))
+        _emit(edge_csv(graph).removesuffix("\n"))
         return 0
     if args.constraint is not None:
         constraint = CornerConstraint.parse(args.constraint)
@@ -157,11 +161,11 @@ def cmd_oracle(args: argparse.Namespace) -> int:
 
 def cmd_verify(args: argparse.Namespace) -> int:
     (check_generation_work, check_stage_vertex_cap, evolve_to, generate,
-     cache_path, load_system, save_system, apply_system, boundary_class_vector,
-     build) = _library(
+     cache_path, line_labels, load_system, save_system, apply_system,
+     boundary_class_vector, build) = _library(
         "check_generation_work", "check_stage_vertex_cap", "evolve_to",
-        "generate", "cache_path", "load_system", "save_system", "apply_system",
-        "boundary_class_vector", "build")
+        "generate", "cache_path", "line_labels", "load_system", "save_system",
+        "apply_system", "boundary_class_vector", "build")
     # every cap but the memo cap refuses before any work: generating the
     # system, the oracle on its largest graph, TH_d(n_max), and then the
     # scan's own caps
@@ -184,8 +188,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
     if loaded is None:
         save_system(system, path)
     else:
-        labels = [f"c{k}" for k in range(args.d + 2)] + ["M"]
-        for label, got, want in zip(labels, loaded.class_polys + (loaded.m_poly,),
+        for label, got, want in zip(line_labels(args.d),
+                                    loaded.class_polys + (loaded.m_poly,),
                                     system.class_polys + (system.m_poly,)):
             if got != want:
                 _emit(f"cache: MISMATCH {label}: the loaded polynomial differs "
@@ -555,18 +559,15 @@ def main(argv: list[str] | None = None) -> int:
     except ValueError as err:
         print(f"usage error: {err}", file=sys.stderr)
         return 2
-    except BrokenPipeError as err:
-        return _stdout_lost(err)
 
 
-def _stdout_lost(err: OSError) -> int:
-    """Report a stdout that takes no more output, and point its descriptor at
-    os.devnull so that no later flush raises again."""
-    print(f"error: cannot write to stdout: {err}", file=sys.stderr)
+def _stdout_lost(err: OSError) -> HanoiDimerError:
+    """The error for a stdout that takes no more output, once its descriptor
+    points at os.devnull so that no later flush raises again."""
     devnull = os.open(os.devnull, os.O_WRONLY)
     os.dup2(devnull, sys.stdout.fileno())
     os.close(devnull)
-    return 1
+    return HanoiDimerError(f"cannot write to stdout: {err}")
 
 
 def run() -> None:
@@ -582,7 +583,8 @@ def run() -> None:
     try:
         sys.stdout.flush()
     except OSError as err:
-        status = _stdout_lost(err)
+        print(f"error: {_stdout_lost(err)}", file=sys.stderr)
+        status = 1
     sys.stderr.flush()
     os._exit(status)
 

@@ -49,6 +49,7 @@ from .errors import DEFAULT_PRECISION, IntegrityError
 from .evolve import (
     BoundaryClassVector,
     CountInterval,
+    certified_digit_prefix,
     chain_decisions,
     enclose,
     interval_step,
@@ -59,15 +60,11 @@ GUARD_DIGITS = 20
 
 
 class HighPrecisionReal(NamedTuple):
-    """A directed decimal bound: value = scaled / 10^precision.
-
-    rounding records which way the true quantity lies: "floor" means the
-    true value is >= this one, "ceiling" means it is <=.
-    """
+    """A decimal bound, value = scaled / 10^precision: a lower bound is
+    rounded down, an upper one up."""
 
     scaled: int
     precision: int
-    rounding: str
 
     def as_decimal(self) -> str:
         sign = "-" if self.scaled < 0 else ""
@@ -185,23 +182,6 @@ def _edge_factor(t: int, s: int) -> tuple[int, int]:
     return s * s + 2 * t * s + 2 * t * t, s * s
 
 
-def certified_digit_prefix(lower: str, upper: str) -> tuple[str, int]:
-    """Common decimal prefix of two bound renderings and its fractional length."""
-    if ("-" in lower) != ("-" in upper):
-        return ("", 0)
-    int_lo, frac_lo = lower.split(".")
-    int_hi, frac_hi = upper.split(".")
-    if int_lo != int_hi:
-        return ("", 0)
-    common = ""
-    for a, b in zip(frac_lo, frac_hi):
-        if a != b:
-            break
-        common += a
-    prefix = f"{int_lo}.{common}" if common else int_lo
-    return (prefix, len(common))
-
-
 def working_bits(precision: int, k: int) -> int:
     """Enclosure width for bounds at stage k: the working digits in bits,
     plus 4 guard bits for each of at most k interval steps and 64 more."""
@@ -248,8 +228,8 @@ def _interval_bounds(iv: CountInterval, precision: int
     upper_w = ceil_div(lam_hi, div_lam) + ceil_div(qa_hi, div_q)
 
     grain = 10**GUARD_DIGITS
-    lower = HighPrecisionReal(lower_w // grain, precision, "floor")
-    upper = HighPrecisionReal(ceil_div(upper_w, grain), precision, "ceiling")
+    lower = HighPrecisionReal(lower_w // grain, precision)
+    upper = HighPrecisionReal(ceil_div(upper_w, grain), precision)
     return lower, upper, floor_log10 + 1
 
 

@@ -46,13 +46,5 @@ class UnboundVariableError(HanoiDimerError):
         self.name = name
 
 
-class PolynomialParseError(HanoiDimerError):
-    """Malformed polynomial text; carries the 0-based offset of the problem."""
-
-    def __init__(self, message: str, position: int):
-        super().__init__(f"{message} (at position {position})")
-        self.position = position
-
-
 class CacheCorruption(HanoiDimerError):
     """A cached recursion-system file failed validation on load."""

@@ -31,6 +31,7 @@ counts is taken.
 from __future__ import annotations
 
 from math import comb
+from os.path import commonprefix
 from typing import NamedTuple
 
 from .errors import DEFAULT_DIGIT_CAP, CapExceeded, IntegrityError
@@ -362,6 +363,20 @@ def render_quotient(num: int, den: int, places: int,
     return digits[:-places] + "." + digits[-places:] if places else digits
 
 
+def certified_digit_prefix(lower: str, upper: str) -> tuple[str, int]:
+    """Common decimal prefix of two renderings of the ends of an enclosure,
+    and its count of fractional digits.
+
+    The integer parts, signs included, must agree, else the prefix is empty.
+    """
+    int_lo, _, frac_lo = lower.partition(".")
+    int_hi, _, frac_hi = upper.partition(".")
+    if int_lo != int_hi:
+        return ("", 0)
+    common = commonprefix([frac_lo, frac_hi])
+    return (f"{int_lo}.{common}" if common else int_lo, len(common))
+
+
 def eps_ratio_table_value(trace: RatioTrace, n: int, places: int = 14) -> str:
     """The reference-table rendering of the contraction quotient.
 
@@ -522,14 +537,9 @@ def _contraction_report(trace: RatioTrace, limit_places: int) -> ContractionRepo
     lo, hi = trace.lo[-1], trace.hi[-1]
     if lo[1] == 0:
         raise _Undecided  # r_0's high end is unbounded
-    low = render_quotient(lo[d], hi[d + 1], limit_places, mode="floor")
-    high = render_quotient(hi[0], lo[1], limit_places, mode="floor")
-    limit_digits = ""
-    for a, b in zip(low, high):
-        if a != b:
-            break
-        limit_digits += a
-    limit_digits = limit_digits.rstrip(".")
+    limit_digits, _ = certified_digit_prefix(
+        render_quotient(lo[d], hi[d + 1], limit_places, mode="floor"),
+        render_quotient(hi[0], lo[1], limit_places, mode="floor"))
 
     return ContractionReport(
         d=d,

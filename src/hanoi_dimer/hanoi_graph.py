@@ -37,6 +37,20 @@ def connector_edges(d: int) -> list[tuple[tuple[int, int], tuple[int, int]]]:
     return [((i, j), (j, i)) for i, j in combinations(range(d + 1), 2)]
 
 
+def stage_vertex_count(d: int, n: int, vertex_cap: int, refusal: str) -> int:
+    """(d+1)^(n+1), the vertex count of TH_d(n), for pricing against
+    vertex_cap before any graph is built.
+
+    Far past the cap no such power is formed: CapExceeded with refusal,
+    its {} filled with "at least 2^b", a floor of the count.
+    """
+    # (d+1)^(n+1) >= 2^floor_bits
+    floor_bits = (n + 1) * ((d + 1).bit_length() - 1)
+    if floor_bits >= vertex_cap.bit_length() + 64:
+        raise CapExceeded(refusal.format(f"at least 2^{floor_bits}"))
+    return (d + 1) ** (n + 1)
+
+
 def build(d: int, n: int, vertex_cap: int = DEFAULT_VERTEX_CAP) -> HanoiGraph:
     """Construct TH_d(n) explicitly.
 
@@ -47,19 +61,11 @@ def build(d: int, n: int, vertex_cap: int = DEFAULT_VERTEX_CAP) -> HanoiGraph:
         raise ValueError("dimension d must be >= 2")
     if n < 0:
         raise ValueError("stage n must be >= 0")
-    # (d+1)^(n+1) >= 2^floor_bits: far past the cap, form no such power
-    floor_bits = (n + 1) * ((d + 1).bit_length() - 1)
-    if floor_bits >= vertex_cap.bit_length() + 64:
-        raise CapExceeded(
-            f"TH_{d}({n}) has at least 2^{floor_bits} vertices, above the cap "
-            f"of {vertex_cap}; raise it with --vertex-cap"
-        )
-    total = (d + 1) ** (n + 1)
+    refusal = (f"TH_{d}({n}) has {{}} vertices, above the cap of {vertex_cap}; "
+               "raise it with --vertex-cap")
+    total = stage_vertex_count(d, n, vertex_cap, refusal)
     if total > vertex_cap:
-        raise CapExceeded(
-            f"TH_{d}({n}) has {total} vertices, above the cap of {vertex_cap}; "
-            "raise it with --vertex-cap"
-        )
+        raise CapExceeded(refusal.format(total))
 
     size = d + 1
     edges = [(i, j) for i, j in combinations(range(d + 1), 2)]

@@ -42,7 +42,7 @@ from .errors import (
     IntegrityError,
 )
 from .evolve import BoundaryClassVector
-from .hanoi_graph import HanoiGraph
+from .hanoi_graph import HanoiGraph, stage_vertex_count
 
 # frames of the recursion limit kept for the elimination's callers
 CALLER_FRAMES = 200
@@ -103,15 +103,10 @@ def _check_vertex_cap(vertex_count: int, vertex_cap: int) -> None:
 def check_stage_vertex_cap(d: int, n: int, vertex_cap: int) -> None:
     """CapExceeded if the oracle would refuse TH_d(n), priced at its
     (d+1)^(n+1) vertices before it is built."""
-    # (d+1)^(n+1) >= 2^floor_bits: far past the cap, form no such power
-    floor_bits = (n + 1) * ((d + 1).bit_length() - 1)
-    if floor_bits >= vertex_cap.bit_length() + 64:
-        raise CapExceeded(
-            f"oracle refuses TH_{d}({n}), which has at least 2^{floor_bits} "
-            f"vertices, above the cap of {vertex_cap}; raise it with "
-            "--oracle-vertex-cap"
-        )
-    _check_vertex_cap((d + 1) ** (n + 1), vertex_cap)
+    _check_vertex_cap(stage_vertex_count(
+        d, n, vertex_cap, f"oracle refuses TH_{d}({n}), which has {{}} vertices, "
+        f"above the cap of {vertex_cap}; raise it with --oracle-vertex-cap"),
+        vertex_cap)
 
 
 def _adjacency_masks(vertex_count: int, edges, removed) -> list[int]:

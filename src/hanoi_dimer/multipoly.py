@@ -13,10 +13,9 @@ first, then the exponent tuple against the declared variable order), largest
 first.  Each term is ``coeff*var^exp*...`` with ``^1`` omitted and the
 coefficient always written, e.g. ``1*f + 2*g``.  The zero polynomial is
 ``0``.  ``serialize_many`` writes polynomials over one varset in one pass;
-``serialize`` is its one-polynomial case.  ``serialize`` and
-``parse_polynomial`` are exact inverses on canonical forms, and two
-polynomials over the same variable set are equal iff their serializations
-are byte-identical.
+``serialize`` is its one-polynomial case.  ``parse_polynomial`` is its
+inverse and reads canonical text only.  Two polynomials over the same
+variable set are equal iff their serializations are byte-identical.
 
 Polynomials are immutable after construction; all operations are pure
 functions returning new values, so instances are safe to share between
@@ -29,9 +28,12 @@ import re
 from collections.abc import Mapping, Sequence
 from operator import add
 
-from .errors import PolynomialParseError, UnboundVariableError
+from .errors import UnboundVariableError
 
 _VAR_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*")
+# a canonical term, coeff*var^exp*..., and the signs between terms
+_TERM_RE = re.compile(r"[0-9]+(?:\*[A-Za-z][A-Za-z0-9_]*(?:\^[0-9]+)?)*")
+_SIGN_RE = re.compile(r" ([+-]) ")
 
 Exponents = tuple[int, ...]
 
@@ -314,96 +316,30 @@ def serialize_many(polys: Sequence[Polynomial]) -> list[str]:
 
 
 def parse_polynomial(text: str, varset: tuple[str, ...]) -> Polynomial:
-    """Parse the canonical text form back into a Polynomial.
+    """The polynomial whose canonical text form is text.
 
-    Grammar: term (('+'|'-') term)*, term = ['-'] integer ['*' factor
-    ('*' factor)*] | factor..., factor = var ['^' integer].  Whitespace is
-    free between tokens.  Malformed input raises PolynomialParseError with
-    the offending position.
+    Only the text serialize writes is read: split at " + " and " - ",
+    each term must read ``coeff*var^exp*...``, and the polynomial read
+    must serialize back to text exactly.  Any other text raises ValueError.
     """
     varset = tuple(varset)
     index = {v: i for i, v in enumerate(varset)}
-    nv = len(varset)
-    pos = 0
-    n = len(text)
-
-    def skip_ws() -> None:
-        nonlocal pos
-        while pos < n and text[pos].isspace():
-            pos += 1
-
-    def read_int() -> int:
-        nonlocal pos
-        start = pos
-        while pos < n and text[pos].isdigit():
-            pos += 1
-        if pos == start:
-            raise PolynomialParseError("expected integer", start)
-        return int(text[start:pos])
-
+    parts = _SIGN_RE.split(text)
+    signs = ["-" if parts[0].startswith("-") else "+"] + parts[1::2]
+    parts[0] = parts[0].removeprefix("-")
     terms: dict[Exponents, int] = {}
-
-    def read_term(sign: int) -> None:
-        nonlocal pos
-        skip_ws()
-        if pos >= n:
-            raise PolynomialParseError("expected term", pos)
-        coeff = 1
-        exps = [0] * nv
-        saw_factor = False
-        if text[pos].isdigit():
-            coeff = read_int()
-            saw_factor = True
-            skip_ws()
-            if pos < n and text[pos] == "*":
-                pos += 1
-                saw_factor = False
-        while True:
-            skip_ws()
-            m = _VAR_RE.match(text, pos)
-            if not m:
-                if saw_factor:
-                    break
-                raise PolynomialParseError("expected variable", pos)
-            name = m.group(0)
+    for sign, term in zip(signs, parts[::2]):
+        if not _TERM_RE.fullmatch(term):
+            raise ValueError(f"not a canonical term: {term!r}")
+        coeff, *factors = term.split("*")
+        exps = [0] * len(varset)
+        for factor in factors:
+            name, _, e = factor.partition("^")
             if name not in index:
-                raise PolynomialParseError(f"unknown variable {name!r}", pos)
-            pos = m.end()
-            e = 1
-            if pos < n and text[pos] == "^":
-                pos += 1
-                e = read_int()
-            exps[index[name]] += e
-            saw_factor = True
-            skip_ws()
-            if pos < n and text[pos] == "*":
-                pos += 1
-                saw_factor = False
-                continue
-            break
-        key = tuple(exps)
-        total = terms.get(key, 0) + sign * coeff
-        if total:
-            terms[key] = total
-        else:
-            terms.pop(key, None)
-
-    skip_ws()
-    sign = 1
-    if pos < n and text[pos] in "+-":
-        sign = -1 if text[pos] == "-" else 1
-        pos += 1
-    read_term(sign)
-    while True:
-        skip_ws()
-        if pos >= n:
-            break
-        if text[pos] == "+":
-            sign = 1
-        elif text[pos] == "-":
-            sign = -1
-        else:
-            raise PolynomialParseError(f"unexpected character {text[pos]!r}", pos)
-        pos += 1
-        read_term(sign)
-    return Polynomial(varset, terms)
+                raise ValueError(f"unknown variable {name!r}")
+            exps[index[name]] = int(e or 1)
+        terms[tuple(exps)] = int(sign + coeff)
+    p = Polynomial(varset, terms)
+    if serialize(p) != text:
+        raise ValueError("not the canonical text of its polynomial")
+    return p

@@ -432,16 +432,25 @@ def _scan_system(d: int, width: int) -> RecursionSystem:
 
 # -- cache file --------------------------------------------------------------
 
-_HEADER_RE = re.compile(r"# d=(\d+) basis=c0\.\.c(\d+)$")
-
 
 def cache_path(cache_dir: Path, d: int) -> Path:
     return Path(cache_dir) / f"recursions_d{d}.txt"
 
 
-def _line_labels(d: int) -> list[str]:
-    # the cache file's polynomial lines, in order: the class polynomials, then M
+def line_labels(d: int) -> list[str]:
+    """The labels of the cache file's polynomial lines, in order: the class
+    polynomials, then M."""
     return [f"c{k}" for k in range(d + 2)] + ["M"]
+
+
+def _file_text(system: RecursionSystem) -> str:
+    """The cache file of system: a header, then each polynomial's canonical
+    text on a labelled line."""
+    d = system.d
+    texts = serialize_many(system.class_polys + (system.m_poly,))
+    lines = [f"# d={d} basis=c0..c{d + 1}"]
+    lines += [f"{label}: {text}" for label, text in zip(line_labels(d), texts)]
+    return "\n".join(lines) + "\n"
 
 
 def save_system(sys: RecursionSystem, path: Path) -> None:
@@ -455,14 +464,11 @@ def save_system(sys: RecursionSystem, path: Path) -> None:
     """
     import os
 
-    texts = serialize_many(sys.class_polys + (sys.m_poly,))
-    lines = [f"# d={sys.d} basis=c0..c{sys.d + 1}"]
-    lines += [f"{label}: {text}" for label, text in zip(_line_labels(sys.d), texts)]
     path = Path(path)
     tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
     try:
         path.parent.mkdir(parents=True, exist_ok=True)
-        tmp.write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
+        tmp.write_text(_file_text(sys), encoding="utf-8", newline="\n")
         tmp.replace(path)
     except BaseException as err:
         with suppress(OSError):
@@ -473,12 +479,15 @@ def save_system(sys: RecursionSystem, path: Path) -> None:
         raise
 
 
-def load_system(path: Path, d: int | None = None) -> RecursionSystem:
-    """Parse and sanity-check a cache file; CacheCorruption on any defect.
+def load_system(path: Path, d: int) -> RecursionSystem:
+    """The d-system a cache file holds; CacheCorruption on any defect.
 
-    Given d, a file written for another dimension is a defect too.  A path
-    that cannot be read at all (an OSError: a directory, no permission) is
-    no defect of the text, and raises HanoiDimerError naming the path.
+    The file must be, byte for byte, the text save_system writes for the
+    system its lines parse to, and that system must pass the shape checks.
+    Only its final newline may be missing: a file cut after a term still
+    holds a system, which verify refuses as another one.  A path that
+    cannot be read at all (an OSError: a directory, no permission) is no
+    defect of the text, and raises HanoiDimerError naming the path.
     """
     try:
         text = Path(path).read_text(encoding="utf-8")
@@ -487,36 +496,29 @@ def load_system(path: Path, d: int | None = None) -> RecursionSystem:
             f"cannot read cache file {path}: {err.strerror or err}") from err
     except UnicodeDecodeError as err:
         raise CacheCorruption(f"cannot read cache file {path}: {err}") from err
-    lines = text.splitlines()
-    if not lines:
-        raise CacheCorruption(f"cache file {path} is empty")
-    header = _HEADER_RE.match(lines[0])
-    if not header:
-        raise CacheCorruption(f"cache file {path} has a malformed header")
-    if d is not None and int(header.group(1)) != d:
+    held = re.match(r"# d=(\d+) ", text)
+    if held and int(held[1]) != d:
         raise CacheCorruption(
-            f"cache file {path} holds the d={header.group(1)} system, not d={d}")
-    d = int(header.group(1))
-    if int(header.group(2)) != d + 1:
-        raise CacheCorruption(f"cache file {path} header basis disagrees with d={d}")
-    labels = _line_labels(d)
-    if len(lines) != 1 + len(labels):
+            f"cache file {path} holds the d={held[1]} system, not d={d}")
+    labels = line_labels(d)
+    lines = text.split("\n")[1:len(labels) + 1]
+    if len(lines) != len(labels):
         raise CacheCorruption(
-            f"cache file {path} has {len(lines) - 1} polynomial lines, expected {len(labels)}"
-        )
+            f"cache file {path} has fewer than {len(labels)} polynomial lines")
     varset = class_varset(d)
     polys = []
-    for label, line in zip(labels, lines[1:]):
-        prefix = f"{label}: "
-        if not line.startswith(prefix):
-            raise CacheCorruption(f"cache file {path}: expected line label {label!r}")
+    for label, line in zip(labels, lines):
         try:
-            polys.append(parse_polynomial(line[len(prefix):], varset))
-        except Exception as err:
-            raise CacheCorruption(f"cache file {path}: {err}") from err
+            polys.append(parse_polynomial(line.partition(": ")[2], varset))
+        except ValueError as err:
+            raise CacheCorruption(f"cache file {path}, line {label}: {err}") from err
     system = RecursionSystem(d=d, varset=varset,
                              class_polys=tuple(polys[:-1]), m_poly=polys[-1])
-    for poly in system.class_polys + (system.m_poly,):
+    canonical = _file_text(system)
+    if text != canonical and text != canonical[:-1]:
+        raise CacheCorruption(f"cache file {path} is not the canonical text of "
+                              "the system it holds")
+    for poly in polys:
         if not poly.is_homogeneous(d + 1) or poly.min_coefficient() < 0:
             raise CacheCorruption(f"cache file {path}: polynomial failed validation")
     return system

@@ -304,10 +304,10 @@ def exact_bounds(d: int, k: int, v: BoundaryClassVector, precision: int):
     div_lam, div_q = (d + 1) ** (k + 1), 2 * (d + 1) ** k
     grain = 10**entropy.GUARD_DIGITS
     lower = entropy.HighPrecisionReal(
-        (lam_lo // div_lam + qw_lo // div_q) // grain, precision, "floor")
+        (lam_lo // div_lam + qw_lo // div_q) // grain, precision)
     upper = entropy.HighPrecisionReal(entropy.ceil_div(
         entropy.ceil_div(lam_hi, div_lam) + entropy.ceil_div(qa_hi, div_q), grain),
-        precision, "ceiling")
+        precision)
     _, digits = entropy.certified_digit_prefix(lower.as_decimal(), upper.as_decimal())
     return lower, upper, digits, digit_count(c[d + 1])
 
@@ -525,7 +525,7 @@ def hp_ln(x: int | Fraction, precision: int = DEFAULT_PRECISION,
                                 precision + entropy.GUARD_DIGITS, upper)
     grain = 10**entropy.GUARD_DIGITS
     scaled = entropy.ceil_div(end, grain) if upper else end // grain
-    return entropy.HighPrecisionReal(scaled, precision, rounding)
+    return entropy.HighPrecisionReal(scaled, precision)
 
 
 def as_fraction(real: entropy.HighPrecisionReal) -> Fraction:

@@ -396,6 +396,67 @@ def test_hostile_cache_files_never_pass_with_wrong_data(case):
         assert path.read_bytes() == cache_bytes(d)
 
 
+@st.composite
+def non_canonical_cache_files(draw):
+    """(d, bytes): the d-system's cache file with one polynomial line edited
+    out of canonical form, most edits keeping the polynomial it reads as."""
+    d = draw(st.sampled_from([2, 3]))
+    lines = cache_bytes(d).decode().split("\n")
+    at = draw(st.integers(1, d + 3))
+    label, body = lines[at].split(": ")
+    terms = body.split(" + ")
+    where = {
+        "space": range(len(terms)),
+        "swap": range(len(terms) - 1),
+        "^1": [j for j, term in enumerate(terms)
+               if any("^" not in factor for factor in term.split("*")[1:])],
+        "leading zero": range(len(terms)),
+        "implicit coefficient": [j for j, term in enumerate(terms)
+                                 if term.startswith("1*")],
+        "zero term": range(len(terms)),
+        "duplicate term": range(len(terms)),
+    }
+    kind = draw(st.sampled_from([kind for kind, js in where.items() if js]))
+    j = draw(st.sampled_from(list(where[kind])))
+    term = terms[j]
+    if kind == "space":
+        terms[j] = term + " "
+    elif kind == "swap":
+        terms[j], terms[j + 1] = terms[j + 1], term
+    elif kind == "^1":
+        coeff, *factors = term.split("*")
+        k = next(k for k, factor in enumerate(factors) if "^" not in factor)
+        factors[k] += "^1"
+        terms[j] = "*".join([coeff, *factors])
+    elif kind == "leading zero":
+        terms[j] = "0" + term
+    elif kind == "implicit coefficient":
+        terms[j] = term.removeprefix("1*")
+    elif kind == "zero term":
+        terms.insert(j, "0*" + term.split("*", 1)[1])
+    else:
+        terms.insert(j, term)
+    event(kind)
+    lines[at] = f"{label}: {' + '.join(terms)}"
+    return d, "\n".join(lines).encode()
+
+
+@settings(max_examples=40, deadline=None)
+@given(non_canonical_cache_files())
+def test_a_non_canonical_cache_file_is_corrupt_and_regenerated(case):
+    d, data = case
+    with pytest.raises(CacheCorruption):
+        load_system_bytes(d, data)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = cache_path(Path(tmp), d)
+        path.write_bytes(data)
+        code, _, warned = run_quietly("verify", "--d", str(d), "--n-max", "1",
+                                      "--cache-dir", tmp)
+        assert (code, len(warned)) == (0, 1)
+        assert warned[0].startswith("warning: regenerating corrupt recursion cache: ")
+        assert path.read_bytes() == cache_bytes(d)
+
+
 def test_inconsistent_tamper_caught_by_integrity_layer(capsys, tmp_path, monkeypatch):
     # c0 bumped, M not: the class sum no longer matches the total
     path = write_tampered_cache(capsys, tmp_path, 2, ("c0: 8*c0^3", "c0: 9*c0^3"))
@@ -1167,6 +1228,18 @@ def test_a_closed_stdout_ends_in_one_error_line(unbuffered):
         os.close(write_end)
     assert run.returncode == 1
     assert run.stderr == b"error: cannot write to stdout: [Errno 32] Broken pipe\n"
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+def test_a_full_stdout_ends_in_one_error_line(unbuffered):
+    # every write to /dev/full fails with ENOSPC, an OSError but no broken pipe
+    with open("/dev/full", "wb") as full:
+        run = run_module("count", "--d", "2", "--n", "1", unbuffered=unbuffered,
+                         stdout=full)
+    assert run.returncode == 1
+    assert run.stderr == (b"error: cannot write to stdout: "
+                          b"[Errno 28] No space left on device\n")
 
 
 def test_the_console_script_exits_as_python_m_does():

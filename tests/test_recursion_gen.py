@@ -561,11 +561,22 @@ def test_cache_roundtrip_bit_exact(tmp_path, systems):
     path = cache_path(tmp_path, 3)
     save_system(sys3, path)
     first = path.read_bytes()
-    loaded = load_system(path)
+    loaded = load_system(path, 3)
     assert loaded == sys3
     save_system(loaded, path)
     assert path.read_bytes() == first
     assert first.startswith(b"# d=3 basis=c0..c4\nc0: ")
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
+def test_every_generated_system_round_trips_byte_for_byte(tmp_path, systems, d):
+    path = cache_path(tmp_path, d)
+    save_system(systems(d), path)
+    first = path.read_bytes()
+    loaded = load_system(path, d)
+    assert loaded == systems(d)
+    save_system(loaded, path)
+    assert path.read_bytes() == first
 
 
 def test_saved_d6_system_matches_the_benchmark_fixture(tmp_path, systems):
@@ -600,6 +611,6 @@ def test_interrupted_save_keeps_the_previous_file(tmp_path, monkeypatch, systems
 def test_load_system_rejects_another_dimension(tmp_path, systems):
     path = cache_path(tmp_path, 3)
     save_system(systems(4), path)
-    assert load_system(path) == systems(4)
+    assert load_system(path, 4) == systems(4)
     with pytest.raises(CacheCorruption, match="d=4 system, not d=3"):
         load_system(path, 3)
