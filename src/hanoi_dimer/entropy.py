@@ -30,11 +30,19 @@ Logarithms are computed in fixed point over plain integers: a value at
 precision w is an integer numerator of value/10^w, carried as a certified
 enclosing interval [lo, hi], or as the one end of it that a bound reads
 (_ln_int_end: a long integer's two ends take two series, one from its
-leading digits and one from them plus 1).  ln of an integer takes its leading w+10
-decimal digits as m * 10^e, shifts m/10^e into [0.8, 1.6) by powers of two
-and sums the odd atanh series 2*atanh((x-1)/(x+1)) with an explicit tail
-bound; ln 2 and ln 10 come from the same series at 1/3 and 1/9
-(ln 10 = 3 ln 2 + ln(10/8)).  Everything is computed at precision + 20
+leading w+10 decimal digits and one from them plus 1).  ln of such an
+integer m splits off a binary head, the leading 61 bits h = m >> e, with
+2^k <= h < 2^(k+1) (Brent & Zimmermann, Modern Computer Arithmetic, 2010,
+sections 4.2-4.4):
+
+    ln m = 2 atanh((h - 2^k)/(h + 2^k)) + 2 atanh((m - h 2^e)/(m + h 2^e))
+           + (k + e) ln 2.
+
+Each odd series atanh(y) = y + y^3/3 + ... runs with an explicit tail
+bound (_series_slack).  The head's runs on 61-bit operands; the
+remainder's argument is below 2^-60, so it needs only about w/36
+full-width terms.  ln 2 and ln 10 come from the same series at 1/3 and
+1/9 (ln 10 = 3 ln 2 + ln(10/8)).  Everything is computed at precision + 20
 guard digits and truncated outward at the end, so series slack of a few
 thousand ulps never reaches a reported digit.
 """
@@ -106,9 +114,20 @@ def _atanh_interval(num: int, den: int, w: int) -> Interval:
         ypow = ypow * n2 // d2
         j += 2
         steps += 1
-    # floor drift grows at most linearly per step, tail is geometric
-    slack = steps * (steps + 3) // 2 + 4 * steps + 8
-    return (total, total + slack)
+    return (total, total + _series_slack(steps))
+
+
+def _series_slack(steps: int) -> int:
+    """How far the truncated atanh series, after steps terms, may fall below
+    10^w * atanh(num/den), in units of 10^-w.
+
+    With y = num/den <= 1/2, the power p_{j+1} = floor(p_j y^2) lies below
+    10^w y^(2j+3) by under 1 + (the drift of p_j) / 4, so every drift is
+    under 4/3; each term's floor loses under 1 more, and the tail past the
+    first zero power is under (4/3) / (1 - 1/4) < 2.  The slack overstates
+    that sum of 7/3 steps + 2.
+    """
+    return steps * (steps + 3) // 2 + 4 * steps + 8
 
 
 @cache
@@ -126,31 +145,17 @@ def _ln10_interval(w: int) -> Interval:
 
 
 def _ln_reduced_int(m: int, w: int) -> Interval:
-    """Enclose 10^w * ln(m) for an integer of at most ~w+12 digits."""
-    if m == 1:
-        return (0, 0)
-    e = digit_count(m) - 1
-    p10 = 10**e
-    # shift the mantissa m/10^e into [0.8, 1.6) with k halvings
-    if 5 * m < 8 * p10:
-        k = 0
-    elif 5 * m < 16 * p10:
-        k = 1
-    elif 5 * m < 32 * p10:
-        k = 2
-    else:
-        k = 3
-    c = (1 << k) * p10
-    num, den = m - c, m + c
-    if num >= 0:
-        alo, ahi = _atanh_interval(num, den, w)
-        xlo, xhi = 2 * alo, 2 * ahi
-    else:
-        alo, ahi = _atanh_interval(-num, den, w)
-        xlo, xhi = -2 * ahi, -2 * alo
+    """Enclose 10^w * ln(m) for a positive integer of at most ~w+12 digits:
+    two atanh series, on its 61-bit head h = m >> e and on m / (h 2^e), plus
+    (k + e) ln 2 for 2^k <= h < 2^(k+1)."""
+    e = max(m.bit_length() - 61, 0)
+    h = m >> e
+    k = h.bit_length() - 1
+    r = h << e
+    hlo, hhi = _atanh_interval(h - (1 << k), h + (1 << k), w)
+    rlo, rhi = _atanh_interval(m - r, m + r, w)
     l2lo, l2hi = _ln2_interval(w)
-    l10lo, l10hi = _ln10_interval(w)
-    return (xlo + k * l2lo + e * l10lo, xhi + k * l2hi + e * l10hi)
+    return (2 * (hlo + rlo) + (k + e) * l2lo, 2 * (hhi + rhi) + (k + e) * l2hi)
 
 
 def _ln_int_end(m: int, w: int, upper: bool) -> int:

@@ -36,9 +36,11 @@ Computer Arithmetic, 2010, section 1.3.3).  interpolate_points turns the
 final d+2 values back into coefficients.  M comes from one more integer
 scan with the plain factor N(deg, 0) (INT_RING); as t = 1 is no point, it
 checks every point through the binomial sum of the class counts.
-generate scans term dicts whose coefficients are t-polynomials packed into
-one integer each (Kronecker substitution), with each mixed count expanded
-linearly in the class basis, N(a, b) = sum_j C(d+1-a-b, j) c_{b+j}.
+generate scans term dicts whose coefficients are polynomials in t and c_1
+packed into one integer each (Kronecker substitution), keyed by the
+exponents of c_2..c_{d+1} (c_0's is implied by the degree), with each
+mixed count expanded linearly in the class basis,
+N(a, b) = sum_j C(d+1-a-b, j) c_{b+j}.
 """
 
 from __future__ import annotations
@@ -287,7 +289,9 @@ def scan_terms(d: int):
 
     The (state, choice) pairs of copy i are weighted by C(i+d+1, d+1), the
     most monomials a degree-i value over the d+2 class variables holds,
-    and by i+1, the t-slots its coefficients fill.
+    and by i+1, the t-slots its coefficients fill.  The scan packs the
+    powers of c_1 into the coefficient as well, so those slots sit in
+    fewer, wider integers.
     """
     for i in range(d + 1):
         yield _copy_pairs(d + 1 - i, i) * comb(i + d + 1, i) * (i + 1)
@@ -337,53 +341,61 @@ def _closed_form_totals(d: int) -> tuple[int, int]:
 
 
 def _scan_system(d: int, width: int) -> RecursionSystem:
-    """The term-dict scan with t-polynomial coefficients packed width bits a slot.
+    """The term-dict scan with coefficients packed width bits a slot.
 
-    Slot k of a packed coefficient, at bit width*k, holds the t^k
-    coefficient, so one integer multiply-add acts on a whole t-polynomial.
-    Every coefficient is a nonnegative integer, and each intermediate
-    coefficient, a state's or a bucket's, is at most some final one: it is
-    multiplied by a completion (the later factors and choice weights)
-    whose terms all have nonnegative coefficients and which has a term
-    with a coefficient of at least 1.  The final coefficients sum to M's
-    closed-form total m_total, so with width = m_total.bit_length() no slot
-    ever carries into the next.
+    A key holds the exponents of c_2..c_{d+1}; c_0's exponent is implied as
+    d+1 minus the others, and c_1's is a second packing level of the
+    coefficient: slot (t^k, c_1^e), at bit width*(k + (d+2)*e), holds the
+    coefficient of t^k c_1^e, so one integer multiply-add acts on a whole
+    polynomial in t and c_1.  Every coefficient is a nonnegative integer,
+    and each intermediate coefficient, a state's or a bucket's, is at most
+    some final one: it is multiplied by a completion (the later factors and
+    choice weights) whose terms all have nonnegative coefficients and which
+    has a term with a coefficient of at least 1.  The final coefficients
+    sum to M's closed-form total m_total, so with
+    width = m_total.bit_length() no slot ever carries into the next.
 
-    A narrower width does carry.  The packed integer is still the exact
-    value of the t-polynomial at t = 2^width, so each carry lowers its
-    digit sum in base 2^width by 2^width - 1, and M's coefficient total,
-    the sum of the digits, then misses m_total (a digit past the top slot
-    is refused at once): every narrowed width raises IntegrityError and
-    returns nothing.
+    A narrower width does carry, within a c_1 group or from one group into
+    the next.  The packed integer is still the exact value of the
+    polynomial at t = 2^width, c_1 = 2^(width*(d+2)), so each carry lowers
+    its digit sum in base 2^width by 2^width - 1, and M's coefficient
+    total, the sum of the digits, then misses m_total (a digit past the top
+    group is refused at once; one in a c_1 power above what the key leaves
+    c_0 and c_1 still counts toward the total, and then fails the shape
+    check): every narrowed width raises IntegrityError and returns nothing.
     """
     if width < 1:
         raise IntegrityError(f"a t-slot of {width} bits holds no coefficient")
     class_total, m_total = _closed_form_totals(d)
     varset = class_varset(d)
-    nv = len(varset)
-    slots = nv  # t^0..t^(d+1): the k dimer-forced corners of class k
-    bits = (d + 1).bit_length()  # one exponent field per class variable
+    slots = d + 2  # t^0..t^(d+1): the k dimer-forced corners of class k
+    group = width * slots  # the t-slots of one power of c_1
+    bits = (d + 1).bit_length()  # one exponent field per c_2..c_{d+1}
     # F_deg's weight for c_j is C(f, j-1) t + C(f, j), where f = d - deg
-    # corners stay free: N(deg, 1) gives the t slot, N(deg+1, 0) the t^0 slot
+    # corners stay free: N(deg, 1) gives the t slot, N(deg+1, 0) the t^0
+    # slot.  c_0's weight 1 and c_1's t + f share the key bump 0.
     factors = [
-        tuple((1 << (bits * j),
-               ((comb(d - deg, j - 1) if j else 0) << width) + comb(d - deg, j))
-              for j in range(d - deg + 2))
+        ((0, 1 + (((1 << width) + d - deg) << group)),
+         *((1 << bits * (j - 2),
+            (comb(d - deg, j - 1) << width) + comb(d - deg, j))
+           for j in range(2, d - deg + 2)))
         for deg in range(d + 1)
     ]
     packed_terms = transfer_scan(d, factors, TERM_RING)
 
-    # one pass over the packed terms: exponent fields and t-slots are split
-    # by precomputed shifts, and only nonzero coefficients are stored.  Class
-    # k's keys are a subset of M's, so homogeneity is checked once per key.
-    exp_mask, slot_mask = (1 << bits) - 1, (1 << width) - 1
-    exp_shifts = [bits * i for i in range(nv)]
+    # one pass over the packed terms: exponent fields, c_1 groups and
+    # t-slots are split by precomputed shifts, and only nonzero
+    # coefficients are stored
+    exp_mask, slot_mask, group_mask = (1 << bits) - 1, (1 << width) - 1, (1 << group) - 1
+    exp_shifts = [bits * i for i in range(d)]
     # every k-subset of dimer-forced corners gives the same P_k, so slot k
     # holds C(d+1, k) P_k
     slot_plan = [(k, width * k, comb(d + 1, k), {}) for k in range(slots)]
-    top = width * slots
+    top = group * slots
     m_terms = {}
-    homogeneous = True
+    # the digit sum of slots in a c_1 power above the key's budget: counted
+    # in M's total, then refused by the shape check
+    misplaced = 0
     # k -> the first t^k coefficient its choices do not divide; raised after
     # M's checks, as M's total is what names a carry from a narrowed slot
     indivisible = {}
@@ -391,26 +403,34 @@ def _scan_system(d: int, width: int) -> RecursionSystem:
         if not packed:
             continue
         if packed >> top:
-            raise IntegrityError(f"packed coefficients overflow {slots} t-slots "
-                                 f"of {width} bits")
-        exps = tuple([key >> shift & exp_mask for shift in exp_shifts])
-        if sum(exps) != d + 1:
-            homogeneous = False
-        total = 0
-        for k, shift, choices, terms in slot_plan:
-            coeff = packed >> shift & slot_mask
-            if coeff:
-                total += coeff
-                terms[exps], rem = divmod(coeff, choices)
-                if rem:
-                    indivisible.setdefault(k, coeff)
-        m_terms[exps] = total
+            raise IntegrityError(f"packed coefficients overflow {slots} c1 powers "
+                                 f"of {slots} t-slots of {width} bits")
+        tail = tuple([key >> shift & exp_mask for shift in exp_shifts])
+        budget = d + 1 - sum(tail)  # what c_0 and c_1 share
+        above = packed >> group * max(budget + 1, 0)
+        while above:
+            misplaced += above & slot_mask
+            above >>= width
+        for e in range(budget + 1):
+            part = packed >> group * e & group_mask
+            if not part:
+                continue
+            exps = (budget - e, e, *tail)
+            total = 0
+            for k, shift, choices, terms in slot_plan:
+                coeff = part >> shift & slot_mask
+                if coeff:
+                    total += coeff
+                    terms[exps], rem = divmod(coeff, choices)
+                    if rem:
+                        indivisible.setdefault(k, coeff)
+            m_terms[exps] = total
 
-    m_sum = sum(m_terms.values())
+    m_sum = sum(m_terms.values()) + misplaced
     if m_sum != m_total:
         raise IntegrityError(
             f"total polynomial coefficient sum {m_sum} != closed-form total {m_total}")
-    if not homogeneous or min(m_terms.values(), default=0) < 0:
+    if misplaced or min(m_terms.values(), default=0) < 0:
         raise IntegrityError("total polynomial failed shape checks")
     if indivisible:
         k = min(indivisible)
@@ -443,11 +463,9 @@ def line_labels(d: int) -> list[str]:
     return [f"c{k}" for k in range(d + 2)] + ["M"]
 
 
-def _file_text(system: RecursionSystem) -> str:
-    """The cache file of system: a header, then each polynomial's canonical
-    text on a labelled line."""
-    d = system.d
-    texts = serialize_many(system.class_polys + (system.m_poly,))
+def _file_text(d: int, texts) -> str:
+    """The cache file of a d-system: a header, then its polynomials'
+    canonical texts, in line_labels order, each on a labelled line."""
     lines = [f"# d={d} basis=c0..c{d + 1}"]
     lines += [f"{label}: {text}" for label, text in zip(line_labels(d), texts)]
     return "\n".join(lines) + "\n"
@@ -468,7 +486,8 @@ def save_system(sys: RecursionSystem, path: Path) -> None:
     tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
     try:
         path.parent.mkdir(parents=True, exist_ok=True)
-        tmp.write_text(_file_text(sys), encoding="utf-8", newline="\n")
+        text = _file_text(sys.d, serialize_many(sys.class_polys + (sys.m_poly,)))
+        tmp.write_text(text, encoding="utf-8", newline="\n")
         tmp.replace(path)
     except BaseException as err:
         with suppress(OSError):
@@ -506,19 +525,21 @@ def load_system(path: Path, d: int) -> RecursionSystem:
         raise CacheCorruption(
             f"cache file {path} has fewer than {len(labels)} polynomial lines")
     varset = class_varset(d)
-    polys = []
+    polys, texts = [], []
     for label, line in zip(labels, lines):
+        texts.append(line.partition(": ")[2])
         try:
-            polys.append(parse_polynomial(line.partition(": ")[2], varset))
+            polys.append(parse_polynomial(texts[-1], varset))
         except ValueError as err:
             raise CacheCorruption(f"cache file {path}, line {label}: {err}") from err
-    system = RecursionSystem(d=d, varset=varset,
-                             class_polys=tuple(polys[:-1]), m_poly=polys[-1])
-    canonical = _file_text(system)
+    # parse_polynomial takes only the canonical text of what it returns, so
+    # the texts are the system's and need no second serialization
+    canonical = _file_text(d, texts)
     if text != canonical and text != canonical[:-1]:
         raise CacheCorruption(f"cache file {path} is not the canonical text of "
                               "the system it holds")
     for poly in polys:
         if not poly.is_homogeneous(d + 1) or poly.min_coefficient() < 0:
             raise CacheCorruption(f"cache file {path}: polynomial failed validation")
-    return system
+    return RecursionSystem(d=d, varset=varset,
+                           class_polys=tuple(polys[:-1]), m_poly=polys[-1])

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import random
 from fractions import Fraction
 from itertools import product
 from math import comb, prod
@@ -111,6 +112,78 @@ def test_ln_huge_integer_truncation_path():
         truth = 500 * mpmath.log(7)
         assert mpmath.mpf(str(lo)) <= truth <= mpmath.mpf(str(hi))
     assert hi - lo < Fraction(1, 10**55)
+
+
+# -- the binary-head logarithm -------------------------------------------------
+
+
+def _ln_inputs():
+    rng = random.Random("binary-head-ln")
+
+    def bits(n):
+        return rng.getrandbits(n) | 1 << (n - 1)
+
+    return {
+        "1": 1,
+        "61-bit": bits(61),
+        "62-bit": bits(62),
+        "2200-bit": bits(2200),
+        "43000-bit": bits(43_000),
+        "power of two": 1 << 2199,  # both series empty
+        "head times 2^e": bits(61) << 2139,  # the remainder's series empty
+    }
+
+
+LN_INPUTS = _ln_inputs()
+LN_WIDTHS = (60, 620, 2000, 6520)
+
+
+def ln_ends_enclose(m, w):
+    """Whether the two ends _ln_int_end gives for m at width w enclose
+    10^w ln m, by mpmath at 40 more digits."""
+    lo, hi = (entropy._ln_int_end(m, w, upper) for upper in (False, True))
+    with mpmath.workdps(w + 40):
+        truth = mpmath.log(m) * mpmath.mpf(10) ** w
+    return lo <= truth <= hi
+
+
+@pytest.mark.parametrize("w", LN_WIDTHS)
+@pytest.mark.parametrize("name", LN_INPUTS)
+def test_binary_head_ln_encloses_mpmath(name, w):
+    assert ln_ends_enclose(LN_INPUTS[name], w)
+
+
+@pytest.mark.parametrize("name, empty", [
+    ("power of two", [True, True]),
+    ("head times 2^e", [False, True]),
+    ("2200-bit", [False, False]),
+])
+def test_ln_inputs_reach_the_empty_series(monkeypatch, name, empty):
+    # the head's series, then the remainder's, with a zero argument
+    nums = []
+    atanh = entropy._atanh_interval
+
+    def recording(num, den, w):
+        nums.append(num)
+        return atanh(num, den, w)
+
+    monkeypatch.setattr(entropy, "_atanh_interval", recording)
+    entropy._ln_reduced_int(LN_INPUTS[name], 620)
+    assert [num == 0 for num in nums[:2]] == empty
+
+
+def test_ln_without_series_slack_misses_mpmath(monkeypatch):
+    """The slack is what lifts each upper end above the truncated series:
+    at 0, some input's ends no longer enclose its logarithm."""
+    monkeypatch.setattr(entropy, "_series_slack", lambda steps: 0)
+    entropy._ln2_interval.cache_clear()
+    entropy._ln10_interval.cache_clear()
+    try:
+        missed = [name for name, m in LN_INPUTS.items() if not ln_ends_enclose(m, 620)]
+    finally:
+        entropy._ln2_interval.cache_clear()
+        entropy._ln10_interval.cache_clear()
+    assert missed
 
 
 # -- bounds ------------------------------------------------------------------

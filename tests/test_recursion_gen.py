@@ -390,17 +390,34 @@ def _skew_one_packed_term(monkeypatch, d, pick, shift):
 
 D2_WIDTH = recursion_gen._closed_form_totals(2)[1].bit_length()
 D2_SLOT = (1 << D2_WIDTH) - 1
+# at d = 2 a key holds c2's and c3's exponents in 2-bit fields, and a
+# packed coefficient holds the 4 t-slots of c1^0, then those of c1^1, ...
+D2_GROUP = 4 * D2_WIDTH
+D2_TOP = 4 * D2_GROUP
 
-# each fault at d = 2 (4 slots, 2-bit exponent fields) and the message it gets
+
+def d2_budget(key):
+    """The exponent c0 and c1 share in a d = 2 key's monomials."""
+    return 3 - (key & 3) - (key >> 2 & 3)
+
+
+# each fault at d = 2 and the message it gets
 PACKED_FAULTS = {
     "overflow": (lambda key, packed: True,
-                 lambda key, packed: (key, packed + (1 << 4 * D2_WIDTH)),
-                 "overflow 4 t-slots"),
+                 lambda key, packed: (key, packed + (1 << D2_TOP)),
+                 "overflow 4 c1 powers of 4 t-slots"),
     "total": (lambda key, packed: True,
               lambda key, packed: (key, packed + 1),
               "total polynomial coefficient sum"),
-    "shape": (lambda key, packed: key & 3 == 0,  # c0's exponent 0: bump it
-              lambda key, packed: (key + 1, packed),
+    # the top t-slot of c1^0 gains 2^width, which carries one unit into
+    # the t^0 slot of c1^1: the digit sum misses what the coefficients add
+    "carry": (lambda key, packed: d2_budget(key) >= 1,
+              lambda key, packed: (key, packed + (1 << D2_GROUP)),
+              "total polynomial coefficient sum"),
+    # c2^a c3^b with a + b = 3 leaves c0 and c1 nothing: its coefficients
+    # moved from c1^0 to c1^1 keep every digit, but not the degree
+    "shape": (lambda key, packed: d2_budget(key) == 0,
+              lambda key, packed: (key, packed << D2_GROUP),
               "total polynomial failed shape checks"),
     "class total": (lambda key, packed: packed & D2_SLOT >= 3,
                     lambda key, packed: (key, packed + (3 << D2_WIDTH) - 3),
@@ -587,6 +604,23 @@ def test_saved_d6_system_matches_the_benchmark_fixture(tmp_path, systems):
     data = path.read_bytes()
     assert len(data) == want["cache_bytes"]
     assert hashlib.sha256(data).hexdigest() == want["cache_sha256"]
+
+
+# SHA-256 of the cache files for d = 2..5 (d = 6 is pinned by the benchmark
+# fixture above): a change to any generated term or to the file text shows
+CACHE_SHA256 = {
+    2: "daa2fac2aec1dd6b288646adfe24d3b3ef097adba479628c75b19f420e7c21ac",
+    3: "6ce1b84f8a01d14105768f003d854eacd1c21a40429507393144a14d7d18d346",
+    4: "f30f37bb9da32a5e2599c7f6063c979f98666019fc039252459fec0a54fbc9ae",
+    5: "b19b6301acacf25efdb3470c663bec6c17f76e723d0843f1bed7ac6cef50c9dd",
+}
+
+
+@pytest.mark.parametrize("d", sorted(CACHE_SHA256))
+def test_saved_system_matches_its_pinned_hash(tmp_path, systems, d):
+    path = cache_path(tmp_path, d)
+    save_system(systems(d), path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == CACHE_SHA256[d]
 
 
 def test_interrupted_save_keeps_the_previous_file(tmp_path, monkeypatch, systems):
