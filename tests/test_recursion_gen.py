@@ -409,8 +409,8 @@ PACKED_FAULTS = {
     "total": (lambda key, packed: True,
               lambda key, packed: (key, packed + 1),
               "total polynomial coefficient sum"),
-    # the top t-slot of c1^0 gains 2^width, which carries one unit into
-    # the t^0 slot of c1^1: the digit sum misses what the coefficients add
+    # 2^width more in the top t-slot of c1^0 carries one unit into the t^0
+    # slot of c1^1, and M's digit total then misses the closed form
     "carry": (lambda key, packed: d2_budget(key) >= 1,
               lambda key, packed: (key, packed + (1 << D2_GROUP)),
               "total polynomial coefficient sum"),
