@@ -37,7 +37,6 @@ CACHE_ENV = "HANOI_DIMER_CACHE"
 _LIBRARY = {
     "run_certificates": "appendix_check",
     "bounds": "entropy",
-    "working_bits": "entropy",
     "apply_system": "evolve",
     "check_contraction": "evolve",
     "eps_ratio_table_value": "evolve",
@@ -264,12 +263,10 @@ def cmd_ratios(args: argparse.Namespace) -> int:
 
 
 def cmd_entropy(args: argparse.Namespace) -> int:
-    evolve_to, working_bits, bounds = _library("evolve_to", "working_bits",
-                                               "bounds")
-    # bounds needs only the leading bits: stop once the counts outgrow them
-    vectors = evolve_to(args.d, args.k, digit_cap=args.digit_cap,
-                        stop_bits=working_bits(args.precision, args.k))
-    result = bounds(args.d, args.k, vectors, precision=args.precision)
+    (bounds,) = _library("bounds")
+    # bounds walks one enclosure from stage 0, which it builds once priced
+    result = bounds(args.d, args.k, precision=args.precision,
+                    digit_cap=args.digit_cap)
     payload = {
         "d": args.d, "k": args.k, "precision": args.precision,
         "lower": result.lower.as_decimal(),

@@ -14,13 +14,17 @@ certificates that carry it to later stages assume the full chain
 r_0 >= r_1 >= ... >= r_d, which implies the bracket; bounds refuses a
 stage without the chain.
 
-The stage-k counts are not needed exactly, only their leading bits: the
-latest given stage at or below k is enclosed as an integer interval of a
-fixed bit width, [lo, hi] * 2^shift (evolve.CountInterval), and stepped to
-k by evolve.interval_step, which rounds lo down and hi up.  ln(lambda) then
-lies in [ln lo + shift ln 2, ln hi + shift ln 2], the lower bound takes
-omega at its smallest (lo_d over hi_{d+1}), the upper alpha at its largest
-(hi_0 over lo_1), and the chain (evolve.chain_decisions) and the digit
+The stage-k counts are not needed exactly, only their leading bits: one
+enclosure, an integer interval of a fixed bit width, [lo, hi] * 2^shift
+(evolve.CountInterval), is walked from stage 0 (or from the latest given
+stage at or below k) to k by evolve.interval_step, which rounds lo down and
+hi up.  An exact stage is the enclosure of zero width, which stays exact
+while its counts fit the width.  Before any work, stage 0 included, the
+walk is priced against a digit cap: each of its steps makes counts of at
+most (d+1) times the width in bits.  ln(lambda) then lies in
+[ln lo + shift ln 2, ln hi + shift ln 2], the lower bound takes omega at
+its smallest (lo_d over hi_{d+1}), the upper alpha at its largest (hi_0
+over lo_1), and the chain (evolve.chain_decisions) and the digit
 count of lambda are decided on the interval ends.  When the ends cannot
 decide them, the width doubles and the steps are redone; at full width the
 enclosure is exact, so the loop ends with the exact answer.  The result
@@ -30,8 +34,9 @@ Logarithms are computed in fixed point over plain integers: a value at
 precision w is an integer numerator of value/10^w, carried as a certified
 enclosing interval [lo, hi], or as the one end of it that a bound reads
 (_ln_int_end: a long integer's two ends take two series, one from its
-leading w+10 decimal digits and one from them plus 1).  ln of such an
-integer m splits off a binary head, the leading 61 bits h = m >> e, with
+leading bits, at least w+10 decimal digits' worth, and one from them plus
+1, each plus ln 2 times the count of bits dropped).  ln of such an integer
+m splits off a binary head, the leading 61 bits h = m >> e, with
 2^k <= h < 2^(k+1) (Brent & Zimmermann, Modern Computer Arithmetic, 2010,
 sections 4.2-4.4):
 
@@ -50,21 +55,31 @@ thousand ulps never reaches a reported digit.
 from __future__ import annotations
 
 from functools import cache
-from math import ceil, log2
+from math import log2
 from typing import NamedTuple
 
-from .errors import DEFAULT_PRECISION, IntegrityError
+from .errors import (
+    DEFAULT_DIGIT_CAP,
+    DEFAULT_PRECISION,
+    CapExceeded,
+    IntegrityError,
+)
 from .evolve import (
     BoundaryClassVector,
     CountInterval,
     certified_digit_prefix,
     chain_decisions,
     enclose,
+    initial_vector,
     interval_step,
 )
 from .intutil import ceil_div, digit_count
+from .recursion_gen import check_scan_work
 
 GUARD_DIGITS = 20
+# log2 10 as the exact ratio of its double, so that digits convert to bits
+# (and bits to digits, by its inverse) in integers at any size
+_LOG2_10_NUM, _LOG2_10_DEN = log2(10).as_integer_ratio()
 
 
 class HighPrecisionReal(NamedTuple):
@@ -163,14 +178,13 @@ def _ln_int_end(m: int, w: int, upper: bool) -> int:
     10^w * ln(m) for any positive integer."""
     if m <= 0:
         raise ValueError("log of a nonpositive integer")
-    digits = digit_count(m)
-    keep = w + 10
-    if digits <= keep:
+    # keep at least w+10 decimal digits' worth of leading bits
+    shift = m.bit_length() - ceil_div((w + 10) * _LOG2_10_NUM, _LOG2_10_DEN)
+    if shift <= 0:
         return _ln_reduced_int(m, w)[upper]
-    shift = digits - keep
-    # m lies in [head, head + 1) * 10^shift
-    head = m // 10**shift + upper
-    return _ln_reduced_int(head, w)[upper] + shift * _ln10_interval(w)[upper]
+    # m lies in [head, head + 1) * 2^shift
+    head = (m >> shift) + upper
+    return _ln_reduced_int(head, w)[upper] + shift * _ln2_interval(w)[upper]
 
 
 def _ln_ratio_end(num: int, den: int, w: int, upper: bool) -> int:
@@ -190,7 +204,8 @@ def _edge_factor(t: int, s: int) -> tuple[int, int]:
 def working_bits(precision: int, k: int) -> int:
     """Enclosure width for bounds at stage k: the working digits in bits,
     plus 4 guard bits for each of at most k interval steps and 64 more."""
-    return ceil((precision + GUARD_DIGITS) * log2(10)) + 4 * k + 64
+    return (ceil_div((precision + GUARD_DIGITS) * _LOG2_10_NUM, _LOG2_10_DEN)
+            + 4 * k + 64)
 
 
 def _interval_bounds(iv: CountInterval, precision: int
@@ -238,26 +253,42 @@ def _interval_bounds(iv: CountInterval, precision: int
     return lower, upper, floor_log10 + 1
 
 
-def bounds(d: int, k: int, vectors: list[BoundaryClassVector],
-           precision: int = DEFAULT_PRECISION) -> BoundsResult:
+def bounds(d: int, k: int, vectors: list[BoundaryClassVector] | None = None,
+           precision: int = DEFAULT_PRECISION,
+           digit_cap: int = DEFAULT_DIGIT_CAP) -> BoundsResult:
     """Certified lower/upper bounds on the entropy per site from stage k.
 
     Requires k >= 1 and the stage-k ratio chain r_0 >= ... >= r_d, which
     underwrites the sandwich; the d=2 system only satisfies it from stage 2
-    on.  Starts from the stage-k vector if given, else from the latest
-    earlier one, and steps its enclosure to k at working_bits(precision, k),
-    doubled until the ends decide.
+    on.  Walks one enclosure to k at working_bits(precision, k), doubled
+    until the ends decide: from the stage-k vector if given, else from the
+    latest earlier one, and from stage 0 when no vectors are given.  Before
+    any work, stage 0 included, refuses with CapExceeded where the scan-work
+    cap does, or where the walk's steps, each making counts of at most
+    (d+1) * bits bits, make more than digit_cap digits in all.
     """
     if k < 1:
         raise ValueError("bound stage k must be >= 1")
-    seeds = [v for v in vectors if v.n <= k]
-    if not seeds:
-        raise ValueError(f"no vector at or before stage {k} available")
-    seed = max(seeds, key=lambda v: v.n)
-    if seed.d != d:
-        raise ValueError(f"vectors are for d={seed.d}, not d={d}")
+    check_scan_work(d)
+    seed = None
+    if vectors is not None:
+        seeds = [v for v in vectors if v.n <= k]
+        if not seeds:
+            raise ValueError(f"no vector at or before stage {k} available")
+        seed = max(seeds, key=lambda v: v.n)
+        if seed.d != d:
+            raise ValueError(f"vectors are for d={seed.d}, not d={d}")
 
     bits = working_bits(precision, k)
+    start = 0 if seed is None else seed.n
+    walked = (k - start) * ceil_div((d + 1) * bits * _LOG2_10_DEN, _LOG2_10_NUM)
+    if walked > digit_cap:
+        raise CapExceeded(
+            f"stepping d={d} from stage {start} to stage {k} makes {walked} "
+            f"digits of counts, above the cap of {digit_cap}; raise it with "
+            "--digit-cap")
+    if seed is None:
+        seed = initial_vector(d)
     while True:
         iv = enclose(seed, bits)
         while iv.n < k:

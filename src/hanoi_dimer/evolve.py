@@ -2,13 +2,15 @@
 
 Stage vectors are exact big integers (BoundaryClassVector); where only the
 leading bits of later counts matter (the entropy bounds, and the ratio facts
-of reproduce's last stage), a CountInterval carries them past a seed stage as
-outward-rounded integer intervals of a fixed bit width.  Stages advance by
-the integer transfer scans of recursion_gen (step, interval_step), which need
-nothing but d: one scan whose values are polynomials in t, held as their
-exact values at d+2 integer points, gives every class count (coefficient
-t^k sums the C(d+1, k) choices of k dimer-forced corners), and one plain
-integer scan gives the total M.  apply_system evaluates a given recursion
+of reproduce's last stage), a CountInterval carries them from a seed stage as
+outward-rounded integer intervals of a fixed bit width.  An exact stage is
+the enclosure of zero width, which interval_step advances by step itself
+until its counts outgrow the width; evolve_to evolves exact stages only.
+Stages advance by the integer transfer scans of recursion_gen (step,
+interval_step), which need nothing but d: one scan whose values are
+polynomials in t, held as their exact values at d+2 integer points, gives
+every class count (coefficient t^k sums the C(d+1, k) choices of k
+dimer-forced corners), and one plain integer scan gives the total M.  apply_system evaluates a given recursion
 system term by term instead, which is how verify checks the generated
 system against the oracle (the loaded cache file is compared with that
 system, not evaluated).  Stage-0 vectors are the matching counts of K_{d+1}
@@ -196,10 +198,18 @@ def interval_step(iv: CountInterval, bits: int) -> CountInterval:
     scales by d+1.  Each class count the scan returns is the exact value of
     a class polynomial, whose coefficients are nonnegative, whatever the
     signs of the point values on the way; so it is monotone in the counts,
-    and the images of lo and hi enclose the next stage.
+    and the images of lo and hi enclose the next stage.  An enclosure of
+    zero width (lo == hi) is stepped once, by step, so that its image is
+    checked as an exact stage's is: M's own scan against the binomial sum,
+    and strict monotonicity from stage 1.
     """
-    lo = _class_counts(iv.d, _mixed_counts(iv.d, iv.lo))
-    hi = _class_counts(iv.d, _mixed_counts(iv.d, iv.hi))
+    if iv.lo == iv.hi:
+        d, counts = iv.d, iv.lo
+        m = sum(comb(d + 1, k) * c for k, c in enumerate(counts))
+        lo = hi = step(BoundaryClassVector(d=d, n=iv.n, counts=counts, m=m)).counts
+    else:
+        lo = _class_counts(iv.d, _mixed_counts(iv.d, iv.lo))
+        hi = _class_counts(iv.d, _mixed_counts(iv.d, iv.hi))
     return _truncate(iv.d, iv.n + 1, lo, hi, iv.shift * (iv.d + 1), bits)
 
 
@@ -214,14 +224,11 @@ def apply_system(sys: RecursionSystem, v: BoundaryClassVector) -> BoundaryClassV
 
 
 def evolve_to(d: int, n_max: int,
-              digit_cap: int = DEFAULT_DIGIT_CAP,
-              stop_bits: int | None = None) -> list[BoundaryClassVector]:
+              digit_cap: int = DEFAULT_DIGIT_CAP) -> list[BoundaryClassVector]:
     """Stages 0..n_max inclusive by step, guarded against runaway work.
 
     The scan-work cap is checked first, for any n_max; the digit cap
     predicts the digits of stage n_max at every stage that is evolved.
-    Given stop_bits, evolution ends early at the first stage whose largest
-    count is wider than stop_bits bits.
     """
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
@@ -229,7 +236,6 @@ def evolve_to(d: int, n_max: int,
     v = initial_vector(d)
     out = [v]
     while v.n < n_max:
-        top = max(v.counts)
         steps = n_max - v.n
         if steps >= digit_cap.bit_length() + 64:
             # (d+1)^steps >= 2^steps is far past the cap; build no such power
@@ -237,14 +243,12 @@ def evolve_to(d: int, n_max: int,
                 f"evolving d={d} to stage {n_max} predicts over 2^{steps} digit "
                 f"counts, above the cap of {digit_cap}; raise it with --digit-cap"
             )
-        predicted = digit_count(top) * (d + 1) ** steps
+        predicted = digit_count(max(v.counts)) * (d + 1) ** steps
         if predicted > digit_cap:
             raise CapExceeded(
                 f"evolving d={d} to stage {n_max} predicts ~{predicted} digit "
                 f"counts, above the cap of {digit_cap}; raise it with --digit-cap"
             )
-        if stop_bits is not None and top.bit_length() > stop_bits:
-            break
         v = step(v)
         out.append(v)
     return out

@@ -22,7 +22,7 @@ from hypothesis import event, given, settings, strategies as st
 
 from hanoi_dimer import cli, entropy, evolve, recursion_gen
 from hanoi_dimer.cli import build_parser, main
-from hanoi_dimer.errors import CacheCorruption, HanoiDimerError
+from hanoi_dimer.errors import DEFAULT_DIGIT_CAP, CacheCorruption, HanoiDimerError
 from hanoi_dimer.evolve import BoundaryClassVector
 from hanoi_dimer.matching_oracle import recursion_ceiling
 from hanoi_dimer.recursion_gen import (
@@ -534,7 +534,9 @@ REPRODUCE_STDOUT = REPO_DIR / "perfbench" / "fixtures" / "reproduce.stdout"
 
 def test_reproduce_steps_exact_counts_to_stage_five(capsys, monkeypatch):
     # stage 6 is an enclosure of stage 5's step; its ratio facts and bounds
-    # read only leading bits
+    # read only leading bits.  d=2's stage 5 (603 bits) fits the 686-bit
+    # width, so the bounds step it as an enclosure of zero width, by step,
+    # and truncate the stage-6 image
     stepped = []
     real_step = evolve.step
 
@@ -546,7 +548,7 @@ def test_reproduce_steps_exact_counts_to_stage_five(capsys, monkeypatch):
     code, out, err = run_cli(capsys, "reproduce")
     assert (code, err) == (0, "")
     assert out == REPRODUCE_STDOUT.read_text()
-    assert stepped == [(d, n) for d in (2, 3, 4) for n in range(1, 6)]
+    assert stepped == [(d, n) for d in (2, 3, 4) for n in range(1, 7 if d == 2 else 6)]
 
 
 def test_reproduce_steps_each_last_stage_enclosure_once(capsys, monkeypatch):
@@ -561,7 +563,7 @@ def test_reproduce_steps_each_last_stage_enclosure_once(capsys, monkeypatch):
     code, out, err = run_cli(capsys, "reproduce")
     assert (code, err) == (0, "")
     assert out == REPRODUCE_STDOUT.read_text()
-    bits = cli.working_bits(160, 6)
+    bits = entropy.working_bits(160, 6)
     assert stepped == [(d, 6, bits) for d in (2, 3, 4)]
 
 
@@ -612,7 +614,7 @@ def test_perfbench_tracer_wraps_reproduce(tmp_path):
     (("verify", "--d", "2", "--n-max", "1", "--cache-dir", "CACHE"),
      {"matching_oracle.boundary_class_vector", "hanoi_graph.build"}),
     (("entropy", "--d", "3", "--k", "3", "--cache-dir", "CACHE"),
-     {"entropy.bounds", "evolve.evolve_to"}),
+     {"entropy.bounds", "evolve.step"}),
     (("appendix-check", "--d", "2", "--which", "alpha"),
      {"appendix_check.alpha_descending_certificate"}),
 ], ids=["gen-recursions", "count", "verify", "entropy", "appendix-check"])
@@ -645,13 +647,19 @@ def test_entropy_json_schema_and_prefix(capsys, tmp_path):
 
 def test_entropy_d3_k9_evolves_intervals_past_the_seed_stage(capsys, tmp_path,
                                                               monkeypatch):
-    evolved = []
+    results, exact = [], []
+    real_step = evolve.step
 
     def recording(*args, **kwargs):
-        evolved.append(evolve.evolve_to(*args, **kwargs))
-        return evolved[-1]
+        results.append(entropy.bounds(*args, **kwargs))
+        return results[-1]
 
-    monkeypatch.setattr("hanoi_dimer.cli.evolve_to", recording)
+    def counted(v):
+        exact.append(v.n + 1)
+        return real_step(v)
+
+    monkeypatch.setattr(cli, "bounds", recording)
+    monkeypatch.setattr(evolve, "step", counted)
     code, out, _ = run_cli(capsys, "entropy", "--d", "3", "--k", "9",
                            "--precision", "1000", "--cache-dir", str(tmp_path))
     assert code == 0
@@ -660,7 +668,59 @@ def test_entropy_d3_k9_evolves_intervals_past_the_seed_stage(capsys, tmp_path,
     assert payload["certified_digits"] == 802
     assert payload["lambda_digits"] == 299282
     # exact counts stop at the first stage wider than the working width
-    assert evolved[0][-1].n < 9
+    assert exact == list(range(1, max(exact) + 1)) and max(exact) < 9
+    (result,) = results
+    assert result.enclosure.n == 9 and not result.enclosure.exact
+
+
+@pytest.mark.parametrize("argv, price", [
+    (("--d", "2", "--k", "3", "--precision", "40"), 750),
+    (("--d", "3", "--k", "8", "--precision", "600"), 20776),
+    (("--d", "3", "--k", "12", "--precision", "6500"), 314580),
+], ids=["d2-k3", "d3-k8", "d3-k12"])
+def test_entropy_prices_its_walk_from_stage_zero(capsys, monkeypatch, argv, price):
+    # k steps, each making counts of at most (d+1) times the working width
+    # in bits: the price stays below the default cap where the counts of an
+    # exact stage k would not
+    def no_walking(d):
+        raise AssertionError("built stage 0 past the walk's price")
+
+    with monkeypatch.context() as patched:
+        patched.setattr(entropy, "initial_vector", no_walking)
+        code, out, err = run_cli(capsys, "entropy", *argv,
+                                 "--digit-cap", str(price - 1))
+    assert (code, out) == (3, "")
+    assert err == (f"resource cap: stepping d={argv[1]} from stage 0 to stage "
+                   f"{argv[3]} makes {price} digits of counts, above the cap of "
+                   f"{price - 1}; raise it with --digit-cap\n")
+    assert price <= DEFAULT_DIGIT_CAP
+    if price < 1000:
+        code, out, err = run_cli(capsys, "entropy", *argv, "--digit-cap", str(price))
+        assert (code, err) == (0, "") and json.loads(out)["certified_digits"] > 0
+
+
+@pytest.mark.parametrize("precision", [10**30, 10**400], ids=["1e30", "1e400"])
+def test_a_huge_precision_is_refused_by_the_walk_price(capsys, precision):
+    # working_bits converts digits to bits in integers, so no float overflows
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "entropy", "--d", "2", "--k", "3",
+                             "--precision", str(precision))
+    assert time.perf_counter() - start < 1
+    assert (code, out) == (3, "")
+    (line,) = err.splitlines()
+    assert line.startswith("resource cap: ")
+    assert line.endswith("raise it with --digit-cap")
+
+
+def test_entropy_refuses_a_huge_d_before_building_stage_zero(capsys):
+    # stage 0 of d = 10^6 is 10^6 double factorials: bounds checks the
+    # scan-work cap first (d = 13 and k = 10^12 are refused in the tests of
+    # the scan-work cap and of huge d or k)
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "entropy", "--d", "1000000", "--k", "3")
+    assert time.perf_counter() - start < 1
+    assert (code, out) == (3, "")
+    assert err.startswith("resource cap: ") and "scan-work cap" in err
 
 
 # -- gen-recursions ---------------------------------------------------------------
@@ -1018,10 +1078,10 @@ COMMAND_FLAGS = {
 }
 
 
-# the flags also run at 10**30; a huge --precision is left out, as nothing
-# prices entropy's work at a given precision yet (ROADMAP item 1)
+# the flags also run at 10**30
 HUGE_VALUE_FLAGS = ("--digit-cap", "--memo-cap", "--vertex-cap",
-                    "--oracle-vertex-cap", "--term-budget", "--digits")
+                    "--oracle-vertex-cap", "--term-budget", "--digits",
+                    "--precision")
 
 
 @pytest.mark.parametrize("command,flag", [

@@ -5,7 +5,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from itertools import product
-from math import comb, prod
+from math import ceil, comb, log2, prod
 
 import mpmath
 import pytest
@@ -186,6 +186,15 @@ def test_ln_without_series_slack_misses_mpmath(monkeypatch):
     assert missed
 
 
+def test_working_bits_convert_digits_in_integers():
+    # the exact ratio of log2(10)'s double gives the float formula's value,
+    # and a value past the float range, where that formula overflows
+    for precision in (*range(1, 3000), 10**5, 3 * 10**6):
+        assert entropy.working_bits(precision, 6) == (
+            ceil((precision + 20) * log2(10)) + 4 * 6 + 64)
+    assert 3 * 10**400 < entropy.working_bits(10**400, 3) < 4 * 10**400
+
+
 # -- bounds ------------------------------------------------------------------
 
 
@@ -332,7 +341,8 @@ def test_bounds_refuse_a_bracketed_stage_without_the_chain(capsys, monkeypatch):
     assert fraction_bracketed(v.counts)
     with pytest.raises(IntegrityError, match="do not descend r0 >= r1 >= ... >= r3"):
         bounds(3, 1, [v], precision=60)
-    monkeypatch.setattr(cli, "evolve_to", lambda *args, **kwargs: [v])
+    monkeypatch.setattr(cli, "bounds",
+                        lambda d, k, **kwargs: bounds(d, k, [v], **kwargs))
     assert cli.main(["entropy", "--d", "3", "--k", "1"]) == 1
     assert "do not descend" in capsys.readouterr().err
 

@@ -665,16 +665,38 @@ def test_enclosure_is_exact_at_full_width(trajectories):
     assert narrow.hi[0] - narrow.lo[0] == 1  # floor and ceiling one apart
 
 
-def test_evolve_to_stops_past_the_given_width():
-    full = evolve_to(3, 8)
-    widths = [max(v.counts).bit_length() for v in full]
-    stopped = evolve_to(3, 8, stop_bits=widths[4])
-    # stage 5 is the first wider than stage 4's counts; nothing is evolved past it
-    assert [v.n for v in stopped] == [0, 1, 2, 3, 4, 5]
-    assert stopped == full[:6]
-    assert evolve_to(3, 3, stop_bits=widths[4]) == full[:4]
-
-
-def test_evolve_to_checks_the_digit_cap_before_stopping():
+def test_evolve_to_checks_the_digit_cap():
     with pytest.raises(CapExceeded, match="stage 30"):
-        evolve_to(3, 30, stop_bits=1)
+        evolve_to(3, 30)
+
+
+def test_a_zero_width_step_scans_the_classes_once(monkeypatch):
+    v = step(initial_vector(3))
+    want = step(v).counts
+    calls = []
+    class_counts = evolve._class_counts
+
+    def counted(d, mixed):
+        calls.append(d)
+        return class_counts(d, mixed)
+
+    monkeypatch.setattr(evolve, "_class_counts", counted)
+    got = interval_step(enclose(v, 64), 64)
+    assert calls == [3]
+    assert got.exact and got.lo == want
+    # an enclosure of nonzero width scans each end
+    interval_step(enclose(v, 8), 8)
+    assert calls == [3] * 3
+
+
+def test_a_zero_width_step_checks_the_m_scan(monkeypatch):
+    # as step does: M's own integer scan against the classes' binomial sum
+    v = step(initial_vector(3))
+
+    def tampered(d, factors, ring):
+        result = transfer_scan(d, factors, ring)
+        return result + 1 if ring is INT_RING else result
+
+    monkeypatch.setattr(evolve, "transfer_scan", tampered)
+    with pytest.raises(IntegrityError, match="binomial-weighted class sum"):
+        interval_step(enclose(v, 64), 64)
