@@ -20,15 +20,19 @@ enclosure, an integer interval of a fixed bit width, [lo, hi] * 2^shift
 stage at or below k) to k by evolve.interval_step, which rounds lo down and
 hi up.  An exact stage is the enclosure of zero width, which stays exact
 while its counts fit the width.  Before any work, stage 0 included, the
-walk is priced against a digit cap: each of its steps makes counts of at
-most (d+1) times the width in bits.  ln(lambda) then lies in
-[ln lo + shift ln 2, ln hi + shift ln 2], the lower bound takes omega at
-its smallest (lo_d over hi_{d+1}), the upper alpha at its largest (hi_0
-over lo_1), and the chain (evolve.chain_decisions) and the digit
-count of lambda are decided on the interval ends.  When the ends cannot
+walk is priced against a digit cap, and so is each wider walk before it
+runs: each of its steps makes counts of at most (d+1) times the width in
+bits.  ln(lambda) then lies in [ln lo + shift ln 2, ln hi + shift ln 2],
+the lower bound takes omega at its smallest (lo_d over hi_{d+1}), the
+upper alpha at its largest (hi_0 over lo_1), and the chain
+(evolve.chain_decisions) and the digit count of lambda are decided on the
+interval ends.  When the ends cannot
 decide them, the width doubles and the steps are redone; at full width the
-enclosure is exact, so the loop ends with the exact answer.  The result
-carries the enclosure its digits were read off.
+enclosure is exact, so the loop ends with the exact answer.  The ratio gaps
+contract at least quadratically, eps(n+1) < 3 eps(n)^2, so the width that
+decides a stage at least doubles at each later one: a walk whose chain is
+undecided at a stage n < k stops there, and the width grows by 2^(k-n).
+The result carries the enclosure its digits were read off.
 
 Logarithms are computed in fixed point over plain integers: a value at
 precision w is an integer numerator of value/10^w, carried as a certified
@@ -262,10 +266,12 @@ def bounds(d: int, k: int, vectors: list[BoundaryClassVector] | None = None,
     underwrites the sandwich; the d=2 system only satisfies it from stage 2
     on.  Walks one enclosure to k at working_bits(precision, k), doubled
     until the ends decide: from the stage-k vector if given, else from the
-    latest earlier one, and from stage 0 when no vectors are given.  Before
-    any work, stage 0 included, refuses with CapExceeded where the scan-work
-    cap does, or where the walk's steps, each making counts of at most
-    (d+1) * bits bits, make more than digit_cap digits in all.
+    latest earlier one, and from stage 0 when no vectors are given.  A walk
+    whose chain is undecided at a stage n < k stops there, and the width
+    grows by 2^(k-n).  Before any work, stage 0 included, refuses with
+    CapExceeded where the scan-work cap does; before each walk, at the base
+    width and at every wider one, where its steps, each making counts of at
+    most (d+1) * bits bits, make more than digit_cap digits in all.
     """
     if k < 1:
         raise ValueError("bound stage k must be >= 1")
@@ -281,22 +287,29 @@ def bounds(d: int, k: int, vectors: list[BoundaryClassVector] | None = None,
 
     bits = working_bits(precision, k)
     start = 0 if seed is None else seed.n
-    walked = (k - start) * ceil_div((d + 1) * bits * _LOG2_10_DEN, _LOG2_10_NUM)
-    if walked > digit_cap:
-        raise CapExceeded(
-            f"stepping d={d} from stage {start} to stage {k} makes {walked} "
-            f"digits of counts, above the cap of {digit_cap}; raise it with "
-            "--digit-cap")
-    if seed is None:
-        seed = initial_vector(d)
     while True:
+        # priced at every width, so widening cannot walk past the cap
+        walked = (k - start) * ceil_div((d + 1) * bits * _LOG2_10_DEN, _LOG2_10_NUM)
+        if walked > digit_cap:
+            raise CapExceeded(
+                f"stepping d={d} from stage {start} to stage {k} makes {walked} "
+                f"digits of counts, above the cap of {digit_cap}; raise it with "
+                "--digit-cap")
+        if seed is None:
+            seed = initial_vector(d)
         iv = enclose(seed, bits)
         while iv.n < k:
             iv = interval_step(iv, bits)
-        decided = _interval_bounds(iv, precision)
+            if (iv.n < k and not iv.exact
+                    and None in chain_decisions(iv.lo, iv.hi)):
+                break
+        decided = _interval_bounds(iv, precision) if iv.n == k else None
         if decided is not None:
             break
-        bits *= 2
+        # the ratio gaps contract at least quadratically (eps(n+1) <
+        # 3 eps(n)^2), so each stage past an undecided one takes at least
+        # twice the width
+        bits <<= max(k - iv.n, 1)
     lower, upper, lambda_digits = decided
     if lower.scaled > upper.scaled:
         raise IntegrityError("lower bound exceeded upper bound")

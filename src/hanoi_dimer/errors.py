@@ -15,7 +15,7 @@ DEFAULT_VERTEX_CAP = 10**6
 DEFAULT_ORACLE_VERTEX_CAP = 40
 DEFAULT_MEMO_CAP = 1 << 26
 # evolve.evolve_to: predicted digits of the last stage's exact counts;
-# entropy.bounds: digits its walk's steps make, (d+1)*bits*log10(2) a step
+# entropy.bounds: digits the steps of each walk make, (d+1)*bits*log10(2) a step
 DEFAULT_DIGIT_CAP = 10**7
 # appendix_check: terms of a certificate's expansion
 DEFAULT_TERM_BUDGET = 10**7

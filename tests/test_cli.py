@@ -699,12 +699,17 @@ def test_entropy_prices_its_walk_from_stage_zero(capsys, monkeypatch, argv, pric
         assert (code, err) == (0, "") and json.loads(out)["certified_digits"] > 0
 
 
-@pytest.mark.parametrize("precision", [10**30, 10**400], ids=["1e30", "1e400"])
-def test_a_huge_precision_is_refused_by_the_walk_price(capsys, precision):
-    # working_bits converts digits to bits in integers, so no float overflows
+@pytest.mark.parametrize("argv", [
+    ("--d", "2", "--k", "3", "--precision", str(10**400)),
+    ("--d", "3", "--k", "30"),
+], ids=["precision-1e400", "d3-k30"])
+def test_entropy_is_refused_by_the_walk_price_at_once(capsys, argv):
+    # 10**400 digits: working_bits converts digits to bits in integers, so
+    # no float overflows.  d=3 k=30: the base walk's chain is open at stage
+    # 6, so the next walk would be 2^24 times as wide, and its price refuses
+    # it before it runs
     start = time.perf_counter()
-    code, out, err = run_cli(capsys, "entropy", "--d", "2", "--k", "3",
-                             "--precision", str(precision))
+    code, out, err = run_cli(capsys, "entropy", *argv)
     assert time.perf_counter() - start < 1
     assert (code, out) == (3, "")
     (line,) = err.splitlines()

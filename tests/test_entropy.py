@@ -14,12 +14,13 @@ from hypothesis import given, settings, strategies as st
 from hanoi_dimer import cli, entropy
 from hanoi_dimer import reference_values as ref
 from hanoi_dimer.entropy import bounds, certified_digit_prefix
-from hanoi_dimer.errors import IntegrityError
+from hanoi_dimer.errors import CapExceeded, IntegrityError
 from hanoi_dimer.evolve import (
     BoundaryClassVector,
     _truncate,
     chain_decisions,
     enclose,
+    initial_vector,
     interval_step,
 )
 
@@ -453,6 +454,65 @@ def test_bounds_widen_until_the_bracket_is_decided(trajectories, monkeypatch):
     # undecided at the base width, decided at twice it
     base = entropy.working_bits(160, 8)
     assert decisions == [(base, False), (2 * base, True)]
+
+
+def walk_price(d, steps, bits):
+    # the digits of counts that bounds charges a walk at this width
+    num, den = log2(10).as_integer_ratio()
+    return steps * -(-(d + 1) * bits * den // num)
+
+
+def test_bounds_price_each_wider_walk(trajectories, monkeypatch):
+    # d=3 k=8 p=160 from stage 5 is undecided at the base width: a cap that
+    # admits the base walk refuses the walk at twice it, before it runs
+    vectors = trajectories(3, 8)
+    base = entropy.working_bits(160, 8)
+    widths = []
+    monkeypatch.setattr(entropy, "interval_step",
+                        lambda iv, width: widths.append(width) or interval_step(iv, width))
+    cap = walk_price(3, 3, base)
+    assert walk_price(3, 3, 2 * base) > cap
+    with pytest.raises(CapExceeded) as exc:
+        bounds(3, 8, vectors[:6], precision=160, digit_cap=cap)
+    assert str(exc.value) == (
+        f"stepping d=3 from stage 5 to stage 8 makes {walk_price(3, 3, 2 * base)} "
+        f"digits of counts, above the cap of {cap}; raise it with --digit-cap")
+    assert widths == [base] * 3
+    widths.clear()
+    result = bounds(3, 8, vectors[:6], precision=160,
+                    digit_cap=walk_price(3, 3, 2 * base))
+    assert widths == [base] * 3 + [2 * base] * 3
+    assert summary(result) == exact_bounds(3, 8, vectors[8], 160)
+
+
+def test_a_walk_undecided_before_k_stops_and_widens_by_the_stages_left(monkeypatch):
+    # d=2 k=12 p=40: the base walk's chain is open at stage 7, so it stops
+    # there and the width grows by 2^(12-7); each width it skips leaves
+    # stage 12 open, so doubling one at a time would end at the same width
+    base = entropy.working_bits(40, 12)
+    walks = []
+    enclose_at = entropy.enclose
+
+    def recorded(vector, bits):
+        walks.append([bits, vector.n])
+        return enclose_at(vector, bits)
+
+    def stepped(iv, bits):
+        iv = interval_step(iv, bits)
+        walks[-1][1] = iv.n
+        return iv
+
+    monkeypatch.setattr(entropy, "enclose", recorded)
+    monkeypatch.setattr(entropy, "interval_step", stepped)
+    result = bounds(2, 12, precision=40)
+    assert walks == [[base, 7], [base << 5, 12], [base << 6, 12]]
+    monkeypatch.undo()
+    assert result.certified_digits == 39
+    for shift in range(6):
+        iv = enclose(initial_vector(2), base << shift)
+        while iv.n < 12:
+            iv = interval_step(iv, base << shift)
+        assert entropy._interval_bounds(iv, 40) is None
 
 
 @pytest.mark.parametrize("lam", [10**60, 10**60 - 1, 10**60 + 1],

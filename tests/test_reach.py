@@ -38,8 +38,6 @@ ALLOWED = {
     "appendix_check.gap_varset": FAIL_PATH,
     "errors.UnboundVariableError.__init__":
         "error path: every command binds each variable it evaluates",
-    "evolve.CountInterval.exact":
-        "read only when lambda lies within the working precision of a power of ten",
     "cli.run": "ends the process, so no in-process command can reach it",
     "cli._stdout_lost": "reached through a closed stdout, which only a subprocess has",
     "evolve.BoundaryClassVector._make": MAKE,
