@@ -32,7 +32,8 @@ enclosure is exact, so the loop ends with the exact answer.  The ratio gaps
 contract at least quadratically, eps(n+1) < 3 eps(n)^2, so the width that
 decides a stage at least doubles at each later one: a walk whose chain is
 undecided at a stage n < k stops there, and the width grows by 2^(k-n).
-The result carries the enclosure its digits were read off.
+The result carries the walk its digits were read off: the enclosures of
+the stages after the seed, all at the final width, the last at stage k.
 
 Logarithms are computed in fixed point over plain integers: a value at
 precision w is an integer numerator of value/10^w, carried as a certified
@@ -106,7 +107,10 @@ class BoundsResult(NamedTuple):
     upper: HighPrecisionReal
     certified_digits: int
     lambda_digits: int
-    enclosure: CountInterval
+    # the enclosures of stages seed+1..k, each an interval_step of the one
+    # before it at one width, the last the one the bounds were read off; a
+    # seed at stage k walks only its own enclosure
+    walk: tuple[CountInterval, ...]
     warning: str | None = None
 
 
@@ -268,7 +272,8 @@ def bounds(d: int, k: int, vectors: list[BoundaryClassVector] | None = None,
     until the ends decide: from the stage-k vector if given, else from the
     latest earlier one, and from stage 0 when no vectors are given.  A walk
     whose chain is undecided at a stage n < k stops there, and the width
-    grows by 2^(k-n).  Before any work, stage 0 included, refuses with
+    grows by 2^(k-n).  The result's walk is the deciding walk's enclosures
+    of stages seed+1..k.  Before any work, stage 0 included, refuses with
     CapExceeded where the scan-work cap does; before each walk, at the base
     width and at every wider one, where its steps, each making counts of at
     most (d+1) * bits bits, make more than digit_cap digits in all.
@@ -298,8 +303,10 @@ def bounds(d: int, k: int, vectors: list[BoundaryClassVector] | None = None,
         if seed is None:
             seed = initial_vector(d)
         iv = enclose(seed, bits)
+        walk = []
         while iv.n < k:
             iv = interval_step(iv, bits)
+            walk.append(iv)
             if (iv.n < k and not iv.exact
                     and None in chain_decisions(iv.lo, iv.hi)):
                 break
@@ -323,5 +330,5 @@ def bounds(d: int, k: int, vectors: list[BoundaryClassVector] | None = None,
         )
     return BoundsResult(
         d=d, k=k, lower=lower, upper=upper, certified_digits=digits,
-        lambda_digits=lambda_digits, enclosure=iv, warning=warning,
+        lambda_digits=lambda_digits, walk=tuple(walk) or (iv,), warning=warning,
     )

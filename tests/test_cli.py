@@ -20,7 +20,7 @@ import jsonschema
 import pytest
 from hypothesis import event, given, settings, strategies as st
 
-from hanoi_dimer import cli, entropy, evolve, recursion_gen
+from hanoi_dimer import cli, entropy, evolve, recursion_gen, reference_values
 from hanoi_dimer.cli import build_parser, main
 from hanoi_dimer.errors import DEFAULT_DIGIT_CAP, CacheCorruption, HanoiDimerError
 from hanoi_dimer.evolve import BoundaryClassVector
@@ -532,11 +532,12 @@ def test_ratios_and_reproduce_build_no_fraction(capsys):
 REPRODUCE_STDOUT = REPO_DIR / "perfbench" / "fixtures" / "reproduce.stdout"
 
 
-def test_reproduce_steps_exact_counts_to_stage_five(capsys, monkeypatch):
-    # stage 6 is an enclosure of stage 5's step; its ratio facts and bounds
-    # read only leading bits.  d=2's stage 5 (603 bits) fits the 686-bit
-    # width, so the bounds step it as an enclosure of zero width, by step,
-    # and truncate the stage-6 image
+def test_reproduce_steps_exact_counts_through_the_stages_its_tables_read(
+        capsys, monkeypatch):
+    # the tables read d=2 to stage 2, d=3 to stage 5 and d=4 to stage 4; the
+    # bounds walk the later stages.  d=2's stage 5 (603 bits) fits the
+    # 686-bit width, so its walk steps stages 3-5 at zero width, by step,
+    # and truncates the stage-6 image; d=3's stage 5 and d=4's stage 4 do not
     stepped = []
     real_step = evolve.step
 
@@ -548,11 +549,13 @@ def test_reproduce_steps_exact_counts_to_stage_five(capsys, monkeypatch):
     code, out, err = run_cli(capsys, "reproduce")
     assert (code, err) == (0, "")
     assert out == REPRODUCE_STDOUT.read_text()
-    assert stepped == [(d, n) for d in (2, 3, 4) for n in range(1, 7 if d == 2 else 6)]
+    last = {2: 6, 3: 5, 4: 4}
+    assert stepped == [(d, n) for d in (2, 3, 4) for n in range(1, last[d] + 1)]
 
 
-def test_reproduce_steps_each_last_stage_enclosure_once(capsys, monkeypatch):
-    # the ratio facts and the bounds read the one stage-6 enclosure per d
+def test_reproduce_steps_each_interval_stage_once(capsys, monkeypatch):
+    # the ratio facts and the bounds read one walk per d, each stage after
+    # the exact ones stepped once at the working width
     stepped = []
 
     def counted(iv, bits):
@@ -564,25 +567,51 @@ def test_reproduce_steps_each_last_stage_enclosure_once(capsys, monkeypatch):
     assert (code, err) == (0, "")
     assert out == REPRODUCE_STDOUT.read_text()
     bits = entropy.working_bits(160, 6)
-    assert stepped == [(d, 6, bits) for d in (2, 3, 4)]
+    assert stepped == [(2, n, bits) for n in (3, 4, 5, 6)] + [
+        (3, 6, bits), (4, 5, bits), (4, 6, bits)]
 
 
 def test_reproduce_decides_an_open_fact_on_the_exact_last_stage(capsys, monkeypatch):
-    # as if the bounds' enclosure left a ratio fact open at every d: the
-    # exact stage 6 decides them, with the same report
+    # as if the bounds' walk left a ratio fact open at every d: exact stages,
+    # stepped from the last exact one up to stage 6, decide them, with the
+    # same report
     checked = []
     real_check = cli.check_contraction
 
     def open_on_enclosures(trace):
-        exact = trace.lo[-1] == trace.hi[-1]
+        exact = trace.lo == trace.hi
         checked.append((trace.d, exact))
         return real_check(trace) if exact else None
 
+    stepped = []
+    real_step = cli.step
+
+    def counted(v):
+        stepped.append((v.d, v.n + 1))
+        return real_step(v)
+
     monkeypatch.setattr(cli, "check_contraction", open_on_enclosures)
+    monkeypatch.setattr(cli, "step", counted)
     code, out, err = run_cli(capsys, "reproduce")
     assert (code, err) == (0, "")
     assert out == REPRODUCE_STDOUT.read_text()
     assert checked == [(d, exact) for d in (2, 3, 4) for exact in (False, True)]
+    assert stepped == [(2, 3), (2, 4), (2, 5), (2, 6), (3, 6), (4, 5), (4, 6)]
+
+
+def test_reproduce_evolves_exactly_the_stages_the_reference_tables_read():
+    # a table row past a d's exact stages would read an enclosure (ValueError
+    # from RatioTrace._row), and an exact stage past them is never read.  cli
+    # keeps the table as a literal, so that start-up loads no reference_values
+    # (test_the_package_and_the_parser_load_no_library_module)
+    read = {d: max(*counts, *cli._ORACLE_STAGES[d])
+            for d, (counts, _totals) in reference_values.REFERENCE_COUNTS.items()}
+    for d, rows in ((3, reference_values.RATIOS_D3), (4, reference_values.RATIOS_D4)):
+        read[d] = max(read[d], *rows)
+    # the contraction quotient of row n reads eps(n) and eps(n+1)
+    read[3] = max(read[3], *(n + 1 for n in reference_values.EPS_RATIO_TABLE_D3))
+    assert cli._EXACT_STAGES == read == {2: 2, 3: 5, 4: 4}
+    assert max(cli._EXACT_STAGES.values()) < cli._LAST_STAGE
 
 
 def test_perfbench_tracer_wraps_reproduce(tmp_path):
@@ -670,7 +699,7 @@ def test_entropy_d3_k9_evolves_intervals_past_the_seed_stage(capsys, tmp_path,
     # exact counts stop at the first stage wider than the working width
     assert exact == list(range(1, max(exact) + 1)) and max(exact) < 9
     (result,) = results
-    assert result.enclosure.n == 9 and not result.enclosure.exact
+    assert result.walk[-1].n == 9 and not result.walk[-1].exact
 
 
 @pytest.mark.parametrize("argv, price", [

@@ -370,21 +370,53 @@ def test_bounds_widen_until_the_chain_is_decided(monkeypatch):
     result = bounds(3, 1, [v], precision=10)
     assert decisions == [(False, False), (True, True)]
     assert summary(result) == exact_bounds(3, 1, v, 10)
-    assert result.enclosure.exact
+    assert result.walk[-1].exact
+
+
+def assert_walked(result, seed, bits, precision):
+    """result.walk steps the stages after seed to k at one width, and its
+    last enclosure gives the bounds."""
+    walk = result.walk
+    assert [iv.n for iv in walk] == list(range(seed.n + 1, result.k + 1))
+    for before, iv in zip((enclose(seed, bits),) + walk, walk):
+        assert iv == interval_step(before, bits)
+    assert entropy._interval_bounds(walk[-1], precision) == (
+        result.lower, result.upper, result.lambda_digits)
 
 
 @pytest.mark.parametrize("d", [2, 3, 4])
 def test_bounds_carry_the_enclosure_they_read(trajectories, monkeypatch, d):
-    # reproduce reads its last stage's ratio facts off this enclosure: the
-    # one working-width step from stage 5 that the bounds were read off
-    vectors = trajectories(d, 5)
+    # reproduce reads the ratio facts past its exact stages off this walk:
+    # one working-width step per stage from the last exact one to stage 6
+    vectors = trajectories(d, cli._EXACT_STAGES[d])
     bits = entropy.working_bits(160, 6)
     stepped = []
     monkeypatch.setattr(entropy, "interval_step",
                         lambda iv, width: stepped.append(width) or interval_step(iv, width))
     result = bounds(d, 6, vectors, precision=160)
-    assert stepped == [bits]
-    assert result.enclosure == interval_step(enclose(vectors[5], bits), bits)
+    monkeypatch.undo()
+    assert stepped == [bits] * (6 - vectors[-1].n)
+    assert_walked(result, vectors[-1], bits, 160)
+
+
+def test_a_widened_walk_is_all_at_the_final_width():
+    # d=2 k=12 p=40 walks at the base width, then 2^5 and 2^6 times it
+    # (test_a_walk_undecided_before_k_stops_and_widens_by_the_stages_left):
+    # only the last walk is kept, exact while its counts fit the width
+    bits = entropy.working_bits(40, 12) << 6
+    result = bounds(2, 12, precision=40)
+    assert_walked(result, initial_vector(2), bits, 40)
+    assert not result.walk[-1].exact
+    wide = [iv for iv in result.walk if not iv.exact]
+    assert all(max(iv.hi).bit_length() in (bits, bits + 1) for iv in wide)
+
+
+def test_a_seed_at_k_walks_only_its_own_enclosure(trajectories):
+    vectors = trajectories(3, 3)
+    result = bounds(3, 3, vectors, precision=40)
+    assert result.walk == (enclose(vectors[3], entropy.working_bits(40, 3)),)
+    assert entropy._interval_bounds(result.walk[0], 40) == (
+        result.lower, result.upper, result.lambda_digits)
 
 
 def test_bounds_require_stage_at_least_one(trajectories):
