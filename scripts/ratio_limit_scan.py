@@ -17,7 +17,8 @@ from __future__ import annotations
 
 import argparse
 
-from hanoi_dimer.evolve import check_contraction, evolve_to, ratios
+from hanoi_dimer.evolve import evolve_to
+from hanoi_dimer.ratio_facts import check_contraction, ratios
 
 
 def main() -> None:

@@ -79,7 +79,7 @@ from .evolve import (
     interval_step,
 )
 from .intutil import ceil_div, digit_count
-from .recursion_gen import check_scan_work
+from .scan import check_scan_work
 
 GUARD_DIGITS = 20
 # log2 10 as the exact ratio of its double, so that digits convert to bits

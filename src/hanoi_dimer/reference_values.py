@@ -78,7 +78,7 @@ RATIOS_D4 = {  # 14 decimal places
 
 # contraction-quotient table for d=3: lists 10 * eps(n+1)/eps(n)^2 with the
 # digit tail cut rather than rounded (both quirks reproduced by
-# evolve.eps_ratio_table_value)
+# ratio_facts.eps_ratio_table_value)
 EPS_RATIO_TABLE_D3 = {
     1: "0.18102932094933",
     2: "0.17893865402990",

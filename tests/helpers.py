@@ -31,12 +31,8 @@ from hanoi_dimer.errors import (
     CapExceeded,
     IntegrityError,
 )
-from hanoi_dimer.evolve import (
-    BoundaryClassVector,
-    ContractionReport,
-    RatioTrace,
-    render_quotient,
-)
+from hanoi_dimer.evolve import BoundaryClassVector
+from hanoi_dimer.ratio_facts import ContractionReport, RatioTrace, render_quotient
 from hanoi_dimer.hanoi_graph import HanoiGraph, connector_edges
 from hanoi_dimer.intutil import digit_count
 from hanoi_dimer.matching_oracle import (
@@ -46,7 +42,8 @@ from hanoi_dimer.matching_oracle import (
     count_matchings,
 )
 from hanoi_dimer.multipoly import Polynomial, _grlex_key, substitute
-from hanoi_dimer.recursion_gen import RecursionSystem, class_varset, t_point
+from hanoi_dimer.recursion_gen import RecursionSystem, class_varset
+from hanoi_dimer.scan import t_point
 
 DATA_DIR = Path(__file__).parent / "data"
 REPO_DIR = Path(__file__).resolve().parents[1]
@@ -269,7 +266,7 @@ def gap_expansion_by_substitution(poly: Polynomial, d: int) -> Polynomial:
 
 
 def extension_weights_by_fractions(n: int) -> tuple[tuple[int, ...], int]:
-    """Reference for recursion_gen._extension_weights: each Lagrange weight a
+    """Reference for scan._extension_weights: each Lagrange weight a
     Fraction, all of them put over the lcm of their denominators."""
     xs = [t_point(j) for j in range(n + 1)]
     weights = []
@@ -337,7 +334,7 @@ def boundary_class_vector_by_subsets(graph: HanoiGraph) -> BoundaryClassVector:
 
 def render_decimal_by_fraction(value: Fraction, places: int,
                                mode: str = "half_even") -> str:
-    """Reference for evolve.render_quotient: the digits of the reduced
+    """Reference for ratio_facts.render_quotient: the digits of the reduced
     Fraction value * 10^places, as render_decimal read them before it took
     unreduced integer pairs."""
     if value < 0:
@@ -357,7 +354,7 @@ def render_decimal_by_fraction(value: Fraction, places: int,
 
 def check_contraction_by_fractions(trace: RatioTrace,
                                    limit_places: int = 60) -> ContractionReport:
-    """Reference for evolve.check_contraction: every fact decided on the
+    """Reference for ratio_facts.check_contraction: every fact decided on the
     trace's Fraction rows, as the report was made before it compared
     integer cross-products."""
     d = trace.d

@@ -19,12 +19,8 @@ import hanoi_dimer
 from hanoi_dimer import reference_values as ref
 from hanoi_dimer.appendix_check import run_certificates
 from hanoi_dimer.entropy import bounds
-from hanoi_dimer.evolve import (
-    check_contraction,
-    eps_ratio_table_value,
-    evolve_to,
-    ratios,
-)
+from hanoi_dimer.evolve import evolve_to
+from hanoi_dimer.ratio_facts import check_contraction, eps_ratio_table_value, ratios
 from hanoi_dimer.hanoi_graph import build
 from hanoi_dimer.matching_oracle import boundary_class_vector
 from hanoi_dimer.multipoly import Polynomial, serialize

@@ -472,7 +472,7 @@ def test_perfbench_tracer_wraps_the_certificates(tmp_path):
 
 def test_certificates_imply_numeric_monotonicity(systems, trajectories):
     """The symbolic facts and the numeric stage data must tell one story."""
-    from hanoi_dimer.evolve import check_contraction, ratios
+    from hanoi_dimer.ratio_facts import check_contraction, ratios
 
     for d in (2, 3):
         numeric = check_contraction(ratios(trajectories(d, 4)))

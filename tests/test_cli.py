@@ -22,17 +22,12 @@ from hypothesis import event, given, settings, strategies as st
 
 from hanoi_dimer import cli, entropy, evolve, recursion_gen, reference_values
 from hanoi_dimer.cli import build_parser, main
+from hanoi_dimer.commands import reproduce
 from hanoi_dimer.errors import DEFAULT_DIGIT_CAP, CacheCorruption, HanoiDimerError
 from hanoi_dimer.evolve import BoundaryClassVector
 from hanoi_dimer.matching_oracle import recursion_ceiling
-from hanoi_dimer.recursion_gen import (
-    SCAN_WORK_CAP,
-    cache_path,
-    generate,
-    load_system,
-    save_system,
-    scan_pairs,
-)
+from hanoi_dimer.recursion_gen import cache_path, generate, load_system, save_system
+from hanoi_dimer.scan import SCAN_WORK_CAP, scan_pairs
 
 from .helpers import REPO_DIR, python_env, run_python
 
@@ -601,17 +596,15 @@ def test_reproduce_decides_an_open_fact_on_the_exact_last_stage(capsys, monkeypa
 
 def test_reproduce_evolves_exactly_the_stages_the_reference_tables_read():
     # a table row past a d's exact stages would read an enclosure (ValueError
-    # from RatioTrace._row), and an exact stage past them is never read.  cli
-    # keeps the table as a literal, so that start-up loads no reference_values
-    # (test_the_package_and_the_parser_load_no_library_module)
-    read = {d: max(*counts, *cli._ORACLE_STAGES[d])
+    # from RatioTrace._row), and an exact stage past them is never read
+    read = {d: max(*counts, *reproduce._ORACLE_STAGES[d])
             for d, (counts, _totals) in reference_values.REFERENCE_COUNTS.items()}
     for d, rows in ((3, reference_values.RATIOS_D3), (4, reference_values.RATIOS_D4)):
         read[d] = max(read[d], *rows)
     # the contraction quotient of row n reads eps(n) and eps(n+1)
     read[3] = max(read[3], *(n + 1 for n in reference_values.EPS_RATIO_TABLE_D3))
-    assert cli._EXACT_STAGES == read == {2: 2, 3: 5, 4: 4}
-    assert max(cli._EXACT_STAGES.values()) < cli._LAST_STAGE
+    assert reproduce._EXACT_STAGES == read == {2: 2, 3: 5, 4: 4}
+    assert max(reproduce._EXACT_STAGES.values()) < reproduce._LAST_STAGE
 
 
 def test_perfbench_tracer_wraps_reproduce(tmp_path):
@@ -633,7 +626,7 @@ def test_perfbench_tracer_wraps_reproduce(tmp_path):
     for spans in per_d:
         (counts,) = spans["entropy.bounds"]
         assert counts["entropy.certified_digits"] > 0
-        assert spans["evolve.ratios"] and spans["evolve.check_contraction"]
+        assert spans["ratio_facts.ratios"] and spans["ratio_facts.check_contraction"]
 
 
 @pytest.mark.parametrize("argv, wanted", [
@@ -1061,9 +1054,13 @@ def test_oracle_far_past_the_vertex_cap_exits_at_once(capsys):
 
 
 def test_usage_error_exit_code(capsys):
-    with pytest.raises(SystemExit) as exc:
-        main(["count", "--d", "3"])  # missing --n
-    assert exc.value.code == 2
+    for argv in (["count", "--d", "3"],  # missing --n
+                 # the edge list counts nothing: the constraint would go unapplied
+                 ["oracle", "--d", "3", "--n", "1", "--emit-graph", "--constraint", "mmmm"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert capsys.readouterr().out == ""
 
 
 def test_dimension_validation(capsys):
@@ -1259,19 +1256,42 @@ def test_the_package_and_the_parser_load_no_library_module():
                           "cli.build_parser()") == {"cli", "errors"}
 
 
-@pytest.mark.parametrize("argv, runs, unloaded", [
-    (["count", "--d", "2", "--n", "1"], "evolve",
-     {"appendix_check", "entropy", "matching_oracle", "hanoi_graph", "reference_values"}),
-    (["appendix-check", "--d", "2", "--which", "omega"], "appendix_check",
-     {"evolve", "entropy", "matching_oracle", "hanoi_graph", "reference_values"}),
-], ids=["count", "appendix-check"])
-def test_a_command_loads_only_the_modules_it_runs(argv, runs, unloaded):
+# the modules each command loads beside cli, errors and its own module under
+# commands/: without a bytecode cache each one is compiled at every run, so a
+# new top-level import fails here before it shows in the benchmark
+COMMAND_MODULES = {
+    "gen-recursions": {"multipoly", "recursion_gen", "scan"},
+    "count": {"evolve", "intutil", "scan"},
+    "oracle": {"evolve", "hanoi_graph", "intutil", "matching_oracle", "scan"},
+    "verify": {"evolve", "hanoi_graph", "intutil", "matching_oracle", "multipoly",
+               "recursion_gen", "scan"},
+    "ratios": {"evolve", "intutil", "ratio_facts", "scan"},
+    "entropy": {"entropy", "evolve", "intutil", "scan"},
+    "appendix-check": {"appendix_check", "multipoly", "recursion_gen", "scan"},
+    "reproduce": {"entropy", "evolve", "hanoi_graph", "intutil", "matching_oracle",
+                  "multipoly", "ratio_facts", "recursion_gen", "reference_values",
+                  "scan"},
+}
+
+
+@pytest.mark.parametrize("argv", [
+    ("gen-recursions", "--d", "2", "--cache-dir", "CACHE"),
+    ("count", "--d", "2", "--n", "1"),
+    ("oracle", "--d", "2", "--n", "1"),
+    ("verify", "--d", "2", "--n-max", "1", "--cache-dir", "CACHE"),
+    ("ratios", "--d", "2", "--max-n", "2"),
+    ("entropy", "--d", "2", "--k", "3", "--precision", "40"),
+    ("appendix-check", "--d", "2", "--which", "omega"),
+    ("reproduce",),
+], ids=lambda argv: argv[0])
+def test_a_command_loads_only_the_modules_it_runs(tmp_path, argv):
+    command = [str(tmp_path) if a == "CACHE" else a for a in argv]
     loaded = loaded_modules("from hanoi_dimer import cli\n"
-                            f"status = cli.main({argv!r})\n"
+                            f"status = cli.main({command!r})\n"
                             "if status:\n"
                             "    raise SystemExit(status)")
-    assert runs in loaded
-    assert loaded.isdisjoint(unloaded)
+    own = f"commands.{argv[0].replace('-', '_')}"
+    assert loaded == {"cli", "errors", "commands", own} | COMMAND_MODULES[argv[0]]
 
 
 # -- process exit --------------------------------------------------------------------

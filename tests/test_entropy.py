@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hanoi_dimer import cli, entropy
+from hanoi_dimer.commands import reproduce
 from hanoi_dimer import reference_values as ref
 from hanoi_dimer.entropy import bounds, certified_digit_prefix
 from hanoi_dimer.errors import CapExceeded, IntegrityError
@@ -388,7 +389,7 @@ def assert_walked(result, seed, bits, precision):
 def test_bounds_carry_the_enclosure_they_read(trajectories, monkeypatch, d):
     # reproduce reads the ratio facts past its exact stages off this walk:
     # one working-width step per stage from the last exact one to stage 6
-    vectors = trajectories(d, cli._EXACT_STAGES[d])
+    vectors = trajectories(d, reproduce._EXACT_STAGES[d])
     bits = entropy.working_bits(160, 6)
     stepped = []
     monkeypatch.setattr(entropy, "interval_step",

@@ -13,12 +13,13 @@ from hanoi_dimer.errors import CapExceeded, IntegrityError
 from hanoi_dimer.multipoly import Polynomial
 from hanoi_dimer import evolve
 from hanoi_dimer.entropy import working_bits
-from hanoi_dimer.recursion_gen import (
+from hanoi_dimer.recursion_gen import RecursionSystem
+from hanoi_dimer.scan import (
     INT_RING,
     POINT_RING,
     SCAN_WORK_CAP,
-    RecursionSystem,
     Ring,
+    check_scan_work,
     corner_splits,
     interpolate_points,
     scan_pairs,
@@ -26,21 +27,22 @@ from hanoi_dimer.recursion_gen import (
 )
 from hanoi_dimer.evolve import (
     BoundaryClassVector,
-    RatioTrace,
     _class_counts,
     _mixed_counts,
     apply_system,
-    check_contraction,
-    check_scan_work,
     decide_at_least,
     enclose,
-    eps_ratio_table_value,
     evolve_to,
     initial_vector,
     interval_step,
+    step,
+)
+from hanoi_dimer.ratio_facts import (
+    RatioTrace,
+    check_contraction,
+    eps_ratio_table_value,
     ratios,
     render_quotient,
-    step,
 )
 
 from .helpers import (

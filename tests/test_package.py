@@ -24,14 +24,9 @@ PUBLIC = {
     ),
     "evolve": (
         "BoundaryClassVector",
-        "ContractionReport",
-        "RatioTrace",
         "apply_system",
-        "check_contraction",
         "evolve_to",
         "initial_vector",
-        "ratios",
-        "render_quotient",
         "step",
     ),
     "hanoi_graph": ("HanoiGraph", "build", "connector_edges"),
@@ -49,9 +44,20 @@ PUBLIC = {
         "serialize",
         "substitute",
     ),
+    "ratio_facts": (
+        "ContractionReport",
+        "RatioTrace",
+        "check_contraction",
+        "ratios",
+        "render_quotient",
+    ),
     "recursion_gen": (
         "RecursionSystem",
         "generate",
+    ),
+    "scan": (
+        "check_scan_work",
+        "transfer_scan",
     ),
 }
 MODULE_OF = {name: module for module, names in PUBLIC.items() for name in names}

@@ -13,7 +13,7 @@ import types
 from pathlib import Path
 
 import hanoi_dimer
-from hanoi_dimer import cli, entropy, recursion_gen
+from hanoi_dimer import cli, entropy, evolve, scan
 from hanoi_dimer.recursion_gen import cache_path
 
 SUBSTITUTE = "run only by substitute, which perfbench/traced_cli.py wraps by name"
@@ -41,20 +41,23 @@ ALLOWED = {
     "cli.run": "ends the process, so no in-process command can reach it",
     "cli._stdout_lost": "reached through a closed stdout, which only a subprocess has",
     "evolve.BoundaryClassVector._make": MAKE,
-    "evolve.RatioTrace._make": MAKE,
+    "ratio_facts.RatioTrace._make": MAKE,
 }
 
 # the functools.cache tables a command fills; an earlier test's warm table
 # would hide the calls that fill it
-CACHES = (recursion_gen._connector_choices, recursion_gen._extension_weights,
+CACHES = (scan._connector_choices, scan._extension_weights,
           entropy._ln2_interval, entropy._ln10_interval)
 
 
 def library_functions() -> dict[tuple[str, int, str], str]:
-    """Every function and lambda compiled from src/hanoi_dimer, keyed as a
-    profiler sees its code, with its module-qualified name."""
+    """Every function and lambda compiled from src/hanoi_dimer, its
+    commands package included, keyed as a profiler sees its code, with its
+    module-qualified name (commands.count.run for the count command)."""
     found = {}
-    for path in sorted(Path(hanoi_dimer.__file__).parent.glob("*.py")):
+    root = Path(hanoi_dimer.__file__).parent
+    for path in sorted(root.rglob("*.py")):
+        module = ".".join(path.relative_to(root).with_suffix("").parts)
         stack = [compile(path.read_text(encoding="utf-8"), str(path), "exec")]
         while stack:
             for const in stack.pop().co_consts:
@@ -66,7 +69,7 @@ def library_functions() -> dict[tuple[str, int, str], str]:
                 # a class body is no function: it is not CO_OPTIMIZED
                 if const.co_flags & inspect.CO_OPTIMIZED and not comprehension:
                     key = (str(path), const.co_firstlineno, name)
-                    found[key] = f"{path.stem}.{const.co_qualname}"
+                    found[key] = f"{module}.{const.co_qualname}"
     return found
 
 
@@ -94,9 +97,11 @@ def commands(cache: Path) -> list[list[str]]:
 def test_every_library_function_is_run_by_a_command_or_allowed(tmp_path, monkeypatch):
     for table in CACHES:
         table.cache_clear()
-    # cli binds each library name on first use; unbound, the first use runs again
+    # cli binds each library name on first use, and evolve evaluate_int;
+    # unbound, the first use runs again
     for name in cli._LIBRARY:
         monkeypatch.delitem(vars(cli), name, raising=False)
+    monkeypatch.delitem(vars(evolve), "evaluate_int", raising=False)
     runs = [(argv, None) for argv in commands(tmp_path)]
     # a cache file whose text fails to parse is regenerated, and so is one
     # that reads as the generated system in a text gen-recursions never

@@ -12,19 +12,12 @@ import pytest
 from hanoi_dimer.appendix_check import CertificateReport, run_certificates
 from hanoi_dimer.entropy import BoundsResult, HighPrecisionReal, bounds
 from hanoi_dimer.errors import IntegrityError
-from hanoi_dimer.evolve import (
-    BoundaryClassVector,
-    ContractionReport,
-    CountInterval,
-    RatioTrace,
-    check_contraction,
-    enclose,
-    evolve_to,
-    ratios,
-)
+from hanoi_dimer.evolve import BoundaryClassVector, CountInterval, enclose, evolve_to
+from hanoi_dimer.ratio_facts import ContractionReport, RatioTrace, check_contraction, ratios
 from hanoi_dimer.hanoi_graph import HanoiGraph, build
 from hanoi_dimer.matching_oracle import CornerConstraint
-from hanoi_dimer.recursion_gen import INT_RING, RecursionSystem, Ring, generate
+from hanoi_dimer.recursion_gen import RecursionSystem, generate
+from hanoi_dimer.scan import INT_RING, Ring
 
 from .helpers import SandwichReport, check_finite_sandwich
 

@@ -23,17 +23,19 @@ from hanoi_dimer.multipoly import (
     substitute,
 )
 from hanoi_dimer.recursion_gen import (
-    SCAN_WORK_CAP,
-    Ring,
-    _extension_weights,
     cache_path,
     class_varset,
     generate,
     load_system,
+    save_system,
+)
+from hanoi_dimer.scan import (
+    SCAN_WORK_CAP,
+    Ring,
+    _extension_weights,
     corner_splits,
     extend_points,
     interpolate_points,
-    save_system,
     scan_terms,
     t_point,
 )
